@@ -198,7 +198,7 @@ def main(argv=None) -> int:
                                       args.primitive_root, cache_dir)
             report.provenance.update({
                 "psi_source": args.psi or "<trivial>",
-                "lfun_source": args.lfun, "s0": s0})
+                "lfun_source": args.lfun, "s0": sorted(set(s0))})
             return emit_report(report, args.format, args.output)
 
         raise SymsqError(f"unhandled command {args.command}")

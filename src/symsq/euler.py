@@ -146,20 +146,28 @@ def _as_cyc(x) -> CycNumber:
 
 
 def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
-                         exponent: PAdicInt, trunc: int, prec: int
+                         exponent: PAdicInt, trunc: int, prec: int,
+                         primitive_root: int | None = None
                          ) -> IwasawaElement:
-    """Evaluate the factor at X = scalar * (1+T)^exponent in Lambda."""
+    """Evaluate the factor at X = scalar * (1+T)^exponent in Lambda.
+
+    The j-th power of the group-like element is (1+T)^(j*exponent),
+    exactly so modulo (p^prec, T^(trunc+1)), so each power is one
+    binomial series and no series is multiplied.
+    """
     p = scalar.p
-    coeffs_p = [cyc_embed_padic(_as_cyc(c), p, prec) for c in factor.coeffs]
-    base = one_plus_T_pow(exponent, trunc, prec)
-    out = IwasawaElement.one(p, prec, trunc) * coeffs_p[0]
-    power = IwasawaElement.one(p, prec, trunc)
+    modulus = p**prec
+    out = [1] + [0] * trunc          # the constant term of a factor is 1
     scale = PAdicInt(p, prec, 1)
-    for c in coeffs_p[1:]:
-        power = power * base
+    for j, c in enumerate(factor.coeffs[1:], 1):
         scale = scale * scalar
-        out = out + power * (c * scale)
-    return out
+        a = (cyc_embed_padic(_as_cyc(c), p, prec, primitive_root)
+             * scale).residue
+        if a == 0:
+            continue
+        power = one_plus_T_pow(exponent * j, trunc, prec).coeffs
+        out = [(x + a * y) % modulus for x, y in zip(out, power)]
+    return IwasawaElement(p, prec, tuple(out))
 
 
 def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,
@@ -178,7 +186,8 @@ def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,
     scalar = cyc_embed_padic(psi_q, p, prec, primitive_root) \
         * teichmuller(q, p, prec)**t * inv(PAdicInt(p, prec, q))
     exponent = frobenius_exponent(q, p, prec + factorial_valuation(trunc, p))
-    return substitute_frobenius(factor, scalar, exponent, trunc, prec)
+    return substitute_frobenius(factor, scalar, exponent, trunc, prec,
+                                primitive_root)
 
 
 def sigma_q(factor: EulerFactor, psi: DirichletCharacter, t: int,

@@ -19,10 +19,11 @@ from .characters import (DirichletCharacter, is_residually_trivial,
                          trivial_character)
 from .cyclotomic import CycNumber
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
-                     SchemaError)
+                     SchemaError, TruncationTooShort)
 from .euler import (EulerFactor, SatakeData, assemble_imprimitive,
                     euler_to_lambda, symsq_factor)
-from .iwasawa import IwasawaElement, congruent_mod_p, invariants
+from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
+                      invariants)
 from .padic import int_valuation, is_prime
 
 
@@ -273,7 +274,12 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
                      s0, lfun: IwasawaElement | None = None,
                      primitive_root: int | None = None,
                      cache_dir: str | Path | None = None) -> InvariantReport:
-    """sigma table over s0, and the additivity check when L is supplied."""
+    """sigma table over s0, and the additivity check when L is supplied.
+
+    With L supplied, refuses (TruncationTooShort) when lambda + sum(sigma)
+    is within the Weierstrass guard of the truncation: the truncated
+    product could not show its first unit coefficient there.
+    """
     s0 = sorted(set(s0))
     if form.p in s0:
         raise ValueError(f"S0 must not contain p = {form.p}")
@@ -315,6 +321,11 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
             "ok": row["mu"] == 0})
     if lfun is not None:
         mu_l, lam_l = invariants(lfun)
+        if lam_l + sigma_total > form.trunc - TRUNCATION_GUARD:
+            raise TruncationTooShort(
+                f"lambda + sum(sigma) = {lam_l} + {sigma_total} is within "
+                f"{TRUNCATION_GUARD} of the truncation {form.trunc}, where "
+                f"the imprimitive product cannot show lambda_S0")
         product = assemble_imprimitive(lfun, lifts)
         mu_s, lam_s = invariants(product)
         report.lfun = {"mu": mu_l, "lambda": lam_l,

@@ -6,6 +6,13 @@ coefficient valuations and produces the distinguished polynomial and
 unit by Hensel-lifting the factorization T^lambda * (unit) from mod p,
 so the reconstruction p^mu * distinguished * unit == input holds
 exactly modulo (p^prec, T^(trunc+1)) by construction.
+
+Every truncated product goes through one kernel, `_poly_mul_trunc`,
+which multiplies by Kronecker substitution: both series are packed into
+big integers with one fixed-width slot per coefficient, multiplied once,
+and unpacked (Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", JSC 2009).  Series inverses mod p use Newton
+iteration on that kernel.
 """
 
 from __future__ import annotations
@@ -134,13 +141,37 @@ class IwasawaElement:
 
 
 def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
-    out = [0] * (d + 1)
-    for i, x in enumerate(a[:d + 1]):
-        if x == 0:
-            continue
-        for j in range(min(d - i, len(b) - 1) + 1):
-            out[i + j] += x * b[j]
-    return [c % mod for c in out]
+    """Coefficients 0..d of a*b mod `mod`, by Kronecker substitution.
+
+    Each series is reduced into [0, mod), stripped of trailing zeros and
+    packed into one integer with a byte slot per coefficient; a slot
+    holds any product coefficient, a sum of at most min(len a, len b)
+    terms below (mod-1)^2, so one big-integer multiply carries no digit
+    across slots and the first d+1 slots of the product are the answer.
+    """
+    a = _strip([c % mod for c in a[:d + 1]])
+    b = _strip([c % mod for c in b[:d + 1]])
+    if not a or not b:
+        return [0] * (d + 1)
+    width = ((min(len(a), len(b)) * (mod - 1)**2).bit_length() + 7) // 8
+    slots = len(a) + len(b) - 1
+    raw = (_pack(a, width) * _pack(b, width)).to_bytes(slots * width, "little")
+    n = min(d + 1, slots)
+    out = [int.from_bytes(raw[i:i + width], "little") % mod
+           for i in range(0, n * width, width)]
+    return out + [0] * (d + 1 - n)
+
+
+def _strip(c: list[int]) -> list[int]:
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _pack(c: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c),
+                          "little")
 
 
 @dataclass(frozen=True)
@@ -176,7 +207,11 @@ def invariants(f: IwasawaElement) -> tuple[int, int]:
     return mu, lam
 
 
-def weierstrass_prep(f: IwasawaElement, guard: int = 4) -> WeierstrassData:
+TRUNCATION_GUARD = 4
+
+
+def weierstrass_prep(f: IwasawaElement,
+                     guard: int = TRUNCATION_GUARD) -> WeierstrassData:
     """Weierstrass preparation at working precision.
 
     Refuses when lambda is within `guard` of the truncation, where a
@@ -217,13 +252,16 @@ def weierstrass_prep(f: IwasawaElement, guard: int = 4) -> WeierstrassData:
 
 
 def _series_inverse_mod_p(u, p: int, d: int) -> list[int]:
-    u = list(u) + [0] * (d + 1 - len(u))
-    out = [0] * (d + 1)
-    out[0] = pow(u[0], -1, p)
-    for n in range(1, d + 1):
-        s = sum(u[j] * out[n - j] for j in range(1, n + 1))
-        out[n] = -out[0] * s % p
-    return out
+    """u^(-1) mod (p, T^(d+1)) by Newton iteration v <- v(2 - uv), which
+    doubles the number of correct coefficients at each step."""
+    v = [pow(u[0], -1, p)]
+    n = 1
+    while n < d + 1:
+        n = min(2 * n, d + 1)
+        e = [-c for c in _poly_mul_trunc(u, v, p, n - 1)]
+        e[0] += 2
+        v = _poly_mul_trunc(v, e, p, n - 1)
+    return v
 
 
 def reconstruct(w: WeierstrassData, trunc: int) -> IwasawaElement:
@@ -251,7 +289,9 @@ def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
     """(1+T)^e as a binomial series, coefficients correct mod p^prec.
 
     Dividing the falling factorial by k! costs v_p(k!) digits, so the
-    exponent must arrive with that much guard precision.
+    exponent must arrive with that much guard precision.  The p-free
+    parts of 1!, ..., D! are inverted with a single modular inverse of
+    the last one, walking back down by the factors k.
     """
     p = e.p
     need = prec + factorial_valuation(trunc, p)
@@ -260,18 +300,29 @@ def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
             f"exponent precision {e.prec} < {need} needed for D={trunc}")
     big = p**e.prec
     out_mod = p**prec
-    coeffs = [1]
+    nums = [1]       # (e(e-1)...(e-k+1) mod big) / p^v_p(k!)
+    units = [1]      # p-free part of k
     num = 1          # falling factorial e(e-1)...(e-k+1) mod big
-    fact_val = 0     # v_p(k!)
-    fact_unit = 1    # (k!/p^fact_val) mod out_mod
+    pv = 1           # p^v_p(k!)
+    fact_unit = 1    # p-free part of k! mod out_mod
     for k in range(1, trunc + 1):
         num = num * ((e.residue - k + 1) % big) % big
-        fact_val += int_valuation(k, p)
-        fact_unit = fact_unit * (k // p**int_valuation(k, p)) % out_mod
-        c = (num // p**fact_val) if num % p**fact_val == 0 else None
-        if c is None:
-            raise PrecisionLoss(f"falling factorial not divisible by p^{fact_val}")
-        coeffs.append(c * pow(fact_unit, -1, out_mod) % out_mod)
+        unit = k
+        while unit % p == 0:
+            unit //= p
+            pv *= p
+        c, r = divmod(num, pv)
+        if r:
+            raise PrecisionLoss(f"falling factorial not divisible by "
+                                f"p^{factorial_valuation(k, p)}")
+        nums.append(c)
+        units.append(unit)
+        fact_unit = fact_unit * unit % out_mod
+    inv_fact = pow(fact_unit, -1, out_mod)
+    coeffs = [0] * (trunc + 1)
+    for k in range(trunc, -1, -1):
+        coeffs[k] = nums[k] * inv_fact % out_mod
+        inv_fact = inv_fact * units[k] % out_mod
     return IwasawaElement(p, prec, tuple(coeffs))
 
 

@@ -2,8 +2,8 @@
 
 The oracles here deliberately reimplement things from first principles
 (Moebius-product cyclotomic polynomials, full-convolution multiplication,
-Fraction-series logs, brute-force root searches) so that they share no
-code path with the library.
+schoolbook truncated series products, Fraction-series logs, brute-force
+root searches) so that they share no code path with the library.
 """
 
 import random
@@ -95,6 +95,31 @@ def oracle_cyc_mul(u: CycNumber, v: CycNumber) -> tuple:
     _, rem = _poly_divmod(folded, oracle_cyclotomic(n))
     rem = list(rem) + [Fraction(0)] * (euler_phi(n) - len(rem))
     return tuple(rem[:euler_phi(n)])
+
+
+# -- schoolbook Lambda kernels ----------------------------------------------
+
+
+def schoolbook_mul_trunc(a, b, mod, d):
+    """Coefficients 0..d of a*b mod `mod`, one product per pair of terms."""
+    out = [0] * (d + 1)
+    for i, x in enumerate(a[:d + 1]):
+        if x == 0:
+            continue
+        for j in range(min(d - i, len(b) - 1) + 1):
+            out[i + j] += x * b[j]
+    return [c % mod for c in out]
+
+
+def recurrence_series_inverse_mod_p(u, p, d):
+    """u^(-1) mod (p, T^(d+1)), one coefficient at a time from u * v = 1."""
+    u = list(u) + [0] * (d + 1 - len(u))
+    out = [0] * (d + 1)
+    out[0] = pow(u[0], -1, p)
+    for n in range(1, d + 1):
+        s = sum(u[j] * out[n - j] for j in range(1, n + 1))
+        out[n] = -out[0] * s % p
+    return out
 
 
 # -- character inventories ------------------------------------------------

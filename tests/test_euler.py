@@ -143,6 +143,21 @@ class TestLambdaLift:
                     factor, CycNumber.one(), chi_emb * x)
                 assert left == right
 
+    def test_primitive_root_reaches_factor_coefficients(self):
+        # eps(2) = zeta_4 at p = 5 with root 3: the factor's coefficients
+        # and psi(q) must be embedded along the same root
+        from symsq.iwasawa import specialize
+        p, n_prec, d = 5, 5, 16
+        data = SatakeData(2, "unramified", 1, CycNumber.zeta(4), 2)
+        factor = symsq_factor(data, 1)
+        x = inv(PAdicInt(p, n_prec, 2))
+        for root in (None, 2, 3):
+            lifted = euler_to_lambda(factor, trivial_character(1), 0, p,
+                                     n_prec, d, primitive_root=root)
+            want = evaluate_factor_padic(factor, CycNumber.one(), x,
+                                         primitive_root=root)
+            assert specialize(lifted, 1) == want
+
     def test_mu_vanishes(self):
         rng = seeded(63)
         for _ in range(10):

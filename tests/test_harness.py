@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from symsq.characters import characters_mod, trivial_character
-from symsq.errors import NotEmbeddable, NotOrdinary, SchemaError
+from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
+                          TruncationTooShort)
 from symsq.harness import (congruence_transfer_check, emit_report,
                            invariant_report, lift_factor, load_form)
 from symsq.iwasawa import IwasawaElement
@@ -34,6 +35,15 @@ def write_form(tmp_path, name="form.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(rec))
     return path
+
+
+def write_p7_form(tmp_path):
+    """p = 7, N = 10, D = 60, level 1: the lift at q = 19 has sigma = 49."""
+    ap = json.loads(write_form(tmp_path).read_text())["ap"]
+    ap["7"] = "1"
+    return write_form(tmp_path, level=1,
+                      character=trivial_character(1).to_json(), ap=ap, p=7,
+                      precision=10, trunc=60, bad_primes={})
 
 
 def elem(p, prec, *coeffs, trunc=None):
@@ -135,6 +145,17 @@ class TestInvariantReport:
         expected = 1 + report.sigma_total
         assert report.lfun["lambda_imprimitive"] == expected
         assert report.passed
+
+    def test_refuses_lambda_past_truncation(self, tmp_path):
+        # lambda(L) = 6 and sigma_19 = 49 put lambda_S0 past D - 4 = 56,
+        # where the truncated product cannot show its unit coefficient
+        form = load_form(write_p7_form(tmp_path))
+        lfun = elem(7, 10, *([0] * 6 + [1]), trunc=60)
+        report = invariant_report(form, trivial_character(1), 0, [2, 19])
+        assert report.table[1]["sigma"] == 49
+        assert 6 + report.sigma_total > 56
+        with pytest.raises(TruncationTooShort):
+            invariant_report(form, trivial_character(1), 0, [2, 19], lfun)
 
     def test_rejects_p_in_s0(self, tmp_path):
         form = load_form(write_form(tmp_path))
@@ -258,6 +279,26 @@ class TestCLI:
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout == nocache.stdout
         assert list(cache.glob("*.json"))
+
+    def test_report_s0_is_canonical(self, tmp_path):
+        form_path = write_form(tmp_path)
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        args = ("report", str(form_path), "--lfun", str(lfun), "--no-cache")
+        typed = self.run_cli(*args, "--s0", "3,2,2")
+        canonical = self.run_cli(*args, "--s0", "2,3")
+        assert canonical.returncode == 0, canonical.stderr
+        assert typed.stdout == canonical.stdout
+        assert json.loads(typed.stdout)["provenance"]["s0"] == [2, 3]
+
+    def test_report_past_truncation_exit_code(self, tmp_path):
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(
+            elem(7, 10, *([0] * 6 + [1]), trunc=60).to_json()))
+        out = self.run_cli("report", str(write_p7_form(tmp_path)),
+                           "--s0", "2,19", "--lfun", str(lfun), "--no-cache")
+        assert out.returncode == 2
+        assert "truncation" in out.stderr
 
     def test_euler_and_lift_and_sigma(self, tmp_path):
         form_path = write_form(tmp_path)

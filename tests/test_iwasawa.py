@@ -1,5 +1,10 @@
-import pytest
+from math import comb
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symsq import iwasawa
 from symsq.errors import (InsufficientPrecision, PrecisionLoss,
                           TruncationTooShort)
 from symsq.iwasawa import (CongruenceVerdict, IwasawaElement, congruent_mod_p,
@@ -8,7 +13,8 @@ from symsq.iwasawa import (CongruenceVerdict, IwasawaElement, congruent_mod_p,
                            specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
-from conftest import seeded
+from conftest import (recurrence_series_inverse_mod_p, schoolbook_mul_trunc,
+                      seeded)
 
 
 def elem(p, prec, *coeffs, trunc=None):
@@ -16,6 +22,87 @@ def elem(p, prec, *coeffs, trunc=None):
     if trunc is not None:
         cs += [0] * (trunc + 1 - len(cs))
     return IwasawaElement(p, prec, tuple(cs))
+
+
+@st.composite
+def mul_cases(draw):
+    """(a, b, mod, d): p in {5, 7, 11, 13}, mod p or p^N, lengths drawn
+    apart, d anywhere up to past both degrees, and coefficient lists that
+    are often zero or sparse and may hold values outside [0, mod)."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    mod = p**draw(st.sampled_from([1, draw(st.integers(2, 30))]))
+
+    def series():
+        n = draw(st.integers(0, 40))
+        kind = draw(st.sampled_from(["dense", "sparse", "zero"]))
+        if kind == "zero":
+            return [0] * n
+        coeff = st.integers(-mod, 2 * mod)
+        if kind == "sparse":
+            coeff = st.one_of(st.just(0), st.just(0), st.just(0), coeff)
+        return draw(st.lists(coeff, min_size=n, max_size=n))
+
+    a, b = series(), series()
+    d = draw(st.integers(0, len(a) + len(b) + 5))
+    return a, b, mod, d
+
+
+class TestKernels:
+    @given(mul_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_schoolbook(self, case):
+        a, b, mod, d = case
+        assert iwasawa._poly_mul_trunc(a, b, mod, d) == \
+            schoolbook_mul_trunc(a, b, mod, d)
+
+    def test_mul_sparse_elements(self):
+        one = IwasawaElement.one(7, 10, 60)
+        t_lam = IwasawaElement(7, 10, (0,) * 9 + (1,) + (0,) * 51)
+        f = IwasawaElement(7, 10, tuple(range(1, 62)))
+        assert one * f == f
+        assert (t_lam * f).coeffs == (0,) * 9 + f.coeffs[:52]
+        assert (t_lam * t_lam).coeffs[18] == 1
+        assert IwasawaElement.zero(7, 10, 60) * f == IwasawaElement.zero(
+            7, 10, 60)
+
+    @given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 80),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_series_inverse(self, p, d, data):
+        u = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                               max_size=d + 1).filter(lambda c: c[0] != 0))
+        v = iwasawa._series_inverse_mod_p(u, p, d)
+        assert v == recurrence_series_inverse_mod_p(u, p, d)
+        assert schoolbook_mul_trunc(u, v, p, d) == [1] + [0] * d
+
+    def test_frobenius_powers(self):
+        rng = seeded(55)
+        for p, n, d in ((5, 10, 60), (7, 20, 120), (13, 6, 40)):
+            guard = n + factorial_valuation(d, p)
+            for _ in range(4):
+                e = PAdicInt(p, guard, rng.randrange(p**guard))
+                base = one_plus_T_pow(e, d, n)
+                assert base.coeffs == tuple(comb(e.residue, k) % p**n
+                                            for k in range(d + 1))
+                assert one_plus_T_pow(e * 2, d, n) == base * base
+                assert one_plus_T_pow(e * 3, d, n) == base * base * base
+
+    def test_weierstrass_matches_schoolbook_kernels(self, monkeypatch):
+        rng = seeded(56)
+        elements = []
+        for p, n, d in ((5, 10, 60), (7, 20, 120), (11, 6, 40)):
+            for mu in (0, 1, 2):
+                coeffs = [rng.randrange(p**n) * p**mu % p**n
+                          for _ in range(d + 1)]
+                lam = rng.randrange(d // 3)
+                for i in range(lam):
+                    coeffs[i] = coeffs[i] * p % p**n
+                elements.append(IwasawaElement(p, n, tuple(coeffs)))
+        fast = [weierstrass_prep(f) for f in elements]
+        monkeypatch.setattr(iwasawa, "_poly_mul_trunc", schoolbook_mul_trunc)
+        monkeypatch.setattr(iwasawa, "_series_inverse_mod_p",
+                            recurrence_series_inverse_mod_p)
+        assert [weierstrass_prep(f) for f in elements] == fast
 
 
 class TestWeierstrass:
