@@ -8,9 +8,9 @@ symmetric-square local factors and their Lambda-lifts, and harness the
 form records, reports, and CLI plumbing.
 """
 
-from .characters import (DirichletCharacter, char_eval, conductor,
-                         gauss_sum, gen_bernoulli, l_neg, tame_wild_split,
-                         teichmuller_character, trivial_character)
+from .characters import (DirichletCharacter, gauss_sum, gen_bernoulli, l_neg,
+                         tame_wild_split, teichmuller_character,
+                         trivial_character)
 from .cyclotomic import CycNumber, cyc_embed_padic, cyc_mul
 from .errors import SymsqError
 from .euler import (EulerFactor, SatakeData, assemble_imprimitive, df_complex,
@@ -29,11 +29,11 @@ __all__ = [
     "CycNumber", "DirichletCharacter", "EulerFactor", "FormRecord",
     "InvariantReport", "IwasawaElement", "PAdicInt", "QExpansion",
     "SatakeData", "SymsqError", "WeierstrassData", "assemble_imprimitive",
-    "char_eval", "conductor", "congruence_transfer_check", "congruent_mod_p",
-    "cyc_embed_padic", "cyc_mul", "deplete", "df_complex", "emit_report",
-    "ep_factor", "euler_to_lambda", "frobenius_exponent", "gauss_sum",
-    "gen_bernoulli", "hecke_T", "hecke_U", "hecke_V", "hensel_unit_root",
-    "inv", "invariant_report", "l_neg", "load_form", "one_plus_T_pow",
+    "congruence_transfer_check", "congruent_mod_p", "cyc_embed_padic",
+    "cyc_mul", "deplete", "df_complex", "emit_report", "ep_factor",
+    "euler_to_lambda", "frobenius_exponent", "gauss_sum", "gen_bernoulli",
+    "hecke_T", "hecke_U", "hecke_V", "hensel_unit_root", "inv",
+    "invariant_report", "l_neg", "load_form", "one_plus_T_pow",
     "p_stabilize", "padic_log1p", "sigma_q", "specialize", "symsq_factor",
     "tame_wild_split", "tau", "teichmuller", "teichmuller_character",
     "theta", "trivial_character", "val", "weierstrass_prep",

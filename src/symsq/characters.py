@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import (CycNumber, _reduce_mod_cyclotomic,
-                         default_primitive_root, euler_phi)
+from .cyclotomic import (CycNumber, _reduce_ints, default_primitive_root,
+                         euler_phi)
 from .errors import SchemaError
 
 
@@ -352,14 +352,6 @@ def tame_wild_split(eta: DirichletCharacter,
     return t, eta_w
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    return chi.conductor
-
-
-def char_eval(chi: DirichletCharacter, a: int) -> CycNumber:
-    return chi(a)
-
-
 # -- Gauss sums ---------------------------------------------------------------
 
 
@@ -375,13 +367,13 @@ def gauss_sum(chi: DirichletCharacter) -> CycNumber:
         return CycNumber.one()
     n = chi.order
     order = lcm(c, n)
-    raw = [Fraction(0)] * order
+    raw = [0] * order
     for a in range(1, c):
         e = chi.value_exponent(a)
         if e is None:
             continue
         raw[(e * (order // n) + a * (order // c)) % order] += 1
-    return CycNumber(order, _reduce_mod_cyclotomic(raw, order))
+    return CycNumber(order, tuple(_reduce_ints(raw, order)))
 
 
 # -- Bernoulli machinery -----------------------------------------------------
@@ -406,30 +398,35 @@ def bernoulli_number(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-def bernoulli_polynomial(m: int, x: Fraction) -> Fraction:
-    """B_m(x) = sum of C(m, j) B_j x^(m-j)."""
-    acc = Fraction(0)
-    c = 1
-    for j in range(m + 1):
-        acc += c * bernoulli_number(j) * x**(m - j)
-        c = c * (m - j) // (j + 1)
-    return acc
-
-
 def gen_bernoulli(chi: DirichletCharacter, m: int) -> CycNumber:
-    """B_{m,chi} = c^(m-1) sum_{a=1..c} chi(a) B_m(a/c), c the conductor."""
+    """B_{m,chi} = c^(m-1) sum_{a=1..c} chi(a) B_m(a/c), c the conductor.
+
+    c^(m-1) B_m(a/c) = N(a) / (c D), D the lcm of the denominators of
+    B_0..B_m, N(a) = sum_j C(m, j) D B_j c^j a^(m-j) (Washington, Prop.
+    4.1); N(a) goes by integer Horner into the bucket of the exponent of
+    chi(a), and the buckets are reduced mod Phi_n once."""
     if m < 1:
         raise ValueError("m must be >= 1")
     chi = chi.primitivize()
-    c = chi.modulus
-    total = CycNumber.zero(chi.order)
+    c, n = chi.modulus, chi.order
+    den = lcm(*(bernoulli_number(j).denominator for j in range(m + 1)))
+    poly, binom = [], 1          # coefficients of N, leading first
+    for j in range(m + 1):
+        b = bernoulli_number(j)
+        poly.append(binom * b.numerator * (den // b.denominator) * c**j)
+        binom = binom * (m - j) // (j + 1)
+    buckets = [0] * n
     for a in range(1, c + 1):
         e = chi.value_exponent(a)
         if e is None:
             continue
-        total = total + CycNumber.zeta(chi.order, e) * bernoulli_polynomial(
-            m, Fraction(a, c))
-    return total * Fraction(c)**(m - 1)
+        acc = 0
+        for k in poly:
+            acc = acc * a + k
+        buckets[e] += acc
+    scale = c * den
+    return CycNumber(n, tuple(Fraction(v, scale)
+                              for v in _reduce_ints(buckets, n)))
 
 
 def l_neg(chi: DirichletCharacter, m: int) -> CycNumber:

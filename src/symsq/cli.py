@@ -12,7 +12,6 @@ no cache.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -125,15 +124,8 @@ def _resolve(args):
 
 
 def _load_form(args):
-    form = load_form(args.form)
-    updates = {}
-    if args.p is not None:
-        updates["p"] = args.p
-    if args.precision is not None:
-        updates["precision"] = args.precision
-    if args.trunc is not None:
-        updates["trunc"] = args.trunc
-    return dataclasses.replace(form, **updates) if updates else form
+    return load_form(args.form, p=args.p, precision=args.precision,
+                     trunc=args.trunc)
 
 
 def _coeff_json(c):

@@ -86,7 +86,6 @@ class EulerFactor:
 
     q: int
     coeffs: tuple
-    twist: tuple | None = None   # optional (psi, t) bookkeeping
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != 1:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import (DirichletCharacter, is_residually_trivial,
-                         trivial_character)
+from .characters import (DirichletCharacter, factorize,
+                         is_residually_trivial, trivial_character)
 from .cyclotomic import CycNumber
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
@@ -78,8 +79,11 @@ def _parse_coeff(c):
     return _parse_exact(c)
 
 
-def load_form(path: str | Path) -> FormRecord:
-    """Parse and fully validate a form record; errors are enumerated."""
+def load_form(path: str | Path, *, p: int | None = None,
+              precision: int | None = None,
+              trunc: int | None = None) -> FormRecord:
+    """Parse and fully validate a form record; errors are enumerated.
+    p, precision and trunc override the record before validation."""
     path = Path(path)
     try:
         rec = json.loads(path.read_text())
@@ -97,7 +101,9 @@ def load_form(path: str | Path) -> FormRecord:
 
     label = str(rec["label"])
     weight, level = rec["weight"], rec["level"]
-    p, precision, trunc = rec["p"], rec["precision"], rec["trunc"]
+    p = rec["p"] if p is None else p
+    precision = rec["precision"] if precision is None else precision
+    trunc = rec["trunc"] if trunc is None else trunc
     if not isinstance(weight, int) or weight < 2:
         problems.append(f"weight must be an integer >= 2, got {weight!r}")
     if not isinstance(level, int) or level < 1:
@@ -145,7 +151,7 @@ def load_form(path: str | Path) -> FormRecord:
             problems.append(f"bad-prime entry at {q} needs a type "
                             f"(ordinary|depleted) or an explicit poly")
     if isinstance(level, int):
-        for q in _prime_divisors(level):
+        for q, _ in factorize(level):
             if q not in bad_primes:
                 problems.append(f"no bad-prime entry for level prime {q}")
     if problems:
@@ -174,25 +180,13 @@ def _val_of(x, p: int) -> int | None:
     return int_valuation(f.numerator, p) - int_valuation(f.denominator, p)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- Euler factor cache ------------------------------------------------------
 
 
 def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
-              primitive_root: int | None) -> str:
-    factor = form.euler_factor(q)
+              primitive_root: int | None, *,
+              factor: EulerFactor | None = None) -> str:
+    factor = factor or form.euler_factor(q)
     payload = json.dumps({
         "label": form.label, "q": q, "psi": psi.to_json(), "t": t,
         "p": form.p, "precision": form.precision, "trunc": form.trunc,
@@ -205,18 +199,30 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
 
 def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
                 primitive_root: int | None = None,
-                cache_dir: str | Path | None = None) -> IwasawaElement:
-    """Lambda-lift of the local factor at q, optionally content-cached."""
+                cache_dir: str | Path | None = None, *,
+                factor: EulerFactor | None = None) -> IwasawaElement:
+    """Lambda-lift of the local factor at q, optionally content-cached.
+
+    An entry that does not decode, or was lifted at another p, precision
+    or truncation, is a miss; entries are written whole, then renamed."""
+    factor = factor or form.euler_factor(q)
     if cache_dir is not None:
-        path = Path(cache_dir) / (cache_key(form, q, psi, t,
-                                            primitive_root) + ".json")
-        if path.exists():
-            return IwasawaElement.from_json(json.loads(path.read_text()))
-    lifted = euler_to_lambda(form.euler_factor(q), psi, t, form.p,
-                             form.precision, form.trunc, primitive_root)
+        path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
+                                            factor=factor) + ".json")
+        try:
+            cached = IwasawaElement.from_json(json.loads(path.read_text()))
+            if (cached.p, cached.prec, cached.trunc) == (
+                    form.p, form.precision, form.trunc):
+                return cached
+        except (OSError, ValueError, ArithmeticError, SchemaError):
+            pass
+    lifted = euler_to_lambda(factor, psi, t, form.p, form.precision,
+                             form.trunc, primitive_root)
     if cache_dir is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(lifted.to_json(), sort_keys=True))
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(lifted.to_json(), sort_keys=True))
+        os.replace(tmp, path)
     return lifted
 
 
@@ -299,7 +305,8 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     table, lifts, sigma_total = [], [], 0
     for q in s0:
         factor = form.euler_factor(q)
-        lifted = lift_factor(form, q, psi, t, primitive_root, cache_dir)
+        lifted = lift_factor(form, q, psi, t, primitive_root, cache_dir,
+                             factor=factor)
         mu_q, lam_q = invariants(lifted)
         rtype = (form.bad_primes[q].get("type", "override")
                  if form.level % q == 0 else "unramified")

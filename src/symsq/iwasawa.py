@@ -123,10 +123,6 @@ class IwasawaElement:
     def one(p: int, prec: int, trunc: int) -> "IwasawaElement":
         return IwasawaElement(p, prec, (1,) + (0,) * trunc)
 
-    @staticmethod
-    def from_coeffs(p: int, prec: int, coeffs) -> "IwasawaElement":
-        return IwasawaElement(p, prec, tuple(coeffs))
-
     def to_json(self) -> dict:
         return {"p": self.p, "precision": self.prec,
                 "coeffs": [str(c) for c in self.coeffs]}

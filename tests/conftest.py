@@ -2,13 +2,15 @@
 
 The oracles here deliberately reimplement things from first principles
 (Moebius-product cyclotomic polynomials, full-convolution multiplication,
-schoolbook truncated series products, Fraction-series logs, brute-force
-root searches) so that they share no code path with the library.
+schoolbook truncated series products, per-residue Bernoulli and Gauss
+sums, Fraction-series logs, brute-force root searches) so that they share
+no code path with the library.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd, lcm
 
 from symsq.characters import characters_mod
 from symsq.cyclotomic import CycNumber, euler_phi
@@ -120,6 +122,70 @@ def recurrence_series_inverse_mod_p(u, p, d):
         s = sum(u[j] * out[n - j] for j in range(1, n + 1))
         out[n] = -out[0] * s % p
     return out
+
+
+# -- per-residue character sums ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def oracle_bernoulli_numbers(m):
+    """B_0..B_m by the Akiyama-Tanigawa algorithm, with B_1 = -1/2."""
+    row, out = [], []
+    for n in range(m + 1):
+        row.append(Fraction(1, n + 1))
+        for j in range(n, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    if m >= 1:
+        out[1] = -out[1]          # the algorithm gives B_1 = +1/2
+    return tuple(out)
+
+
+def oracle_bernoulli_polynomial(m, x):
+    """B_m(x) = sum of C(m, j) B_j x^(m-j)."""
+    bs = oracle_bernoulli_numbers(m)
+    return sum(comb(m, j) * bs[j] * x**(m - j) for j in range(m + 1))
+
+
+def oracle_gen_bernoulli(chi, m):
+    """c^(m-1) sum over a = 1..c of chi(a) B_m(a/c), one CycNumber per a."""
+    chi = chi.primitivize()
+    c = chi.modulus
+    total = CycNumber.zero(chi.order)
+    for a in range(1, c + 1):
+        e = chi.value_exponent(a)
+        if e is None:
+            continue
+        total = total + CycNumber.zeta(chi.order, e) * \
+            oracle_bernoulli_polynomial(m, Fraction(a, c))
+    return total * Fraction(c)**(m - 1)
+
+
+@lru_cache(maxsize=None)
+def _oracle_phi(n):
+    return tuple(int(c) for c in oracle_cyclotomic(n))
+
+
+def oracle_gauss_sum(chi):
+    """sum over a mod c of chi(a) zeta_c^a, reduced by long division by the
+    oracle Phi_n; the trivial character gets G = 1."""
+    chi = chi.primitivize()
+    c, n = chi.modulus, chi.order
+    if c == 1:
+        return CycNumber.one()
+    order = lcm(c, n)
+    raw = [0] * order
+    for a in range(1, c):
+        e = chi.value_exponent(a)
+        if e is not None:
+            raw[(e * (order // n) + a * (order // c)) % order] += 1
+    phi = _oracle_phi(order)
+    deg = len(phi) - 1
+    for i in range(order - 1, deg - 1, -1):      # Phi_n is monic
+        q = raw[i]
+        for j, v in enumerate(phi):
+            raw[i - deg + j] -= q * v
+    return CycNumber(order, tuple(raw[:deg]))
 
 
 # -- character inventories ------------------------------------------------

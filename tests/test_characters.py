@@ -12,7 +12,8 @@ from symsq.cyclotomic import CycNumber, cyc_embed_padic
 from symsq.errors import SchemaError
 from symsq.padic import teichmuller
 
-from conftest import primitive_characters, seeded
+from conftest import (oracle_bernoulli_numbers, oracle_gauss_sum,
+                      oracle_gen_bernoulli, primitive_characters, seeded)
 
 
 def quadratic_mod_p(p):
@@ -165,6 +166,57 @@ class TestBernoulli:
         one = trivial_character(1)
         assert l_neg(one, 1) == Fraction(-1, 2)       # zeta(0)
         assert l_neg(one, 4) == Fraction(1, 120)      # zeta(-3)
+
+
+class TestAgainstOracles:
+    """Differential checks of the integer-native Gauss sums and B_{m,chi}
+    against the per-residue oracles in conftest."""
+
+    def test_gauss_sum(self):
+        for chi in primitive_characters(24) + list(characters_mod(20)):
+            got, want = gauss_sum(chi), oracle_gauss_sum(chi)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs), chi
+
+    def test_gen_bernoulli_and_l_neg(self):
+        chi37 = next(c for c in characters_mod(37) if c.order == 36)
+        cases = [(chi, m) for chi in primitive_characters(24)
+                 for m in range(1, 11)]
+        cases += [(chi, m) for chi in characters_mod(20) for m in (1, 2, 3)]
+        cases += [(chi37, m) for m in (1, 9, 29)]
+        for chi, m in cases:
+            want = oracle_gen_bernoulli(chi, m)
+            got = gen_bernoulli(chi, m)
+            assert (got.order, got.coeffs) == (want.order, want.coeffs), \
+                (chi, m)
+            assert l_neg(chi, m).coeffs == \
+                (want * Fraction(-1, m)).coeffs, (chi, m)
+
+    def test_bernoulli_numbers(self):
+        assert tuple(bernoulli_number(j) for j in range(31)) == \
+            oracle_bernoulli_numbers(30)
+
+
+class TestAgainstSympy:
+    """Real characters against sympy's Bernoulli polynomials.  sympy 1.14
+    takes B_1 = +1/2 where symsq takes -1/2; the polynomials B_m(x)
+    agree."""
+
+    def test_real_characters(self):
+        sympy = pytest.importorskip("sympy")
+        assert sympy.bernoulli(1) == -bernoulli_number(1)
+        x = sympy.Symbol("x")
+        polys = {m: sympy.Poly(sympy.bernoulli(m, x), x) for m in range(1, 11)}
+        for chi in primitive_characters(24):
+            if chi.order > 2:
+                continue
+            c = chi.modulus
+            for m, poly in polys.items():
+                want = sympy.Integer(c)**(m - 1) * sum(
+                    int(chi(a).as_rational()) * poly.eval(sympy.Rational(a, c))
+                    for a in range(1, c + 1))
+                got = gen_bernoulli(chi, m).as_rational()
+                assert (got.numerator, got.denominator) == (
+                    want.p, want.q), (chi, m)
 
 
 class TestTeichmullerCharacter:

@@ -7,7 +7,8 @@ import pytest
 from symsq.characters import characters_mod, trivial_character
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
-from symsq.harness import (congruence_transfer_check, emit_report,
+from symsq import harness
+from symsq.harness import (cache_key, congruence_transfer_check, emit_report,
                            invariant_report, lift_factor, load_form)
 from symsq.iwasawa import IwasawaElement
 
@@ -115,6 +116,20 @@ class TestLoadForm:
         form = load_form(path)
         assert form.euler_factor(11).coeffs == (1, -3, 0, 2)
 
+    def test_overrides_replace_record_values(self, tmp_path):
+        form = load_form(write_form(tmp_path), precision=6, trunc=20)
+        assert (form.p, form.precision, form.trunc) == (5, 6, 20)
+
+    def test_overrides_are_validated(self, tmp_path):
+        ap = json.loads(write_form(tmp_path).read_text())["ap"]
+        ap["7"] = "14"
+        with pytest.raises(NotOrdinary):
+            load_form(write_form(tmp_path, ap=ap), p=7)
+        with pytest.raises(SchemaError, match="prime to p"):
+            load_form(write_form(tmp_path), p=11)
+        with pytest.raises(SchemaError, match="trunc"):
+            load_form(write_form(tmp_path), trunc=0)
+
 
 class TestInvariantReport:
     def test_empty_s0(self, tmp_path):
@@ -171,6 +186,44 @@ class TestInvariantReport:
         again = lift_factor(form, 2, trivial_character(1), 0, None, cache)
         fresh = lift_factor(form, 2, trivial_character(1), 0, None, None)
         assert first == again == fresh
+
+    def test_bad_cache_entries_are_misses(self, tmp_path):
+        form = load_form(write_form(tmp_path))
+        cache = tmp_path / "cache"
+        psi = trivial_character(1)
+        fresh = lift_factor(form, 2, psi, 0, None, None)
+        path = cache / (cache_key(form, 2, psi, 0, None) + ".json")
+        other_prec = elem(5, 3, *fresh.coeffs)
+        other_trunc = elem(5, 4, *fresh.coeffs[:-1])
+        for bad in ("", "{\"p\": 5, \"precis", "[1, 2]",
+                    '{"p": 0, "precision": 4, "coeffs": ["1"]}',
+                    json.dumps(other_prec.to_json()),
+                    json.dumps(other_trunc.to_json())):
+            cache.mkdir(exist_ok=True)
+            path.write_text(bad)
+            assert lift_factor(form, 2, psi, 0, None, cache) == fresh
+            # the bad entry was rewritten whole, with no temp file left
+            assert IwasawaElement.from_json(
+                json.loads(path.read_text())) == fresh
+            assert [f.name for f in cache.iterdir()] == [path.name]
+
+    def test_factor_built_once_per_lift(self, tmp_path, monkeypatch):
+        form = load_form(write_form(tmp_path))
+        built = []
+        real = harness.symsq_factor
+
+        def counting(*args):
+            built.append(args[0].q)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "symsq_factor", counting)
+        invariant_report(form, trivial_character(1), 0, [2, 3],
+                         cache_dir=tmp_path / "cache")
+        assert built == [2, 3]
+        # a warm cache rebuilds nothing more than the factor itself
+        invariant_report(form, trivial_character(1), 0, [2, 3],
+                         cache_dir=tmp_path / "cache")
+        assert built == [2, 3, 2, 3]
 
 
 class TestCongruenceTransfer:
@@ -279,6 +332,39 @@ class TestCLI:
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout == nocache.stdout
         assert list(cache.glob("*.json"))
+
+    def test_truncated_cache_entry_does_not_wedge(self, tmp_path):
+        form_path = write_form(tmp_path)
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        cache = tmp_path / "cache"
+        args = ("report", str(form_path), "--s0", "2,3", "--lfun", str(lfun))
+        assert self.run_cli(*args, "--cache-dir", str(cache)).returncode == 0
+        for entry in cache.glob("*.json"):
+            text = entry.read_text()
+            entry.write_text(text[:len(text) // 2])
+        again = self.run_cli(*args, "--cache-dir", str(cache))
+        nocache = self.run_cli(*args, "--no-cache")
+        assert again.returncode == 0, again.stderr
+        assert again.stdout == nocache.stdout
+        for entry in cache.glob("*.json"):
+            json.loads(entry.read_text())
+
+    def test_override_p_not_ordinary_is_refused(self, tmp_path):
+        ap = json.loads(write_form(tmp_path).read_text())["ap"]
+        ap["7"] = "14"
+        form_path = write_form(tmp_path, ap=ap)
+        out = self.run_cli("sigma", str(form_path), "--s0", "2", "--p", "7",
+                           "--no-cache", "--format", "text")
+        assert out.returncode == 2
+        assert "PASS" not in out.stdout
+        assert "a_7 = 14" in out.stderr
+
+    def test_override_p_dividing_level_exit_code(self, tmp_path):
+        out = self.run_cli("sigma", str(write_form(tmp_path)), "--s0", "2",
+                           "--p", "11", "--no-cache")
+        assert out.returncode == 2
+        assert "prime to p = 11" in out.stderr
 
     def test_report_s0_is_canonical(self, tmp_path):
         form_path = write_form(tmp_path)
