@@ -16,24 +16,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import (CycNumber, _reduce_ints, default_primitive_root,
-                         euler_phi)
+                         dlog, euler_phi)
 from .errors import SchemaError
-
-
-@lru_cache(maxsize=None)
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            out.append((q, e))
-        q += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+from .padic import factorize
 
 
 @lru_cache(maxsize=None)
@@ -282,13 +267,9 @@ def teichmuller_character(p: int, primitive_root: int | None = None
     unity in Z_p is pinned by the primitive root used for embeddings, so
     the same root must be passed here and to cyc_embed_padic.
     """
-    (g, d), = unit_group_structure(p)
-    if primitive_root is None or primitive_root % p == g:
-        return DirichletCharacter(p, (1,))
-    # chi(g) = zeta^dlog_{g'}(g), so that chi(a) embeds to teich(a)
-    gp = primitive_root % p
-    e = next(x for x in range(d) if pow(gp, x, p) == g % p)
-    return DirichletCharacter(p, (e,))
+    (g, _), = unit_group_structure(p)
+    # chi(g) = zeta^dlog(g), so that chi(a) embeds to teich(a)
+    return DirichletCharacter(p, (dlog(g, p, primitive_root),))
 
 
 def characters_mod(m: int):
@@ -340,9 +321,7 @@ def tame_wild_split(eta: DirichletCharacter,
     e_val = eta.value_exponent(g)
     n = eta.order
     big_e = e_val * (d // n)  # eta(g) = zeta_d^big_e
-    g0 = default_primitive_root(p) if primitive_root is None else primitive_root
-    # dlog of g mod p relative to the embedding root g0
-    u = next(x for x in range(p - 1) if pow(g0, x, p) == g % p)
+    u = dlog(g, p, primitive_root)  # relative to the embedding root
     pr1 = p**(r - 1)
     t = big_e * pow(u * pr1 % (p - 1), -1, p - 1) % (p - 1)
     if r == 1:

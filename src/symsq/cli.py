@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .characters import DirichletCharacter, trivial_character
-from .cyclotomic import CycNumber
+from .cyclotomic import exact_json
 from .errors import SymsqError
 from .harness import (congruence_transfer_check, emit_report, invariant_report,
                       lift_factor, load_form)
@@ -128,10 +128,6 @@ def _load_form(args):
                      trunc=args.trunc)
 
 
-def _coeff_json(c):
-    return c.to_json() if isinstance(c, CycNumber) else str(c)
-
-
 def main(argv=None) -> int:
     args = _resolve(_build_parser().parse_args(argv))
     cache_dir = None if args.no_cache else args.cache_dir
@@ -140,7 +136,7 @@ def main(argv=None) -> int:
             form = _load_form(args)
             factor = form.euler_factor(args.q)
             out = {"q": args.q, "degree": factor.degree,
-                   "coeffs": [_coeff_json(c) for c in factor.coeffs]}
+                   "coeffs": [exact_json(c) for c in factor.coeffs]}
             return emit_report(out, args.format, args.output)
 
         if args.command == "lift":

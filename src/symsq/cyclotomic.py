@@ -20,23 +20,16 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import NotEmbeddable, OrderMismatch
-from .padic import PAdicInt, teichmuller
+from .padic import PAdicInt, factorize, teichmuller
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi of a nonpositive integer")
-    result, m, q = n, n, 2
-    while q * q <= m:
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            result -= result // q
-        q += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for q, _ in factorize(n):
+        n -= n // q
+    return n
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -312,43 +305,76 @@ def cyc_mul(u: CycNumber, v: CycNumber) -> CycNumber:
 def default_primitive_root(p: int) -> int:
     """Smallest primitive root mod p."""
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
+        if _is_primitive_root(g, p):
             return g
     raise ValueError(f"no primitive root found mod {p}")
 
 
+def _is_primitive_root(g: int, p: int) -> bool:
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1
+                              for q, _ in factorize(p - 1))
+
+
 @lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+def embedding_root(p: int, primitive_root: int | None = None) -> int:
+    """The primitive root g mod p of zeta_n -> teich(g)^((p-1)/n).
 
-
-def cyc_embed_padic(u: CycNumber, p: int, prec: int,
-                    primitive_root: int | None = None) -> PAdicInt:
-    """Embed Q(zeta_n) into Z_p along zeta_n -> teich(g)^((p-1)/n).
-
-    The primitive root g fixes the embedding once and for all; every
-    module must use the same one or products stop matching.
+    Every embedding of Q(zeta_n) into Z_p is resolved here: None gives
+    the smallest primitive root, any other value comes back reduced mod
+    p, and one that is not a primitive root raises NotEmbeddable (it
+    would send some zeta_n to a root of unity of smaller order).
     """
-    n = u.order
+    if primitive_root is None:
+        return default_primitive_root(p)
+    if not _is_primitive_root(primitive_root, p):
+        raise NotEmbeddable(f"{primitive_root} is not a primitive root mod {p}")
+    return primitive_root % p
+
+
+def dlog(a: int, p: int, primitive_root: int | None = None) -> int:
+    """The x in [0, p-2] with g^x = a mod p, g = embedding_root(p, root)."""
+    g = embedding_root(p, primitive_root)
+    for x in range(p - 1):
+        if pow(g, x, p) == a % p:
+            return x
+    raise ValueError(f"{a} is not a unit mod {p}")
+
+
+def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
+                    primitive_root: int | None = None) -> PAdicInt:
+    """Embed Q(zeta_n) into Z_p along zeta_n -> teich(g)^((p-1)/n), with
+    g = embedding_root(p, primitive_root); ints and Fractions embed as
+    rationals."""
+    g = embedding_root(p, primitive_root)
+    n, coeffs = (u.order, u.coeffs) if isinstance(u, CycNumber) else (1, (u,))
     if (p - 1) % n != 0:
         raise NotEmbeddable(f"order {n} does not divide p - 1 = {p - 1}")
-    g = primitive_root if primitive_root is not None else default_primitive_root(p)
     m = p**prec
-    z = pow(teichmuller(g, p, prec).residue, (p - 1) // n, m)
+    z = pow(teichmuller(g, p, prec).residue, (p - 1) // n, m) if n > 1 else 1
     total, zpow = 0, 1
-    for c in u.coeffs:
+    for c in coeffs:
         if c.denominator % p == 0:
             raise NotEmbeddable(f"denominator of {c} is divisible by {p}")
         if c:
             total += c.numerator * pow(c.denominator, -1, m) * zpow
         zpow = zpow * z % m
     return PAdicInt(p, prec, total)
+
+
+# -- exact scalars in JSON ---------------------------------------------------
+
+
+def parse_rational(s) -> int | Fraction:
+    """An int or Fraction from its JSON form (a string or a number)."""
+    f = Fraction(str(s))
+    return int(f) if f.denominator == 1 else f
+
+
+def parse_exact(s) -> int | Fraction | CycNumber:
+    """Inverse of exact_json: a dict is a CycNumber, else a rational."""
+    return CycNumber.from_json(s) if isinstance(s, dict) else parse_rational(s)
+
+
+def exact_json(x):
+    """JSON form of an exact scalar: a CycNumber's dict, else str(x)."""
+    return x.to_json() if isinstance(x, CycNumber) else str(x)

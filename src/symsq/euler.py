@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter
-from .cyclotomic import CycNumber, cyc_embed_padic
+from .cyclotomic import CycNumber, cyc_embed_padic, exact_json, parse_exact
 from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
 from .iwasawa import (IwasawaElement, factorial_valuation, frobenius_exponent,
                       invariants, one_plus_T_pow)
@@ -57,21 +57,13 @@ class SatakeData:
 
     def to_json(self) -> dict:
         return {"q": self.q, "type": self.ramification_type,
-                "aq": str(self.a_q) if not isinstance(self.a_q, CycNumber)
-                else self.a_q.to_json(),
-                "eps": self.eps_q.to_json() if isinstance(self.eps_q, CycNumber)
-                else str(self.eps_q),
+                "aq": exact_json(self.a_q), "eps": exact_json(self.eps_q),
                 "k": self.k}
 
     @staticmethod
     def from_json(rec: dict) -> "SatakeData":
-        def parse(v):
-            if isinstance(v, dict):
-                return CycNumber.from_json(v)
-            f = Fraction(str(v))
-            return int(f) if f.denominator == 1 else f
-        return SatakeData(int(rec["q"]), rec["type"], parse(rec["aq"]),
-                          parse(rec["eps"]), int(rec["k"]))
+        return SatakeData(int(rec["q"]), rec["type"], parse_exact(rec["aq"]),
+                          parse_exact(rec["eps"]), int(rec["k"]))
 
 
 def _is_zero(x) -> bool:
@@ -138,12 +130,6 @@ def symsq_dirichlet_coeff_check(s: SatakeData,
     return _is_zero(e1 - a_q2)
 
 
-def _as_cyc(x) -> CycNumber:
-    if isinstance(x, CycNumber):
-        return x
-    return CycNumber.from_rational(Fraction(x))
-
-
 def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
                          exponent: PAdicInt, trunc: int, prec: int,
                          primitive_root: int | None = None
@@ -160,8 +146,7 @@ def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
     scale = PAdicInt(p, prec, 1)
     for j, c in enumerate(factor.coeffs[1:], 1):
         scale = scale * scalar
-        a = (cyc_embed_padic(_as_cyc(c), p, prec, primitive_root)
-             * scale).residue
+        a = (cyc_embed_padic(c, p, prec, primitive_root) * scale).residue
         if a == 0:
             continue
         power = one_plus_T_pow(exponent * j, trunc, prec).coeffs
@@ -284,10 +269,10 @@ def evaluate_factor_padic(factor: EulerFactor, chi_value, x: PAdicInt,
                           primitive_root: int | None = None) -> PAdicInt:
     """Exact evaluation of the twisted factor at a p-adic point."""
     p, prec = x.p, x.prec
-    cx = cyc_embed_padic(_as_cyc(chi_value), p, prec, primitive_root) * x
+    cx = cyc_embed_padic(chi_value, p, prec, primitive_root) * x
     acc = PAdicInt(p, prec, 0)
     for c in reversed(factor.coeffs):
-        acc = acc * cx + cyc_embed_padic(_as_cyc(c), p, prec, primitive_root)
+        acc = acc * cx + cyc_embed_padic(c, p, prec, primitive_root)
     return acc
 
 

@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import (DirichletCharacter, factorize,
-                         is_residually_trivial, trivial_character)
-from .cyclotomic import CycNumber
+from .characters import (DirichletCharacter, is_residually_trivial,
+                         trivial_character)
+from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
 from .euler import (EulerFactor, SatakeData, assemble_imprimitive,
                     euler_to_lambda, symsq_factor)
 from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
                       invariants)
-from .padic import int_valuation, is_prime
+from .padic import factorize, int_valuation, is_prime
 
 
 @dataclass
@@ -51,7 +51,7 @@ class FormRecord:
         if self.level % q == 0:
             entry = self.bad_primes[q]
             rtype = entry["type"]
-            aq = _parse_exact(entry.get("aq", "0"))
+            aq = parse_rational(entry.get("aq", "0"))
             return SatakeData(q, rtype, aq, 0, self.weight)
         if q not in self.ap:
             raise SchemaError(
@@ -63,20 +63,9 @@ class FormRecord:
         """Untwisted local factor, honouring explicit polynomial overrides."""
         entry = self.bad_primes.get(q)
         if entry and "poly" in entry:
-            coeffs = tuple(_parse_coeff(c) for c in entry["poly"])
+            coeffs = tuple(parse_exact(c) for c in entry["poly"])
             return EulerFactor(q, coeffs)
         return symsq_factor(self.satake(q), 1)
-
-
-def _parse_exact(s):
-    f = Fraction(str(s))
-    return int(f) if f.denominator == 1 else f
-
-
-def _parse_coeff(c):
-    if isinstance(c, dict):
-        return CycNumber.from_json(c)
-    return _parse_exact(c)
 
 
 def load_form(path: str | Path, *, p: int | None = None,
@@ -132,7 +121,7 @@ def load_form(path: str | Path, *, p: int | None = None,
     for key, value in rec["ap"].items():
         try:
             q = int(key)
-            ap[q] = _parse_exact(value)
+            ap[q] = parse_rational(value)
         except (ValueError, TypeError):
             problems.append(f"bad eigenvalue entry {key!r}: {value!r}")
             continue
@@ -190,9 +179,8 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     payload = json.dumps({
         "label": form.label, "q": q, "psi": psi.to_json(), "t": t,
         "p": form.p, "precision": form.precision, "trunc": form.trunc,
-        "root": primitive_root,
-        "coeffs": [str(c) if not isinstance(c, CycNumber) else c.to_json()
-                   for c in factor.coeffs],
+        "root": embedding_root(form.p, primitive_root),
+        "coeffs": [exact_json(c) for c in factor.coeffs],
     }, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -204,7 +192,9 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     """Lambda-lift of the local factor at q, optionally content-cached.
 
     An entry that does not decode, or was lifted at another p, precision
-    or truncation, is a miss; entries are written whole, then renamed."""
+    or truncation, is a miss; entries are written whole, then renamed.
+    A primitive root that is not one mod p is refused before any lift."""
+    embedding_root(form.p, primitive_root)
     factor = factor or form.euler_factor(q)
     if cache_dir is not None:
         path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
@@ -284,9 +274,12 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
 
     With L supplied, refuses (TruncationTooShort) when lambda + sum(sigma)
     is within the Weierstrass guard of the truncation: the truncated
-    product could not show its first unit coefficient there.
+    product could not show its first unit coefficient there.  The
+    provenance records the primitive root reduced mod p, or None.
     """
     s0 = sorted(set(s0))
+    root = (None if primitive_root is None
+            else embedding_root(form.p, primitive_root))
     if form.p in s0:
         raise ValueError(f"S0 must not contain p = {form.p}")
     twisted_sq = (psi * form.character)**2
@@ -305,7 +298,7 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     table, lifts, sigma_total = [], [], 0
     for q in s0:
         factor = form.euler_factor(q)
-        lifted = lift_factor(form, q, psi, t, primitive_root, cache_dir,
+        lifted = lift_factor(form, q, psi, t, root, cache_dir,
                              factor=factor)
         mu_q, lam_q = invariants(lifted)
         rtype = (form.bad_primes[q].get("type", "override")
@@ -320,7 +313,7 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
         trunc=form.trunc, psi=psi.to_json(), t=t, table=table,
         sigma_total=sigma_total,
         provenance={"form_source": form.source or "<memory>",
-                    "primitive_root": primitive_root},
+                    "primitive_root": root},
     )
     for row in table:
         report.assertions.append({

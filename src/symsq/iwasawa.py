@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .characters import DirichletCharacter
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
-from .padic import PAdicInt, int_valuation, inv, padic_log1p, teichmuller
+from .padic import (PAdicInt, int_valuation, inv, is_prime, padic_log1p,
+                    teichmuller)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,10 @@ class IwasawaElement:
     @staticmethod
     def from_json(rec: dict) -> "IwasawaElement":
         try:
-            return IwasawaElement(int(rec["p"]), int(rec["precision"]),
+            p = int(rec["p"])
+            if p < 5 or not is_prime(p):
+                raise ValueError(f"p must be a prime >= 5, got {p}")
+            return IwasawaElement(p, int(rec["precision"]),
                                   tuple(int(c) for c in rec["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotAUnit, NotOrdinary, PrecisionLoss
 
@@ -44,6 +45,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, ascending, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def int_valuation(n: int, p: int) -> int:

@@ -19,9 +19,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import DirichletCharacter
-from .cyclotomic import CycNumber, cyc_embed_padic
+from .cyclotomic import (CycNumber, cyc_embed_padic, exact_json, parse_exact,
+                         parse_rational)
 from .errors import BadMode, BadPrime, OddCharacter, SchemaError
-from .padic import PAdicInt, from_rational, hensel_unit_root, inv
+from .padic import PAdicInt, factorize, hensel_unit_root, inv
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
 
@@ -75,10 +76,11 @@ class QExpansion:
 
     def to_json(self, label: str | None = None) -> dict:
         rec = {
-            "weight": _weight_str(self.weight),
+            "weight": str(self.weight),
             "level": self.level,
             "character": self.character.to_json(),
-            "coeffs": [_coeff_str(c) for c in self.coeffs],
+            "coeffs": [str(c.residue) if isinstance(c, PAdicInt)
+                       else exact_json(c) for c in self.coeffs],
         }
         if label is not None:
             rec["label"] = label
@@ -86,50 +88,29 @@ class QExpansion:
             rec["p"] = self.coeffs[0].p
             rec["precision"] = min(c.prec for c in self.coeffs)
         if self.ring == "cyc":
-            rec["coeffs"] = [c.to_json() for c in self.coeffs]
             rec["ring"] = "cyc"
         return rec
 
     @staticmethod
     def from_json(rec: dict) -> "QExpansion":
         try:
-            weight = _parse_weight(rec["weight"])
+            weight = parse_rational(rec["weight"])
             level = int(rec["level"])
             character = DirichletCharacter.from_json(rec["character"])
             raw = rec["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad form record: {exc}") from exc
         if rec.get("ring") == "cyc":
-            coeffs = tuple(CycNumber.from_json(c) for c in raw)
+            coeffs = tuple(parse_exact(c) for c in raw)
             ring = "cyc"
         elif "p" in rec:
             p, prec = int(rec["p"]), int(rec["precision"])
             coeffs = tuple(PAdicInt(p, prec, int(c)) for c in raw)
             ring = "padic"
         else:
-            coeffs = tuple(_parse_exact(c) for c in raw)
+            coeffs = tuple(parse_rational(c) for c in raw)
             ring = "int"
         return QExpansion(weight, level, character, coeffs, ring)
-
-
-def _weight_str(w):
-    return str(w)
-
-
-def _parse_weight(s):
-    f = Fraction(str(s))
-    return int(f) if f.denominator == 1 else f
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, PAdicInt):
-        return str(c.residue)
-    return str(c)
-
-
-def _parse_exact(s):
-    f = Fraction(str(s))
-    return int(f) if f.denominator == 1 else f
 
 
 def _coeff_is_zero(c) -> bool:
@@ -280,9 +261,7 @@ def _to_padic(x, p: int, prec: int) -> PAdicInt:
         if x.p != p:
             raise ValueError(f"mixed primes {x.p} and {p}")
         return x.reduce(min(x.prec, prec))
-    if isinstance(x, CycNumber):
-        return cyc_embed_padic(x, p, prec)
-    return from_rational(x, p, prec)
+    return cyc_embed_padic(x, p, prec)
 
 
 def theta(chi: DirichletCharacter, trunc: int) -> QExpansion:
@@ -323,14 +302,9 @@ def expansion_from_eigenvalues(weight: int, level: int,
         coeffs[1] = 1
     eps_cache = {}
     for n in range(2, trunc + 1):
-        q = _least_prime_factor(n)
-        e = 1
-        m = n // q
-        while m % q == 0:
-            m //= q
-            e += 1
-        if m > 1:                      # composite with coprime parts
-            coeffs[n] = coeffs[q**e] * coeffs[m]
+        (q, e), *rest = factorize(n)
+        if rest:                       # composite with coprime parts
+            coeffs[n] = coeffs[q**e] * coeffs[n // q**e]
             continue
         if q not in ap:
             raise SchemaError(f"eigenvalue a({q}) missing but {q} <= {trunc}")
@@ -347,15 +321,6 @@ def expansion_from_eigenvalues(weight: int, level: int,
     if ring == "int" and any(isinstance(c, CycNumber) for c in coeffs):
         ring = "cyc"
     return QExpansion(weight, level, character, tuple(coeffs), ring)
-
-
-def _least_prime_factor(n: int) -> int:
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            return q
-        q += 1
-    return n
 
 
 def coeffs_agree(f: QExpansion, g: QExpansion, upto: int | None = None) -> bool:

@@ -227,11 +227,14 @@ class TestTeichmullerCharacter:
                 assert cyc_embed_padic(eta1(a), p, 4) == teichmuller(a, p, 4)
 
     def test_respects_primitive_root_override(self):
-        p, root = 5, 3   # 3 is also a primitive root mod 5
-        eta1 = teichmuller_character(p, primitive_root=root)
-        for a in range(1, p):
-            got = cyc_embed_padic(eta1(a), p, 4, primitive_root=root)
-            assert got == teichmuller(a, p, 4)
+        for p in (5, 7, 11, 13):
+            roots = [g for g in range(2, p)
+                     if len({pow(g, x, p) for x in range(p - 1)}) == p - 1]
+            for root in roots:
+                eta1 = teichmuller_character(p, primitive_root=root)
+                for a in range(1, p):
+                    got = cyc_embed_padic(eta1(a), p, 4, primitive_root=root)
+                    assert got == teichmuller(a, p, 4), (p, root, a)
 
 
 class TestStructure:

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from symsq.cyclotomic import (CycNumber, cyc_embed_padic, cyc_mul,
-                              cyclotomic_poly, default_primitive_root,
-                              euler_phi)
+                              cyclotomic_poly, default_primitive_root, dlog,
+                              embedding_root, euler_phi, exact_json,
+                              parse_exact, parse_rational)
 from symsq.errors import NotEmbeddable, OrderMismatch
+from symsq.padic import from_rational
 
 from conftest import oracle_cyc_mul, oracle_cyclotomic, seeded
 
@@ -108,6 +110,64 @@ def test_default_primitive_roots():
     assert default_primitive_root(5) == 2
     assert default_primitive_root(7) == 3
     assert default_primitive_root(13) == 2
+
+
+def test_euler_phi_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 5001):
+        assert euler_phi(n) == sympy.totient(n), n
+
+
+class TestEmbeddingRoot:
+    def test_none_is_the_smallest_primitive_root(self):
+        for p in (5, 7, 11, 13):
+            assert embedding_root(p, None) == default_primitive_root(p)
+
+    def test_reduced_mod_p(self):
+        assert embedding_root(5, 8) == embedding_root(5, 3) == 3
+        assert embedding_root(5, -3) == 2
+
+    def test_non_primitive_roots_are_refused(self):
+        for p in (5, 7, 11, 13):
+            for g in range(p + 1):
+                if len({pow(g, x, p) for x in range(p - 1)}) == p - 1:
+                    continue
+                with pytest.raises(NotEmbeddable):
+                    embedding_root(p, g)
+                with pytest.raises(NotEmbeddable):
+                    cyc_embed_padic(CycNumber.one(), p, 3, primitive_root=g)
+
+    def test_dlog_inverts_powers(self):
+        for p in (5, 7, 11, 13):
+            for root in [None] + [g for g in range(2, p)
+                                  if len({pow(g, x, p)
+                                          for x in range(p - 1)}) == p - 1]:
+                g = embedding_root(p, root)
+                for x in range(p - 1):
+                    assert dlog(pow(g, x, p), p, root) == x
+        with pytest.raises(ValueError):
+            dlog(10, 5)
+
+
+def test_embed_accepts_rationals():
+    for x in (0, 3, -7, Fraction(2, 3), Fraction(-11, 4)):
+        assert cyc_embed_padic(x, 5, 4) == from_rational(x, 5, 4)
+        assert cyc_embed_padic(x, 5, 4) == cyc_embed_padic(
+            CycNumber.from_rational(x), 5, 4)
+    with pytest.raises(NotEmbeddable):
+        cyc_embed_padic(Fraction(1, 5), 5, 4)
+
+
+def test_exact_json_roundtrip():
+    u = CycNumber(4, (Fraction(1, 2), Fraction(-3)))
+    for x in (0, -5, Fraction(7, 3), u):
+        assert parse_exact(exact_json(x)) == x
+    assert exact_json(Fraction(7, 3)) == "7/3"
+    assert exact_json(u) == u.to_json()
+    assert type(parse_rational("6/3")) is int
+    assert parse_rational(4) == 4
+    with pytest.raises(ValueError):
+        parse_rational("zeta")
 
 
 def test_serialization_roundtrip():

@@ -47,6 +47,15 @@ def write_p7_form(tmp_path):
                       precision=10, trunc=60, bad_primes={})
 
 
+def write_order4_form(tmp_path):
+    """p = 5, level 13, a nebentype of order 4: eps(2) is a primitive
+    4th root of unity, so the Euler factor at 2 depends on the root."""
+    chi = next(c for c in characters_mod(13) if c.order == 4)
+    return write_form(tmp_path, "order4.json", level=13,
+                      character=chi.to_json(),
+                      bad_primes={"13": {"type": "ordinary", "aq": "1"}})
+
+
 def elem(p, prec, *coeffs, trunc=None):
     cs = list(coeffs)
     if trunc is not None:
@@ -226,6 +235,28 @@ class TestInvariantReport:
         assert built == [2, 3, 2, 3]
 
 
+class TestPrimitiveRoot:
+    """The embedding root is resolved once, by cyclotomic.embedding_root."""
+
+    def test_cache_key_stores_the_resolved_root(self, tmp_path):
+        form = load_form(write_order4_form(tmp_path))
+        psi = trivial_character(1)
+        assert cache_key(form, 2, psi, 0, None) == cache_key(form, 2, psi, 0, 2)
+        assert cache_key(form, 2, psi, 0, 8) == cache_key(form, 2, psi, 0, 3)
+        assert cache_key(form, 2, psi, 0, 2) != cache_key(form, 2, psi, 0, 3)
+
+    def test_non_primitive_root_refused_before_any_lift(self, tmp_path):
+        form = load_form(write_order4_form(tmp_path))
+        psi = trivial_character(1)
+        for root in (0, 1, 4, 5):
+            with pytest.raises(NotEmbeddable):
+                invariant_report(form, psi, 0, [], primitive_root=root)
+            with pytest.raises(NotEmbeddable):  # psi(2) = 0 embeds nothing
+                lift_factor(form, 2, trivial_character(2), 0, root)
+            with pytest.raises(NotEmbeddable):
+                cache_key(form, 2, psi, 0, root)
+
+
 class TestCongruenceTransfer:
     def test_plain_congruent_pair(self):
         f = elem(5, 3, 5, 1, trunc=8)         # T + 5
@@ -385,6 +416,72 @@ class TestCLI:
                            "--s0", "2,19", "--lfun", str(lfun), "--no-cache")
         assert out.returncode == 2
         assert "truncation" in out.stderr
+
+    def test_lambda_file_prime_is_validated(self, tmp_path):
+        # p = 0 used to end in a ZeroDivisionError traceback, p = 4 in
+        # an answer with exit 0
+        from symsq.cli import main
+        for p in (0, 4):
+            path = tmp_path / f"lam{p}.json"
+            path.write_text(json.dumps(
+                {"p": p, "precision": 3, "coeffs": ["1", "1", "0"]}))
+            out = self.run_cli("prep", str(path))
+            assert out.returncode == 2, (p, out.stdout)
+            assert "Traceback" not in out.stderr
+            assert "prime >= 5" in out.stderr
+            for argv in (["specialize", str(path), "-n", "1"],
+                         ["congruence", str(path), str(path)]):
+                assert main(argv) == 2, (p, argv)
+
+    def test_non_primitive_root_exits_2(self, tmp_path):
+        # 1 and 4 have order 1 and 2 mod 5, so zeta_4 would go to 1 or
+        # -1: no ring map, yet the parent reported PASS
+        form_path = write_order4_form(tmp_path)
+        for root in ("1", "4"):
+            for s0, cache in (("2,3", "--no-cache"), ("", "--no-cache"),
+                              ("2,3", f"--cache-dir={tmp_path / 'c'}")):
+                out = self.run_cli("sigma", str(form_path), "--s0", s0,
+                                   "--primitive-root", root, cache)
+                assert out.returncode == 2, (root, s0, out.stdout)
+                assert f"{root} is not a primitive root mod 5" in out.stderr
+        assert not (tmp_path / "c").exists()
+
+    def test_report_records_the_root_reduced_mod_p(self, tmp_path):
+        form_path = write_order4_form(tmp_path)
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        args = ("report", str(form_path), "--s0", "2,3", "--lfun", str(lfun),
+                "--no-cache")
+        eight = self.run_cli(*args, "--primitive-root", "8")
+        three = self.run_cli(*args, "--primitive-root", "3")
+        default = self.run_cli(*args)
+        assert three.returncode == 0, three.stderr
+        assert eight.stdout == three.stdout
+        assert json.loads(three.stdout)["provenance"]["primitive_root"] == 3
+        assert json.loads(default.stdout)["provenance"]["primitive_root"] is None
+
+    def test_lift_primitive_root_end_to_end(self, tmp_path):
+        # cli -> harness -> euler: the lift specializes to the factor
+        # evaluated along the same root
+        from symsq.cyclotomic import CycNumber
+        from symsq.euler import evaluate_factor_padic
+        from symsq.iwasawa import specialize
+        from symsq.padic import PAdicInt, inv
+        form_path = write_order4_form(tmp_path)
+        form = load_form(form_path)
+        x = inv(PAdicInt(5, form.precision, 2))
+        lifts = {}
+        for root in (None, 3):
+            flag = () if root is None else ("--primitive-root", str(root))
+            out = self.run_cli("lift", str(form_path), "-q", "2",
+                               "--no-cache", *flag)
+            assert out.returncode == 0, out.stderr
+            lifted = IwasawaElement.from_json(json.loads(out.stdout)["lift"])
+            want = evaluate_factor_padic(form.euler_factor(2), CycNumber.one(),
+                                         x, primitive_root=root)
+            assert specialize(lifted, 1) == want
+            lifts[root] = lifted
+        assert lifts[3] != lifts[None]
 
     def test_euler_and_lift_and_sigma(self, tmp_path):
         form_path = write_form(tmp_path)

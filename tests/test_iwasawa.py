@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq import iwasawa
-from symsq.errors import (InsufficientPrecision, PrecisionLoss,
+from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
 from symsq.iwasawa import (CongruenceVerdict, IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
@@ -321,6 +321,12 @@ class TestSerialization:
         rec = f.to_json()
         assert IwasawaElement.from_json(rec) == f
         assert IwasawaElement.from_json(rec).to_json() == rec
+
+    def test_rejects_p_that_is_not_a_prime_at_least_5(self):
+        for p in (0, 1, 3, 4, -5, 25):
+            rec = {"p": p, "precision": 3, "coeffs": ["1", "5", "0"]}
+            with pytest.raises(SchemaError, match="prime"):
+                IwasawaElement.from_json(rec)
 
     def test_verdict_truthiness(self):
         assert CongruenceVerdict(True, 1)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq.errors import NotAUnit, NotOrdinary, PrecisionLoss
-from symsq.padic import (PAdicInt, from_rational, hensel_unit_root, inv,
-                         padic_log1p, teichmuller, val)
+from symsq.padic import (PAdicInt, factorize, from_rational, hensel_unit_root,
+                         inv, padic_log1p, teichmuller, val)
 
 from conftest import seeded
 
@@ -190,3 +190,10 @@ class TestPrecisionModel:
         assert x + y == y + x
         assert x * y == y * x
         assert (x + y) * x == x * x + y * x
+
+
+class TestFactorize:
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(1, 5001):
+            assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n

@@ -262,6 +262,17 @@ class TestSerialization:
         back = QExpansion.from_json(f.to_json())
         assert back == f
 
+    def test_cyc_roundtrip_with_rational_coefficients(self):
+        # a cyc expansion keeps ints where the nebentype does not enter
+        chi = next(c for c in characters_mod(13) if c.order == 4)
+        ap = {q: q % 5 - 2 for q in PRIMES_TO_200 if q <= 40}
+        f = expansion_from_eigenvalues(2, 13, chi, ap, 40)
+        assert f.ring == "cyc" and isinstance(f.coeffs[1], int)
+        rec = f.to_json()
+        back = QExpansion.from_json(rec)
+        assert back == f
+        assert back.to_json() == rec
+
     def test_weight_half_roundtrip(self):
         t = theta(trivial_character(1), 5)
         back = QExpansion.from_json(t.to_json())
