@@ -226,6 +226,8 @@ class DirichletCharacter:
             images = [(int(g), int(k)) for g, k in obj["images"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad character record: {exc}") from exc
+        if m < 1:
+            raise SchemaError(f"character modulus must be >= 1, got {m}")
         gens = unit_group_structure(m)
         if [g for g, _ in images] != [g for g, _ in gens]:
             raise SchemaError(

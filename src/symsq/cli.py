@@ -14,14 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .characters import DirichletCharacter, trivial_character
 from .cyclotomic import exact_json
-from .errors import SymsqError
+from .errors import SchemaError, SymsqError
 from .harness import (congruence_transfer_check, emit_report, invariant_report,
                       lift_factor, load_form)
 from .iwasawa import IwasawaElement, invariants, specialize, weierstrass_prep
+from .padic import is_prime
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -45,6 +47,7 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
     ap = argparse.ArgumentParser(
@@ -123,6 +126,13 @@ def _resolve(args):
     return args
 
 
+def _parse_s0(text: str) -> list[int]:
+    s0 = [int(q) for q in text.split(",") if q]
+    if not all(is_prime(q) for q in s0):
+        raise SchemaError(f"S0 must hold primes, got {text!r}")
+    return s0
+
+
 def _load_form(args):
     return load_form(args.form, p=args.p, precision=args.precision,
                      trunc=args.trunc)
@@ -152,7 +162,7 @@ def main(argv=None) -> int:
         if args.command == "sigma":
             form = _load_form(args)
             psi = _load_character(args.psi)
-            s0 = [int(q) for q in args.s0.split(",") if q]
+            s0 = _parse_s0(args.s0)
             report = invariant_report(form, psi, args.t, s0, None,
                                       args.primitive_root, cache_dir)
             return emit_report(report, args.format, args.output)
@@ -180,7 +190,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             form = _load_form(args)
             psi = _load_character(args.psi)
-            s0 = [int(q) for q in args.s0.split(",") if q]
+            s0 = _parse_s0(args.s0)
             lfun = _load_element(args.lfun) if args.lfun else None
             report = invariant_report(form, psi, args.t, s0, lfun,
                                       args.primitive_root, cache_dir)

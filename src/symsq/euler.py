@@ -168,7 +168,9 @@ def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,
     if psi_q.is_zero():
         return IwasawaElement.one(p, prec, trunc)
     scalar = cyc_embed_padic(psi_q, p, prec, primitive_root) \
-        * teichmuller(q, p, prec)**t * inv(PAdicInt(p, prec, q))
+        * inv(PAdicInt(p, prec, q))
+    if t:
+        scalar = scalar * teichmuller(q, p, prec)**t
     exponent = frobenius_exponent(q, p, prec + factorial_valuation(trunc, p))
     return substitute_frobenius(factor, scalar, exponent, trunc, prec,
                                 primitive_root)

@@ -21,10 +21,9 @@ from .characters import (DirichletCharacter, is_residually_trivial,
 from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
-from .euler import (EulerFactor, SatakeData, assemble_imprimitive,
-                    euler_to_lambda, symsq_factor)
+from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
-                      invariants)
+                      invariants, product_invariants)
 from .padic import factorize, int_valuation, is_prime
 
 
@@ -326,8 +325,7 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
                 f"lambda + sum(sigma) = {lam_l} + {sigma_total} is within "
                 f"{TRUNCATION_GUARD} of the truncation {form.trunc}, where "
                 f"the imprimitive product cannot show lambda_S0")
-        product = assemble_imprimitive(lfun, lifts)
-        mu_s, lam_s = invariants(product)
+        mu_s, lam_s = product_invariants(lfun, lifts)
         report.lfun = {"mu": mu_l, "lambda": lam_l,
                        "mu_imprimitive": mu_s, "lambda_imprimitive": lam_s}
         report.assertions.append({

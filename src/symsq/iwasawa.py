@@ -18,12 +18,13 @@ iteration on that kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import prod
 
 from .characters import DirichletCharacter
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
-from .padic import (PAdicInt, int_valuation, inv, is_prime, padic_log1p,
-                    teichmuller)
+from .padic import PAdicInt, int_valuation, inv, is_prime, padic_log1p
 
 
 @dataclass(frozen=True)
@@ -207,6 +208,26 @@ def invariants(f: IwasawaElement) -> tuple[int, int]:
     return mu, lam
 
 
+def product_invariants(f: IwasawaElement,
+                       factors: list[IwasawaElement]) -> tuple[int, int]:
+    """(mu, lambda) of f * prod(factors): mu(f), and the first index
+    where f / p^mu(f) * prod(factors) survives mod p.  The full product
+    decides when that vanishes up to D, or a factor has less precision
+    than f (or another prime)."""
+    mu = invariants(f)[0]
+    d = min([f.trunc] + [g.trunc for g in factors])
+    if all(g.p == f.p and g.prec >= f.prec for g in factors):
+        out = [c // f.p**mu for c in f.coeffs]
+        for g in factors:
+            out = _poly_mul_trunc(out, g.coeffs, f.p, d)
+        for i, c in enumerate(out):
+            if c % f.p:
+                return mu, i
+    for g in factors:
+        f = f * g
+    return invariants(f)
+
+
 TRUNCATION_GUARD = 4
 
 
@@ -285,61 +306,66 @@ def factorial_valuation(d: int, p: int) -> int:
     return total
 
 
+@lru_cache(maxsize=128)
+def _factorial_table(p: int, trunc: int, prec: int):
+    """p^v_p(k!) and (p-free part of k!)^(-1) mod p^prec for k = 0..trunc,
+    from one modular inverse, walking back down by the factors k."""
+    m = p**prec
+    pvs, units = [1], [1]
+    for k in range(1, trunc + 1):
+        pk = p**int_valuation(k, p)
+        pvs.append(pvs[-1] * pk)
+        units.append(k // pk)
+    inv_units = [pow(prod(units), -1, m)]
+    for unit in reversed(units[1:]):
+        inv_units.append(inv_units[-1] * unit % m)
+    return tuple(pvs), tuple(reversed(inv_units))
+
+
 def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
     """(1+T)^e as a binomial series, coefficients correct mod p^prec.
 
     Dividing the falling factorial by k! costs v_p(k!) digits, so the
-    exponent must arrive with that much guard precision.  The p-free
-    parts of 1!, ..., D! are inverted with a single modular inverse of
-    the last one, walking back down by the factors k.
+    exponent must arrive with that much guard precision.  Only the
+    falling factorial depends on e; k! comes from a shared table.
     """
     p = e.p
     need = prec + factorial_valuation(trunc, p)
     if e.prec < need:
         raise PrecisionLoss(
             f"exponent precision {e.prec} < {need} needed for D={trunc}")
-    big = p**e.prec
-    out_mod = p**prec
-    nums = [1]       # (e(e-1)...(e-k+1) mod big) / p^v_p(k!)
-    units = [1]      # p-free part of k
-    num = 1          # falling factorial e(e-1)...(e-k+1) mod big
-    pv = 1           # p^v_p(k!)
-    fact_unit = 1    # p-free part of k! mod out_mod
+    pvs, inv_units = _factorial_table(p, trunc, prec)
+    big, out_mod = p**e.prec, p**prec
+    coeffs, num = [1], 1     # num: e(e-1)...(e-k+1) mod big
     for k in range(1, trunc + 1):
-        num = num * ((e.residue - k + 1) % big) % big
-        unit = k
-        while unit % p == 0:
-            unit //= p
-            pv *= p
-        c, r = divmod(num, pv)
+        num = num * (e.residue - k + 1) % big
+        c, r = divmod(num, pvs[k])
         if r:
             raise PrecisionLoss(f"falling factorial not divisible by "
                                 f"p^{factorial_valuation(k, p)}")
-        nums.append(c)
-        units.append(unit)
-        fact_unit = fact_unit * unit % out_mod
-    inv_fact = pow(fact_unit, -1, out_mod)
-    coeffs = [0] * (trunc + 1)
-    for k in range(trunc, -1, -1):
-        coeffs[k] = nums[k] * inv_fact % out_mod
-        inv_fact = inv_fact * units[k] % out_mod
+        coeffs.append(c * inv_units[k] % out_mod)
     return IwasawaElement(p, prec, tuple(coeffs))
+
+
+@lru_cache(maxsize=None)
+def _inv_log_gamma(p: int, prec: int) -> PAdicInt:
+    """(log(1+p)/p)^(-1) mod p^prec."""
+    return inv(padic_log1p(PAdicInt(p, prec + 1, p)).exact_div_p(1))
 
 
 def frobenius_exponent(q: int, p: int, prec: int) -> PAdicInt:
     """e(q) with (1+p)^e(q) = q_w, the wild projection of q.
 
-    q_w = q / teich(q); both logs have valuation >= 1, and the quotient
+    teich(q)^(p-1) = 1, so log q_w = log(q^(p-1))/(p-1) needs no
+    Teichmueller lift; both logs have valuation >= 1, and the quotient
     log(q_w)/log(1+p) lands back in Z_p at the requested precision.
     """
     if q % p == 0:
         raise ValueError(f"q = {q} must differ from p = {p}")
     w = prec + 1
-    tq = teichmuller(q, p, w)
-    qw = PAdicInt(p, w, q) * inv(tq)
-    log_qw = padic_log1p(qw - 1)
-    log_gamma = padic_log1p(PAdicInt(p, w, p))
-    return log_qw.exact_div_p(1) * inv(log_gamma.exact_div_p(1))
+    log_q = padic_log1p(PAdicInt(p, w, pow(q, p - 1, p**w) - 1))
+    log_qw = log_q * inv(PAdicInt(p, w, p - 1))
+    return log_qw.exact_div_p(1) * _inv_log_gamma(p, prec)
 
 
 def specialize(f: IwasawaElement, n: int,

@@ -267,12 +267,14 @@ def padic_log1p(x: PAdicInt) -> PAdicInt:
     n_max = n_out + 1
     while n_max - int_valuation_bound(n_max, p) < n_out:
         n_max += 1
-    total = 0
+    # r^n takes one multiply per term, kept mod p^(n_out + max v_p(n))
+    big = p**(n_out + int_valuation_bound(n_max, p))
     m_out = p**n_out
+    total, a = 0, 1
     for n in range(1, n_max + 1):
-        j = int_valuation(n, p)
-        a = pow(r, n, p**(n_out + j))
-        term = (a // p**j) * pow(n // p**j, -1, m_out)
+        a = a * r % big
+        pj = p**int_valuation(n, p)
+        term = (a % (m_out * pj)) // pj * pow(n // pj, -1, m_out)
         total += term if n % 2 == 1 else -term
     return PAdicInt(p, n_out, total)
 

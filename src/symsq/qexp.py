@@ -98,18 +98,18 @@ class QExpansion:
             level = int(rec["level"])
             character = DirichletCharacter.from_json(rec["character"])
             raw = rec["coeffs"]
+            if rec.get("ring") == "cyc":
+                coeffs = tuple(parse_exact(c) for c in raw)
+                ring = "cyc"
+            elif "p" in rec:
+                p, prec = int(rec["p"]), int(rec["precision"])
+                coeffs = tuple(PAdicInt(p, prec, int(c)) for c in raw)
+                ring = "padic"
+            else:
+                coeffs = tuple(parse_rational(c) for c in raw)
+                ring = "int"
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad form record: {exc}") from exc
-        if rec.get("ring") == "cyc":
-            coeffs = tuple(parse_exact(c) for c in raw)
-            ring = "cyc"
-        elif "p" in rec:
-            p, prec = int(rec["p"]), int(rec["precision"])
-            coeffs = tuple(PAdicInt(p, prec, int(c)) for c in raw)
-            ring = "padic"
-        else:
-            coeffs = tuple(parse_rational(c) for c in raw)
-            ring = "int"
         return QExpansion(weight, level, character, coeffs, ring)
 
 

@@ -124,6 +124,105 @@ def recurrence_series_inverse_mod_p(u, p, d):
     return out
 
 
+# -- Frobenius exponents the long way ----------------------------------------
+
+
+def pow_per_term_log1p(r, p, n_out):
+    """log(1 + r) mod p^n_out for v_p(r) >= 1, one pow(r, n, .) per term;
+    past n = 2 n_out + 4, v_p(r^n / n) >= n - log_p(n) exceeds n_out."""
+    total, m_out = 0, p**n_out
+    for n in range(1, 2 * n_out + 5):
+        j = 0
+        while n % p**(j + 1) == 0:
+            j += 1
+        term = pow(r, n, p**(n_out + j)) // p**j * pow(n // p**j, -1, m_out)
+        total += term if n % 2 else -term
+    return total % m_out
+
+
+def teichmuller_frobenius_exponent(q, p, prec):
+    """e(q) mod p^prec as log(q / teich(q)) / log(1 + p), with
+    teich(q) = q^(p^prec) mod p^(prec+1)."""
+    w = prec + 1
+    m = p**w
+    qw = q * pow(pow(q, p**prec, m), -1, m) % m
+    log_qw = pow_per_term_log1p(qw - 1, p, w)
+    log_gamma = pow_per_term_log1p(p, p, w)
+    return log_qw // p * pow(log_gamma // p, -1, p**prec) % p**prec
+
+
+# -- sigma from Lucas's theorem ----------------------------------------------
+
+
+def _base_p_digits(n, p):
+    out = []
+    while n:
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
+@lru_cache(maxsize=None)
+def searched_exponent(q, p, k):
+    """e in [0, p^k) with (1+p)^e = q / teich(q) mod p^(k+1), by search;
+    teich(q) = q^(p^k) mod p^(k+1)."""
+    m = p**(k + 1)
+    target = q * pow(pow(q, p**k, m), -1, m) % m
+    x = 1
+    for e in range(p**k):
+        if x == target:
+            return e
+        x = x * (1 + p) % m
+    raise AssertionError(f"no exponent for q = {q} mod {p}^{k + 1}")
+
+
+def lucas_one_plus_T_pow(e, p, d):
+    """(1+T)^e mod (p, T^(d+1)) as the product over the base-p digits e_i
+    of (1+T^(p^i))^(e_i)."""
+    out = {0: 1}
+    for i, digit in enumerate(_base_p_digits(e, p)):
+        step = p**i
+        if step > d:
+            break
+        new = {}
+        for a, c in out.items():
+            for j in range(digit + 1):
+                if a + j * step <= d:
+                    new[a + j * step] = (new.get(a + j * step, 0)
+                                         + c * comb(digit, j)) % p
+        out = {a: c for a, c in new.items() if c}
+    return out
+
+
+def embed_mod_p(x, p, g):
+    """x in Q(zeta_n) (or Q) reduced mod p along zeta_n -> g^((p-1)/n)."""
+    if not isinstance(x, CycNumber):
+        x = CycNumber.from_rational(x)
+    z = pow(g, (p - 1) // x.order, p)
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(z, i, p)
+               for i, c in enumerate(x.coeffs)) % p
+
+
+def lucas_sigma(coeffs, psi_q, q, p, t, d, g):
+    """lambda of sum_j c_j s^j (1+T)^(j e(q)) mod p with s = psi(q) q^(t-1)
+    (teich(q) = q mod p), or None when it vanishes mod (p, T^(d+1))."""
+    k = len(_base_p_digits(d, p))            # p^k > d
+    e = searched_exponent(q, p, k)
+    s = embed_mod_p(psi_q, p, g) * pow(q, t - 1, p) % p
+    total = [0] * (d + 1)
+    for j, c in enumerate(coeffs):
+        a = embed_mod_p(c, p, g) * pow(s, j, p) % p
+        if a:
+            for i, v in lucas_one_plus_T_pow(j * e % p**k, p, d).items():
+                total[i] = (total[i] + a * v) % p
+    return next((i for i, v in enumerate(total) if v), None)
+
+
+def smallest_primitive_root(p):
+    return next(g for g in range(2, p)
+                if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+
+
 # -- per-residue character sums ---------------------------------------------
 
 

@@ -271,3 +271,9 @@ class TestSerialization:
         rec = {"modulus": 5, "images": [[3, 1]]}
         with pytest.raises(SchemaError):
             DirichletCharacter.from_json(rec)
+
+    def test_rejects_modulus_below_one(self):
+        # modulus 0 used to pass and divide by zero at the first value
+        for m in (0, -7):
+            with pytest.raises(SchemaError, match="modulus"):
+                DirichletCharacter.from_json({"modulus": m, "images": []})

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -8,11 +9,13 @@ from symsq.characters import characters_mod, trivial_character
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
 from symsq import harness
-from symsq.harness import (cache_key, congruence_transfer_check, emit_report,
-                           invariant_report, lift_factor, load_form)
+from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
+                           emit_report, invariant_report, lift_factor,
+                           load_form)
 from symsq.iwasawa import IwasawaElement
 
-from conftest import PRIMES_TO_200, random_eigen_map, seeded
+from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
+                      smallest_primitive_root)
 
 
 def write_form(tmp_path, name="form.json", **overrides):
@@ -235,6 +238,70 @@ class TestInvariantReport:
         assert built == [2, 3, 2, 3]
 
 
+def _grid_form(rng, p, prec, trunc, kind):
+    """A form of the report-corpus grid: level 1, a quadratic nebentype
+    with an ordinary level prime, or an order-4 nebentype with a
+    depleted level prime (order 4 needs 4 | p - 1)."""
+    level, bad, chi = 1, {}, trivial_character(1)
+    if kind == 1:
+        level = rng.choice([q for q in (3, 7, 11, 13, 17) if q != p])
+        chi = next(c for c in characters_mod(level) if c.order == 2)
+        bad = {level: {"type": "ordinary", "aq": str(rng.choice((1, -1)))}}
+    elif kind == 2 and (p - 1) % 4 == 0:
+        level = rng.choice([q for q in (5, 13, 17, 29) if q != p])
+        chi = rng.choice([c for c in characters_mod(level) if c.order == 4])
+        bad = {level: {"type": "depleted"}}
+    weight = rng.choice((2, 4, 6))
+    bound = {q: int(2 * q**((weight - 1) / 2)) for q in PRIMES_TO_200[:18]}
+    ap = {q: rng.randint(-b, b) for q, b in bound.items() if q != level}
+    ap[p] = rng.choice([a for a in range(1, 2 * p) if a % p])
+    return FormRecord(f"grid-{p}-{trunc}-{kind}", weight, level, chi, ap, p,
+                      prec, trunc, bad)
+
+
+def _frobenius_valuation(q, p):
+    """v = v_p(q^(p-1) - 1) - 1, the p-adic valuation of e(q)."""
+    v = 0
+    while (q**(p - 1) - 1) % p**(v + 2) == 0:
+        v += 1
+    return v
+
+
+class TestLucasSigmaOracle:
+    def test_sigma_tables_on_the_report_grid(self):
+        # sigma_q from (1+T)^e = prod (1+T^(p^i))^(e_i) mod p (Lucas), with
+        # e mod p^k found by search: no falling factorial, no guard digits
+        # and no Kronecker multiply.  S0 keeps the primes whose a-priori
+        # bound deg P * p^v, v = v_p(q^(p-1) - 1) - 1, fits below D.
+        rng = seeded(91)
+        quadratic = [c for m in (3, 4, 8) for c in characters_mod(m)
+                     if c.order == 2 and c.conductor == m]
+        rows = 0
+        for p in (5, 7, 11, 13):
+            g = smallest_primitive_root(p)
+            for i, (prec, trunc) in enumerate(((10, 60), (20, 120),
+                                               (30, 200))):
+                form = _grid_form(rng, p, prec, trunc, (p + i) % 3)
+                psi = rng.choice([trivial_character(1)] + quadratic)
+                t = rng.choice((0, 2, 4))
+                s0 = [q for q in [form.level] * (form.level > 1)
+                      + sorted(form.ap)
+                      if q != p and 3 * p**_frobenius_valuation(q, p) <= trunc]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    report = invariant_report(form, psi, t, s0)
+                for row in report.table:
+                    q = row["q"]
+                    factor = form.euler_factor(q)
+                    assert row["mu"] == 0
+                    assert row["sigma"] == lucas_sigma(
+                        factor.coeffs, psi(q), q, p, t, trunc, g), (p, q)
+                    assert row["sigma"] <= \
+                        factor.degree * p**_frobenius_valuation(q, p)
+                    rows += 1
+        assert rows > 150
+
+
 class TestPrimitiveRoot:
     """The embedding root is resolved once, by cyclotomic.embedding_root."""
 
@@ -432,6 +499,42 @@ class TestCLI:
             for argv in (["specialize", str(path), "-n", "1"],
                          ["congruence", str(path), str(path)]):
                 assert main(argv) == 2, (p, argv)
+
+    def test_s0_must_hold_primes(self, tmp_path, capsys):
+        # --s0 0 used to end in a ZeroDivisionError traceback, and 4,6
+        # exited 2 only because a(4) is missing from the record
+        from symsq.cli import main
+        form_path = str(write_form(tmp_path))
+        for s0 in ("0", "4,6", "2,1", "2,-3"):
+            for cmd in ("sigma", "report"):
+                assert main([cmd, form_path, "--s0", s0, "--no-cache"]) == 2
+                assert "S0 must hold primes" in capsys.readouterr().err
+
+    def test_psi_modulus_zero_exits_2(self, tmp_path, capsys):
+        from symsq.cli import main
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"modulus": 0, "images": []}))
+        for cmd in ("sigma", "report"):
+            assert main([cmd, str(write_form(tmp_path)), "--s0", "2,3",
+                         "--psi", str(psi), "--no-cache"]) == 2
+            assert "modulus" in capsys.readouterr().err
+
+    def test_one_process_matches_separate_processes(self, tmp_path, capsys):
+        # the argparse tree is built once per process; nothing a command
+        # parses may reach the next one
+        from symsq import cli
+        form_path = str(write_form(tmp_path))
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        report = ["report", form_path, "--s0", "2,3", "--lfun", str(lfun),
+                  "--no-cache"]
+        runs = [report, ["prep", str(lfun), "--guard", "2"],
+                report + ["--format", "text"]]
+        separate = "".join(self.run_cli(*argv).stdout for argv in runs)
+        capsys.readouterr()
+        assert [cli.main(argv) for argv in runs] == [0, 0, 0]
+        assert capsys.readouterr().out == separate
+        assert cli._build_parser() is cli._build_parser()
 
     def test_non_primitive_root_exits_2(self, tmp_path):
         # 1 and 4 have order 1 and 2 mod 5, so zeta_4 would go to 1 or

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -5,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq import iwasawa
+from symsq.euler import assemble_imprimitive
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
 from symsq.iwasawa import (CongruenceVerdict, IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
-                           invariants, one_plus_T_pow, reconstruct,
-                           specialize, weierstrass_prep)
+                           invariants, one_plus_T_pow, product_invariants,
+                           reconstruct, specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
-from conftest import (recurrence_series_inverse_mod_p, schoolbook_mul_trunc,
-                      seeded)
+from conftest import (PRIMES_TO_200, recurrence_series_inverse_mod_p,
+                      schoolbook_mul_trunc, seeded,
+                      teichmuller_frobenius_exponent)
 
 
 def elem(p, prec, *coeffs, trunc=None):
@@ -103,6 +106,74 @@ class TestKernels:
         monkeypatch.setattr(iwasawa, "_series_inverse_mod_p",
                             recurrence_series_inverse_mod_p)
         assert [weierstrass_prep(f) for f in elements] == fast
+
+
+@st.composite
+def product_cases(draw):
+    """(L, factors): mu(L) in {0, 1, 2}; each factor a unit-shaped lift,
+    one at lower precision or shorter truncation, or one that vanishes
+    mod p (so the product mod p can vanish up to D)."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    n = draw(st.integers(3, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def series(prec, mu, trunc, lam):
+        coeffs = [rng.randrange(p**prec) for _ in range(trunc + 1)]
+        for i in range(min(lam, trunc + 1)):
+            coeffs[i] = coeffs[i] * p
+        if lam <= trunc:
+            coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
+        return IwasawaElement(p, prec, tuple(c * p**mu for c in coeffs))
+
+    d = draw(st.integers(0, 30))
+    mu = draw(st.sampled_from([0, 1, 2]))
+    lfun = series(n, mu, d, draw(st.integers(0, d)))
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["unit", "unit", "unit", "low", "short", "zero"]), max_size=5)):
+        prec = rng.randint(1, n - 1) if kind == "low" else n + rng.randint(0, 2)
+        trunc = rng.randint(0, d) if kind == "short" else d + rng.randint(0, 3)
+        lam = trunc + 1 if kind == "zero" else rng.randint(0, 3)
+        factors.append(series(prec, 0, trunc, lam))
+    return lfun, factors
+
+
+class TestProductInvariants:
+    @given(product_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_product(self, case):
+        lfun, factors = case
+        try:
+            expect = invariants(assemble_imprimitive(lfun, factors))
+        except InsufficientPrecision:
+            expect = InsufficientPrecision
+        products = []
+        with pytest.MonkeyPatch.context() as mp:
+            mul = IwasawaElement.__mul__
+            mp.setattr(IwasawaElement, "__mul__",
+                       lambda a, b: products.append(1) or mul(a, b))
+            try:
+                got = product_invariants(lfun, factors)
+            except InsufficientPrecision:
+                got = InsufficientPrecision
+        assert got == expect
+        # the full product runs only for a lower-precision factor or a
+        # product that vanishes mod (p, T^(D+1))
+        p, mu = lfun.p, invariants(lfun)[0]
+        d = min([lfun.trunc] + [g.trunc for g in factors])
+        mod_p = [c // p**mu for c in lfun.coeffs]
+        for g in factors:
+            mod_p = schoolbook_mul_trunc(mod_p, g.coeffs, p, d)
+        fallback = any(g.prec < lfun.prec for g in factors) or \
+            not any(c % p for c in mod_p[:d + 1])
+        assert bool(products) == (fallback and bool(factors))
+
+    def test_positive_mu_stays_mod_p(self, monkeypatch):
+        # mu(L) = 2: dividing L by p^2 first keeps the product mod p alive
+        lfun = elem(5, 6, 50, 25, trunc=8)
+        factor = elem(5, 6, 5, 1, trunc=8)
+        monkeypatch.setattr(IwasawaElement, "__mul__", None)
+        assert product_invariants(lfun, [factor, factor]) == (2, 2)
 
 
 class TestWeierstrass:
@@ -203,6 +274,19 @@ class TestOnePlusTPow:
         for k in range(10):
             assert e.coeffs[k] == comb(9, k) % 7**4
 
+    def test_factorial_table_against_binomials(self):
+        # the shared table of k! is keyed by (p, D, N): reuse it across
+        # exponents and check every coefficient, past several p-powers
+        rng = seeded(57)
+        for p in (5, 7, 11, 13):
+            for d, n in ((30, 3), (60, 10), (130, 6)):
+                guard = n + factorial_valuation(d, p)
+                for _ in range(3):
+                    e = rng.randrange(10**6)
+                    got = one_plus_T_pow(PAdicInt(p, guard, e), d, n)
+                    assert got.coeffs == tuple(comb(e, k) % p**n
+                                               for k in range(d + 1))
+
 
 class TestFrobeniusExponent:
     def test_postcondition_oracle(self):
@@ -234,6 +318,18 @@ class TestFrobeniusExponent:
     def test_rejects_p(self):
         with pytest.raises(ValueError):
             frobenius_exponent(5, 5, 3)
+
+    def test_matches_teichmuller_route(self):
+        # log(q^(p-1))/(p-1) against log(q/teich(q)), every prime q < 200
+        for p in (5, 7, 11, 13):
+            for q in PRIMES_TO_200:
+                if q == p:
+                    continue
+                for prec in (1, 2, 3, 4, 7, 12, 25, 47, 90):
+                    e = frobenius_exponent(q, p, prec)
+                    assert e.prec == prec
+                    assert e.residue == \
+                        teichmuller_frobenius_exponent(q, p, prec), (q, p, prec)
 
 
 class TestSpecialize:

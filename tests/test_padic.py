@@ -8,7 +8,7 @@ from symsq.errors import NotAUnit, NotOrdinary, PrecisionLoss
 from symsq.padic import (PAdicInt, factorize, from_rational, hensel_unit_root,
                          inv, padic_log1p, teichmuller, val)
 
-from conftest import seeded
+from conftest import pow_per_term_log1p, seeded
 
 
 class TestVal:
@@ -111,6 +111,18 @@ class TestLog:
             n = rng.randint(2, 7)
             x = PAdicInt(p, n, p * rng.randrange(p**(n - 1)))
             assert padic_log1p(x) == oracle_log1p(x)
+
+    def test_against_pow_per_term_oracle(self):
+        # the running power r^n must keep the guard digits that the
+        # division by p^v_p(n) spends, up to precision 90
+        rng = seeded(7)
+        for _ in range(200):
+            p = rng.choice([5, 7, 11, 13])
+            n = rng.randint(1, 90)
+            v = rng.choice([1, 1, 1, 2])
+            r = p**v * rng.randrange(p**n) % p**n
+            assert padic_log1p(PAdicInt(p, n, r)).residue == \
+                pow_per_term_log1p(r, p, n)
 
     def test_homomorphism_random(self):
         rng = seeded(6)

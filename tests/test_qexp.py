@@ -4,7 +4,8 @@ import pytest
 
 from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber
-from symsq.errors import BadMode, BadPrime, NotOrdinary, OddCharacter
+from symsq.errors import (BadMode, BadPrime, NotOrdinary, OddCharacter,
+                          SchemaError)
 from symsq.padic import PAdicInt
 from symsq.qexp import (QExpansion, coeffs_agree, deplete,
                         expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
@@ -272,6 +273,17 @@ class TestSerialization:
         back = QExpansion.from_json(rec)
         assert back == f
         assert back.to_json() == rec
+
+    def test_bad_coefficients_raise_schema_error(self):
+        # a bad coefficient, or a p-adic record at p = 4, used to leak
+        # ValueError past the SchemaError of every other field
+        base = make([0, 1]).to_json()
+        padic = dict(base, p=5, precision=3)
+        for rec in (dict(base, coeffs=["0", "x"]), dict(padic, p=4),
+                    dict(padic, precision="x"), dict(padic, coeffs=["1.5"]),
+                    dict(base, ring="cyc", coeffs=[{"order": 4}])):
+            with pytest.raises(SchemaError):
+                QExpansion.from_json(rec)
 
     def test_weight_half_roundtrip(self):
         t = theta(trivial_character(1), 5)
