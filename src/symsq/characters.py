@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclotomic import (CycNumber, _reduce_ints, default_primitive_root,
+from .cyclotomic import (CycNumber, _cyc, _reduce_ints, default_primitive_root,
                          dlog, euler_phi)
 from .errors import SchemaError
 from .padic import factorize
@@ -354,7 +354,7 @@ def gauss_sum(chi: DirichletCharacter) -> CycNumber:
         if e is None:
             continue
         raw[(e * (order // n) + a * (order // c)) % order] += 1
-    return CycNumber(order, tuple(_reduce_ints(raw, order)))
+    return _cyc(order, _reduce_ints(raw, order), 1)
 
 
 # -- Bernoulli machinery -----------------------------------------------------
@@ -405,9 +405,7 @@ def gen_bernoulli(chi: DirichletCharacter, m: int) -> CycNumber:
         for k in poly:
             acc = acc * a + k
         buckets[e] += acc
-    scale = c * den
-    return CycNumber(n, tuple(Fraction(v, scale)
-                              for v in _reduce_ints(buckets, n)))
+    return _cyc(n, _reduce_ints(buckets, n), c * den)
 
 
 def l_neg(chi: DirichletCharacter, m: int) -> CycNumber:

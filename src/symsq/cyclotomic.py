@@ -1,9 +1,11 @@
 """Exact arithmetic in Q(zeta_n).
 
 A CycNumber is a coefficient vector of length phi(n) in the power basis
-1, zeta, ..., zeta^(phi(n)-1), with Fraction entries and reduction
-modulo the n-th cyclotomic polynomial.  Rationals are exact throughout;
-Bernoulli denominators are the whole point.
+1, zeta, ..., zeta^(phi(n)-1), held as integer numerators over one
+common denominator (Cohen, "A Course in Computational Algebraic Number
+Theory", 4.2), with reduction modulo the n-th cyclotomic polynomial done
+on the integers.  Rationals are exact throughout; Bernoulli denominators
+are the whole point.
 
 Arithmetic through the dunder operators promotes both operands to the
 lcm of their orders.  The spec-level cyc_mul is strict and raises
@@ -14,7 +16,6 @@ explicitly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -84,62 +85,57 @@ def _reduce_ints(folded: list[int], n: int) -> list[int]:
     return folded[:deg]
 
 
-def _reduce_mod_cyclotomic(coeffs, n: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (any degree) to the power basis.
-
-    Denominators are cleared once so the reduction runs on plain ints.
-    """
-    den = 1
-    for c in coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    folded = [0] * n
-    for e, c in enumerate(coeffs):
-        if c:
-            folded[e % n] += int(c * den)
-    reduced = _reduce_ints(folded, n)
-    return tuple(Fraction(v, den) for v in reduced)
-
-
-def _int_vector(coeffs) -> tuple[list[int], int]:
-    """Scale a Fraction vector to integers; returns (ints, denominator)."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-@dataclass(frozen=True)
 class CycNumber:
-    """Element of Q(zeta_order) in the power basis."""
+    """Element of Q(zeta_order) in the power basis; immutable.
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    Stored as integer numerators `num` over one positive denominator
+    `den` with gcd(den, *num) == 1, so equal elements of one order have
+    equal data.  A rational value hashes like its Fraction.
+    """
 
-    def __post_init__(self):
-        if self.order < 1:
+    __slots__ = ("order", "num", "den")
+
+    def __new__(cls, order: int, coeffs):
+        if order < 1:
             raise ValueError("order must be >= 1")
-        want = euler_phi(self.order)
-        if len(self.coeffs) != want:
+        want = euler_phi(order)
+        if len(coeffs) != want:
             raise ValueError(
-                f"need {want} coefficients for order {self.order}, "
-                f"got {len(self.coeffs)}")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+                f"need {want} coefficients for order {order}, "
+                f"got {len(coeffs)}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        return _cyc(order, [c.numerator * (den // c.denominator)
+                            for c in fracs], den)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"CycNumber is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return CycNumber, (self.order, self.coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(v, self.den) for v in self.num)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rational(x, order: int = 1) -> "CycNumber":
-        coeffs = [Fraction(x)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return CycNumber(order, tuple(coeffs))
+        x = Fraction(x)
+        num = [0] * euler_phi(order)
+        num[0] = x.numerator
+        return _cyc(order, num, x.denominator)
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "CycNumber":
         """zeta_order^k."""
-        raw = [Fraction(0)] * (k % order + 1)
-        raw[k % order] = Fraction(1)
-        return CycNumber(order, _reduce_mod_cyclotomic(raw, order))
+        folded = [0] * order
+        folded[k % order] = 1
+        return _cyc(order, _reduce_ints(folded, order), 1)
 
     @staticmethod
     def zero(order: int = 1) -> "CycNumber":
@@ -159,16 +155,18 @@ class CycNumber:
             raise OrderMismatch(
                 f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
-        for e, c in enumerate(self.coeffs):
-            raw[e * step] = c
-        return CycNumber(order, _reduce_mod_cyclotomic(raw, order))
+        folded = [0] * order
+        for e, c in enumerate(self.num):
+            folded[e * step] = c
+        return _cyc(order, _reduce_ints(folded, order), self.den)
 
     def _align(self, other) -> tuple["CycNumber", "CycNumber"]:
         if isinstance(other, (int, Fraction)):
             other = CycNumber.from_rational(other, self.order)
         if not isinstance(other, CycNumber):
             return NotImplemented, NotImplemented
+        if other.order == self.order:
+            return self, other
         m = lcm(self.order, other.order)
         return self.promote(m), other.promote(m)
 
@@ -178,41 +176,41 @@ class CycNumber:
         a, b = self._align(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycNumber(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, tuple(-c for c in self.coeffs))
+        return _cyc(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._align(other)
         if a is NotImplemented:
             return NotImplemented
-        return CycNumber(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return _add(a, b, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, tuple(c * other for c in self.coeffs))
+        if isinstance(other, int):
+            return _cyc(self.order, [c * other for c in self.num], self.den)
+        if isinstance(other, Fraction):
+            k = other.numerator
+            return _cyc(self.order, [c * k for c in self.num],
+                        self.den * other.denominator)
         a, b = self._align(other)
         if a is NotImplemented:
             return NotImplemented
-        # clear denominators, convolve and reduce over the integers
-        ia, da = _int_vector(a.coeffs)
-        ib, db = _int_vector(b.coeffs)
+        # convolve, fold by zeta^n = 1 and reduce over the integers
         n = a.order
         folded = [0] * n
-        for i, x in enumerate(ia):
+        nb = [(j, y) for j, y in enumerate(b.num) if y]
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(ib):
-                    if y:
-                        folded[(i + j) % n] += x * y
-        den = da * db
-        return CycNumber(n, tuple(Fraction(v, den)
-                                  for v in _reduce_ints(folded, n)))
+                for j, y in nb:
+                    folded[(i + j) % n] += x * y
+        return _cyc(n, _reduce_ints(folded, n), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -230,38 +228,39 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.as_rational() == other
         if not isinstance(other, CycNumber):
             return NotImplemented
         a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(self.as_rational())
+        return hash((self.order, self.num, self.den))
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, j: int) -> "CycNumber":
         """Apply zeta -> zeta^j; j must be prime to the order."""
-        if gcd(j, self.order) != 1:
-            raise ValueError(f"{j} not prime to order {self.order}")
-        raw = [Fraction(0)] * self.order
-        for e, c in enumerate(self.coeffs):
-            raw[(e * j) % self.order] += c
-        return CycNumber(self.order, _reduce_mod_cyclotomic(raw, self.order))
+        n = self.order
+        if gcd(j, n) != 1:
+            raise ValueError(f"{j} not prime to order {n}")
+        folded = [0] * n
+        for e, c in enumerate(self.num):
+            folded[(e * j) % n] += c
+        return _cyc(n, _reduce_ints(folded, n), self.den)
 
     def conjugate(self) -> "CycNumber":
         return self.galois(self.order - 1) if self.order > 1 else self
@@ -271,15 +270,13 @@ class CycNumber:
         return sum(float(c) * z**e for e, c in enumerate(self.coeffs))
 
     def denominator_lcm(self) -> int:
-        out = 1
-        for c in self.coeffs:
-            out = lcm(out, c.denominator)
-        return out
+        return self.den
 
     def __repr__(self):
+        coeffs = self.coeffs
         if self.is_rational():
-            return f"Cyc({self.coeffs[0]})"
-        terms = [f"{c}*z{self.order}^{e}" for e, c in enumerate(self.coeffs) if c]
+            return f"Cyc({coeffs[0]})"
+        terms = [f"{c}*z{self.order}^{e}" for e, c in enumerate(coeffs) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
     # -- serialization ------------------------------------------------------
@@ -290,6 +287,36 @@ class CycNumber:
     @staticmethod
     def from_json(obj: dict) -> "CycNumber":
         return CycNumber(obj["order"], tuple(Fraction(c) for c in obj["coeffs"]))
+
+
+_new = object.__new__
+_set_order, _set_num, _set_den = (CycNumber.order.__set__,
+                                  CycNumber.num.__set__, CycNumber.den.__set__)
+
+
+def _cyc(order: int, num: list[int], den: int) -> CycNumber:
+    """A CycNumber from phi(order) integer numerators over den > 0,
+    unchecked; only the gcd normalization is applied."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    x = _new(CycNumber)
+    _set_order(x, order)
+    _set_num(x, tuple(num))
+    _set_den(x, den)
+    return x
+
+
+def _add(a: CycNumber, b: CycNumber, sign: int) -> CycNumber:
+    """a + sign * b for operands of one order."""
+    if a.den == b.den:
+        return _cyc(a.order, [x + sign * y for x, y in zip(a.num, b.num)],
+                    a.den)
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    return _cyc(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
 
 # -- spec operations -------------------------------------------------------
@@ -340,25 +367,38 @@ def dlog(a: int, p: int, primitive_root: int | None = None) -> int:
     raise ValueError(f"{a} is not a unit mod {p}")
 
 
+@lru_cache(maxsize=256)
+def _zeta_image(p: int, prec: int, n: int, g: int) -> int:
+    """Residue of teich(g)^((p-1)/n) mod p^prec, the image of zeta_n."""
+    return pow(teichmuller(g, p, prec).residue, (p - 1) // n, p**prec)
+
+
 def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
                     primitive_root: int | None = None) -> PAdicInt:
     """Embed Q(zeta_n) into Z_p along zeta_n -> teich(g)^((p-1)/n), with
     g = embedding_root(p, primitive_root); ints and Fractions embed as
     rationals."""
     g = embedding_root(p, primitive_root)
-    n, coeffs = (u.order, u.coeffs) if isinstance(u, CycNumber) else (1, (u,))
+    if isinstance(u, CycNumber):
+        n, num, den = u.order, u.num, u.den
+    elif isinstance(u, int):
+        n, num, den = 1, (u,), 1
+    else:
+        u = Fraction(u)
+        n, num, den = 1, (u.numerator,), u.denominator
     if (p - 1) % n != 0:
         raise NotEmbeddable(f"order {n} does not divide p - 1 = {p - 1}")
+    if den % p == 0:
+        bad = next(c for c in u.coeffs if c.denominator % p == 0) \
+            if isinstance(u, CycNumber) else u
+        raise NotEmbeddable(f"denominator of {bad} is divisible by {p}")
     m = p**prec
-    z = pow(teichmuller(g, p, prec).residue, (p - 1) // n, m) if n > 1 else 1
-    total, zpow = 0, 1
-    for c in coeffs:
-        if c.denominator % p == 0:
-            raise NotEmbeddable(f"denominator of {c} is divisible by {p}")
-        if c:
-            total += c.numerator * pow(c.denominator, -1, m) * zpow
-        zpow = zpow * z % m
-    return PAdicInt(p, prec, total)
+    total = num[0]
+    if n > 1:
+        z, total = _zeta_image(p, prec, n, g), 0
+        for c in reversed(num):
+            total = (total * z + c) % m
+    return PAdicInt(p, prec, total * pow(den, -1, m))
 
 
 # -- exact scalars in JSON ---------------------------------------------------

@@ -23,8 +23,8 @@ from fractions import Fraction
 from .characters import DirichletCharacter
 from .cyclotomic import CycNumber, cyc_embed_padic, exact_json, parse_exact
 from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
-from .iwasawa import (IwasawaElement, factorial_valuation, frobenius_exponent,
-                      invariants, one_plus_T_pow)
+from .iwasawa import (IwasawaElement, _series, factorial_valuation,
+                      frobenius_exponent, invariants, one_plus_T_pow)
 from .padic import PAdicInt, from_rational, inv, is_prime, teichmuller
 
 RAMIFICATION_TYPES = ("unramified", "ordinary", "depleted")
@@ -151,7 +151,7 @@ def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
             continue
         power = one_plus_T_pow(exponent * j, trunc, prec).coeffs
         out = [(x + a * y) % modulus for x, y in zip(out, power)]
-    return IwasawaElement(p, prec, tuple(out))
+    return _series(p, prec, tuple(out))
 
 
 def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,

@@ -97,7 +97,7 @@ class IwasawaElement:
         d = min(self.trunc, other.trunc)
         m = self.p**n
         out = _poly_mul_trunc(self.coeffs, other.coeffs, m, d)
-        return IwasawaElement(self.p, n, tuple(out))
+        return _series(self.p, n, tuple(out))
 
     __rmul__ = __mul__
 
@@ -139,6 +139,16 @@ class IwasawaElement:
                                   tuple(int(c) for c in rec["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc
+
+
+def _series(p: int, prec: int, coeffs: tuple[int, ...]) -> IwasawaElement:
+    """An IwasawaElement from a checked prec and coefficients already in
+    [0, p^prec), taken as they are."""
+    x = object.__new__(IwasawaElement)
+    object.__setattr__(x, "p", p)
+    object.__setattr__(x, "prec", prec)
+    object.__setattr__(x, "coeffs", coeffs)
+    return x
 
 
 def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
@@ -329,6 +339,8 @@ def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
     exponent must arrive with that much guard precision.  Only the
     falling factorial depends on e; k! comes from a shared table.
     """
+    if prec < 1:
+        raise ValueError("precision must be positive")
     p = e.p
     need = prec + factorial_valuation(trunc, p)
     if e.prec < need:
@@ -344,7 +356,7 @@ def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
             raise PrecisionLoss(f"falling factorial not divisible by "
                                 f"p^{factorial_valuation(k, p)}")
         coeffs.append(c * inv_units[k] % out_mod)
-    return IwasawaElement(p, prec, tuple(coeffs))
+    return _series(p, prec, tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -10,11 +10,14 @@ precision rules are deliberately blunt and conservative:
 
 Valuations of values that are zero at working precision are reported as
 None, to be read as "at least prec".
+
+The public PAdicInt constructor checks p and prec.  Results of ring
+operations take p and prec from operands that were checked already, so
+they are built by `_padic`, which only reduces the residue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,6 +26,7 @@ from .errors import NotAUnit, NotOrdinary, PrecisionLoss
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
     if n < 2:
@@ -75,20 +79,25 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
 class PAdicInt:
-    """Element of Z_p known modulo p^prec."""
+    """Element of Z_p known modulo p^prec; immutable."""
 
-    p: int
-    prec: int
-    residue: int
+    __slots__ = ("p", "prec", "residue")
 
-    def __post_init__(self):
-        if self.p < 5 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime >= 5, got {self.p}")
-        if self.prec < 1:
-            raise ValueError(f"precision must be positive, got {self.prec}")
-        object.__setattr__(self, "residue", self.residue % self.p**self.prec)
+    def __new__(cls, p: int, prec: int, residue: int):
+        if p < 5 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime >= 5, got {p}")
+        if prec < 1:
+            raise ValueError(f"precision must be positive, got {prec}")
+        return _padic(p, prec, residue)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"PAdicInt is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PAdicInt, (self.p, self.prec, self.residue)
 
     # -- basic queries ------------------------------------------------
 
@@ -131,7 +140,7 @@ class PAdicInt:
                 raise ValueError(f"mixed primes {self.p} and {other.p}")
             return other
         if isinstance(other, int):
-            return PAdicInt(self.p, self.prec, other)
+            return _padic(self.p, self.prec, other)
         if isinstance(other, Fraction):
             return from_rational(other, self.p, self.prec)
         return NotImplemented
@@ -141,19 +150,19 @@ class PAdicInt:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.prec, other.prec)
-        return PAdicInt(self.p, n, self.residue + other.residue)
+        return _padic(self.p, n, self.residue + other.residue)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PAdicInt(self.p, self.prec, -self.residue)
+        return _padic(self.p, self.prec, -self.residue)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         n = min(self.prec, other.prec)
-        return PAdicInt(self.p, n, self.residue - other.residue)
+        return _padic(self.p, n, self.residue - other.residue)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -163,14 +172,14 @@ class PAdicInt:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.prec, other.prec)
-        return PAdicInt(self.p, n, self.residue * other.residue)
+        return _padic(self.p, n, self.residue * other.residue)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return inv(self) ** (-e)
-        return PAdicInt(self.p, self.prec, pow(self.residue, e, self.modulus))
+        return _padic(self.p, self.prec, pow(self.residue, e, self.modulus))
 
     def __truediv__(self, other):
         """Division by a unit.  For p-power division use exact_div_p."""
@@ -186,11 +195,11 @@ class PAdicInt:
                 f"dividing by p^{k} leaves no precision from {self.prec}")
         if self.residue % self.p**k != 0:
             raise ValueError(f"residue {self.residue} not divisible by p^{k}")
-        return PAdicInt(self.p, self.prec - k, self.residue // self.p**k)
+        return _padic(self.p, self.prec - k, self.residue // self.p**k)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = PAdicInt(self.p, self.prec, other)
+            other = _padic(self.p, self.prec, other)
         if not isinstance(other, PAdicInt):
             return NotImplemented
         return (self.p, self.prec, self.residue) == (
@@ -201,6 +210,20 @@ class PAdicInt:
 
     def __repr__(self):
         return f"{self.residue} + O({self.p}^{self.prec})"
+
+
+_new = object.__new__
+_set_p, _set_prec, _set_residue = (PAdicInt.p.__set__, PAdicInt.prec.__set__,
+                                   PAdicInt.residue.__set__)
+
+
+def _padic(p: int, prec: int, residue: int) -> PAdicInt:
+    """A PAdicInt from an already checked p and prec; reduces the residue."""
+    x = _new(PAdicInt)
+    _set_p(x, p)
+    _set_prec(x, prec)
+    _set_residue(x, residue % p**prec)
+    return x
 
 
 # -- constructors ------------------------------------------------------
@@ -227,7 +250,7 @@ def val(x: PAdicInt) -> int | None:
 def inv(x: PAdicInt) -> PAdicInt:
     """Multiplicative inverse of a unit, exact mod p^prec."""
     if x.residue % x.p != 0:
-        return PAdicInt(x.p, x.prec, pow(x.residue, -1, x.modulus))
+        return _padic(x.p, x.prec, pow(x.residue, -1, x.modulus))
     raise NotAUnit(f"{x!r} has positive valuation")
 
 
@@ -261,7 +284,7 @@ def padic_log1p(x: PAdicInt) -> PAdicInt:
         raise ValueError("padic_log1p requires valuation >= 1")
     n_out = x.prec
     if x.residue == 0:
-        return PAdicInt(x.p, n_out, 0)
+        return _padic(x.p, n_out, 0)
     p, r = x.p, x.residue
     # terms beyond n_max have v_p(x^n / n) >= n - log_p(n) >= n_out
     n_max = n_out + 1
@@ -276,7 +299,7 @@ def padic_log1p(x: PAdicInt) -> PAdicInt:
         pj = p**int_valuation(n, p)
         term = (a % (m_out * pj)) // pj * pow(n // pj, -1, m_out)
         total += term if n % 2 == 1 else -term
-    return PAdicInt(p, n_out, total)
+    return _padic(p, n_out, total)
 
 
 def int_valuation_bound(n: int, p: int) -> int:
@@ -310,4 +333,4 @@ def hensel_unit_root(a_p: PAdicInt, c: PAdicInt) -> PAdicInt:
         dfx = (2 * x - a) % m
         x = (x - fx * pow(dfx, -1, m)) % m
     assert (x * x - a * x + c0) % m == 0
-    return PAdicInt(p, n, x)
+    return _padic(p, n, x)

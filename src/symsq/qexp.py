@@ -8,7 +8,9 @@ V_q are exact values, not unknowns.
 
 Coefficients live in one of three rings, tagged on the expansion:
 "int" (exact integers or Fractions), "cyc" (CycNumber), or "padic"
-(PAdicInt of a common precision).
+(PAdicInt of a common precision).  A "padic" expansion made with an
+explicit primitive root carries it, and every later embedding of a
+nebentype value into Z_p uses it; None means the default root.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import DirichletCharacter
-from .cyclotomic import (CycNumber, cyc_embed_padic, exact_json, parse_exact,
-                         parse_rational)
-from .errors import BadMode, BadPrime, OddCharacter, SchemaError
+from .cyclotomic import (CycNumber, cyc_embed_padic, embedding_root,
+                         exact_json, parse_exact, parse_rational)
+from .errors import (BadMode, BadPrime, NotEmbeddable, OddCharacter,
+                     SchemaError)
 from .padic import PAdicInt, factorize, hensel_unit_root, inv
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
@@ -36,12 +39,15 @@ class QExpansion:
     character: DirichletCharacter
     coeffs: tuple
     ring: str = "int"
+    primitive_root: int | None = None
 
     def __post_init__(self):
         if self.ring not in RING_ORDER:
             raise ValueError(f"unknown coefficient ring {self.ring!r}")
         if not self.coeffs:
             raise ValueError("an expansion needs at least a(0)")
+        if self.primitive_root is not None and self.ring != "padic":
+            raise ValueError("only a padic expansion carries a primitive root")
 
     @property
     def trunc(self) -> int:
@@ -87,6 +93,8 @@ class QExpansion:
         if self.ring == "padic":
             rec["p"] = self.coeffs[0].p
             rec["precision"] = min(c.prec for c in self.coeffs)
+        if self.primitive_root is not None:
+            rec["primitive_root"] = self.primitive_root
         if self.ring == "cyc":
             rec["ring"] = "cyc"
         return rec
@@ -98,6 +106,7 @@ class QExpansion:
             level = int(rec["level"])
             character = DirichletCharacter.from_json(rec["character"])
             raw = rec["coeffs"]
+            root = None
             if rec.get("ring") == "cyc":
                 coeffs = tuple(parse_exact(c) for c in raw)
                 ring = "cyc"
@@ -105,12 +114,14 @@ class QExpansion:
                 p, prec = int(rec["p"]), int(rec["precision"])
                 coeffs = tuple(PAdicInt(p, prec, int(c)) for c in raw)
                 ring = "padic"
+                if "primitive_root" in rec:
+                    root = embedding_root(p, int(rec["primitive_root"]))
             else:
                 coeffs = tuple(parse_rational(c) for c in raw)
                 ring = "int"
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, NotEmbeddable) as exc:
             raise SchemaError(f"bad form record: {exc}") from exc
-        return QExpansion(weight, level, character, coeffs, ring)
+        return QExpansion(weight, level, character, coeffs, ring, root)
 
 
 def _coeff_is_zero(c) -> bool:
@@ -134,8 +145,14 @@ def _combine(f: QExpansion, g: QExpansion, op) -> QExpansion:
         raise ValueError(f"weights {f.weight} and {g.weight} differ")
     d = min(f.trunc, g.trunc)
     ring = f.ring if RING_ORDER[f.ring] >= RING_ORDER[g.ring] else g.ring
+    if None not in (f.primitive_root, g.primitive_root) \
+            and f.primitive_root != g.primitive_root:
+        raise ValueError(f"expansions embedded along primitive roots "
+                         f"{f.primitive_root} and {g.primitive_root}")
+    root = g.primitive_root if f.primitive_root is None else f.primitive_root
     coeffs = tuple(op(a, b) for a, b in zip(f.coeffs[:d + 1], g.coeffs[:d + 1]))
-    return QExpansion(f.weight, lcm(f.level, g.level), f.character, coeffs, ring)
+    return QExpansion(f.weight, lcm(f.level, g.level), f.character, coeffs,
+                      ring, root)
 
 
 def _eps_scalar(f: QExpansion, q: int):
@@ -145,7 +162,7 @@ def _eps_scalar(f: QExpansion, q: int):
         return v
     if f.ring == "padic":
         c0 = f.coeffs[0]
-        return cyc_embed_padic(v, c0.p, c0.prec)
+        return cyc_embed_padic(v, c0.p, c0.prec, f.primitive_root)
     if v.is_rational():
         r = v.as_rational()
         return int(r) if r.denominator == 1 else r
@@ -234,34 +251,39 @@ def tau(h: QExpansion, q: int, mode: str) -> QExpansion:
     raise BadMode(f"unknown mode {mode!r}")
 
 
-def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int) -> QExpansion:
+def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,
+                primitive_root: int | None = None) -> QExpansion:
     """Pass from a form of level prime to p to its unit-root stabilization.
 
     Computes the unit root alpha of X^2 - a_p X + eps_p p^(k-1), the
     complementary root beta, and returns g0 - beta V_p(g0) over Z_p with
-    coefficients mod p^prec.  U_p acts on the result by alpha.
+    coefficients mod p^prec.  U_p acts on the result by alpha.  Exact
+    values embed along embedding_root(p, primitive_root); a root given
+    here is stored, reduced mod p, on the result.
     """
     if g0.level % p == 0:
         raise BadPrime(f"{p} already divides the level {g0.level}")
     if not isinstance(g0.weight, int):
         raise BadPrime(f"stabilization needs an integer weight, got {g0.weight}")
-    a_p = _to_padic(a_p, p, prec)
-    eps_p = _to_padic(eps_p, p, prec)
+    root = None if primitive_root is None else embedding_root(p, primitive_root)
+    a_p = _to_padic(a_p, p, prec, root)
+    eps_p = _to_padic(eps_p, p, prec, root)
     c = eps_p * p**(g0.weight - 1)
     alpha = hensel_unit_root(a_p, c)
     beta = c * inv(alpha)
-    coeffs = tuple(_to_padic(a, p, prec) for a in g0.coeffs)
-    lifted = dataclasses.replace(g0, coeffs=coeffs, ring="padic")
+    coeffs = tuple(_to_padic(a, p, prec, root) for a in g0.coeffs)
+    lifted = dataclasses.replace(g0, coeffs=coeffs, ring="padic",
+                                 primitive_root=root)
     out = lifted - hecke_V(lifted, p).scale(beta)
     return dataclasses.replace(out, level=g0.level * p)
 
 
-def _to_padic(x, p: int, prec: int) -> PAdicInt:
+def _to_padic(x, p: int, prec: int, primitive_root: int | None) -> PAdicInt:
     if isinstance(x, PAdicInt):
         if x.p != p:
             raise ValueError(f"mixed primes {x.p} and {p}")
         return x.reduce(min(x.prec, prec))
-    return cyc_embed_padic(x, p, prec)
+    return cyc_embed_padic(x, p, prec, primitive_root)
 
 
 def theta(chi: DirichletCharacter, trunc: int) -> QExpansion:

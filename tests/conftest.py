@@ -2,18 +2,26 @@
 
 The oracles here deliberately reimplement things from first principles
 (Moebius-product cyclotomic polynomials, full-convolution multiplication,
-schoolbook truncated series products, per-residue Bernoulli and Gauss
-sums, Fraction-series logs, brute-force root searches) so that they share
-no code path with the library.
+a Fraction-coefficient Q(zeta_n), schoolbook truncated series products,
+per-residue Bernoulli and Gauss sums, Fraction-series logs, brute-force
+root searches) so that they share no code path with the library.
+
+The `ci` hypothesis profile derandomizes every property test, so a failure
+seen in CI replays locally with `--hypothesis-profile=ci`.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
+from hypothesis import settings
+
 from symsq.characters import characters_mod
 from symsq.cyclotomic import CycNumber, euler_phi
+
+settings.register_profile("ci", derandomize=True)
 
 
 def seeded(salt: int = 0) -> random.Random:
@@ -97,6 +105,113 @@ def oracle_cyc_mul(u: CycNumber, v: CycNumber) -> tuple:
     _, rem = _poly_divmod(folded, oracle_cyclotomic(n))
     rem = list(rem) + [Fraction(0)] * (euler_phi(n) - len(rem))
     return tuple(rem[:euler_phi(n)])
+
+
+def _oracle_reduce(raw, n) -> tuple:
+    """A polynomial in zeta_n, folded by zeta^n = 1 and long-divided by the
+    oracle Phi_n, as phi(n) Fraction coefficients."""
+    phi = _oracle_phi(n)
+    folded = [Fraction(0)] * n
+    for e, c in enumerate(raw):
+        folded[e % n] += c
+    _, rem = _poly_divmod(folded, phi)
+    deg = len(phi) - 1
+    return tuple(list(rem) + [Fraction(0)] * (deg - len(rem)))[:deg]
+
+
+@dataclass(frozen=True)
+class FractionCycNumber:
+    """Q(zeta_order) with one Fraction per power-basis coefficient: the
+    representation CycNumber had before it held integer numerators over
+    one denominator, kept as its oracle.  Reduction is by long division
+    by the Moebius-product Phi_n."""
+
+    order: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("order must be >= 1")
+        want = len(_oracle_phi(self.order)) - 1
+        if len(self.coeffs) != want:
+            raise ValueError(f"need {want} coefficients for order {self.order}")
+        object.__setattr__(
+            self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+
+    @staticmethod
+    def from_rational(x, order=1):
+        deg = len(_oracle_phi(order)) - 1
+        return FractionCycNumber(order, (Fraction(x),) + (0,) * (deg - 1))
+
+    def promote(self, order):
+        assert order % self.order == 0
+        step = order // self.order
+        raw = [Fraction(0)] * order
+        for e, c in enumerate(self.coeffs):
+            raw[e * step] = c
+        return FractionCycNumber(order, _oracle_reduce(raw, order))
+
+    def _align(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionCycNumber.from_rational(other, self.order)
+        m = lcm(self.order, other.order)
+        return self.promote(m), other.promote(m)
+
+    def __add__(self, other):
+        a, b = self._align(other)
+        return FractionCycNumber(
+            a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __neg__(self):
+        return FractionCycNumber(self.order, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FractionCycNumber(
+                self.order, tuple(c * other for c in self.coeffs))
+        a, b = self._align(other)
+        return FractionCycNumber(
+            a.order, _oracle_reduce(_poly_mul(a.coeffs, b.coeffs), a.order))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        a, b = self._align(other)
+        return a.coeffs == b.coeffs
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.coeffs[0])
+        return hash((self.order, self.coeffs))
+
+    def is_rational(self):
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def galois(self, j):
+        raw = [Fraction(0)] * self.order
+        for e, c in enumerate(self.coeffs):
+            raw[(e * j) % self.order] += c
+        return FractionCycNumber(self.order, _oracle_reduce(raw, self.order))
+
+    def denominator_lcm(self):
+        return lcm(*(c.denominator for c in self.coeffs))
+
+    def to_json(self):
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+
+    def embed_padic(self, p, prec, g):
+        """Image in Z/p^prec along zeta -> teich(g)^((p-1)/n), with
+        teich(g) = g^(p^(prec-1)) mod p^prec; None when p divides a
+        denominator."""
+        m = p**prec
+        if any(c.denominator % p == 0 for c in self.coeffs):
+            return None
+        z = pow(pow(g, p**(prec - 1), m), (p - 1) // self.order, m)
+        return sum(c.numerator * pow(c.denominator, -1, m) * pow(z, e, m)
+                   for e, c in enumerate(self.coeffs)) % m
 
 
 # -- schoolbook Lambda kernels ----------------------------------------------

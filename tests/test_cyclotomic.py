@@ -1,15 +1,21 @@
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symsq.cyclotomic import (CycNumber, cyc_embed_padic, cyc_mul,
-                              cyclotomic_poly, default_primitive_root, dlog,
-                              embedding_root, euler_phi, exact_json,
-                              parse_exact, parse_rational)
+from symsq.cyclotomic import (CycNumber, _zeta_image, cyc_embed_padic,
+                              cyc_mul, cyclotomic_poly,
+                              default_primitive_root, dlog, embedding_root,
+                              euler_phi, exact_json, parse_exact,
+                              parse_rational)
 from symsq.errors import NotEmbeddable, OrderMismatch
-from symsq.padic import from_rational
+from symsq.padic import PAdicInt, from_rational, is_prime, teichmuller
 
-from conftest import oracle_cyc_mul, oracle_cyclotomic, seeded
+from conftest import (FractionCycNumber, oracle_cyc_mul, oracle_cyclotomic,
+                      seeded, smallest_primitive_root)
 
 
 def test_cyclotomic_polynomials_match_oracle():
@@ -173,3 +179,152 @@ def test_exact_json_roundtrip():
 def test_serialization_roundtrip():
     u = CycNumber(8, (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 11)))
     assert CycNumber.from_json(u.to_json()) == u
+
+
+class TestZetaImageCache:
+    def test_cached_image_matches_uncached_route(self):
+        _zeta_image.cache_clear()
+        for p in (5, 7, 11, 13):
+            roots = [g for g in range(2, p)
+                     if len({pow(g, x, p) for x in range(p - 1)}) == p - 1]
+            for n in (d for d in range(1, p) if (p - 1) % d == 0):
+                for g in roots:
+                    for prec in (1, 4, 9):
+                        m = p**prec
+                        want = pow(teichmuller(g, p, prec).residue,
+                                   (p - 1) // n, m)
+                        assert want == pow(pow(g, p**(prec - 1), m),
+                                           (p - 1) // n, m)
+                        for _ in range(2):      # a miss, then a hit
+                            got = cyc_embed_padic(CycNumber.zeta(n), p, prec, g)
+                            assert got.residue == want, (p, n, g, prec)
+        assert _zeta_image.cache_info().hits > 0
+
+
+# -- integer numerators over one denominator, against the Fraction oracle --
+
+_ORDERS = st.integers(1, 40)
+_FRACS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _vector(draw, n):
+    return tuple(draw(st.lists(_FRACS, min_size=euler_phi(n),
+                               max_size=euler_phi(n))))
+
+
+@st.composite
+def _pairs(draw):
+    """Two elements whose orders divide one order in 1..40 (the same order
+    half the time), as library values and oracle values."""
+    top = draw(_ORDERS)
+    divisors = [d for d in range(1, top + 1) if top % d == 0]
+    n = draw(st.sampled_from(divisors))
+    m = n if draw(st.booleans()) else draw(st.sampled_from(divisors))
+    u, v = _vector(draw, n), _vector(draw, m)
+    if draw(st.booleans()):       # some rational operands
+        v = v[:1] + (0,) * (len(v) - 1)
+    return ((CycNumber(n, u), CycNumber(m, v)),
+            (FractionCycNumber(n, u), FractionCycNumber(m, v)))
+
+
+def _same(x: CycNumber, want: FractionCycNumber):
+    """x holds exactly the oracle's value, in normalized form."""
+    assert (x.order, x.coeffs) == (want.order, want.coeffs)
+    assert x == CycNumber(want.order, want.coeffs)
+    assert x.den == want.denominator_lcm() == x.denominator_lcm()
+    assert x.is_rational() == want.is_rational()
+    assert x.to_json() == want.to_json()
+    assert exact_json(x) == want.to_json()
+    assert hash(x) == hash(CycNumber(want.order, want.coeffs))
+    if want.is_rational():
+        assert hash(x) == hash(want.coeffs[0]) == hash(want)
+
+
+def _embedding_prime(n: int) -> int:
+    return next(p for p in range(n + 1, 10**4, n) if p >= 5 and is_prime(p))
+
+
+class TestAgainstFractionOracle:
+    @given(_pairs(), st.integers(-6, 6), _FRACS)
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations(self, pair, k, f):
+        (a, b), (oa, ob) = pair
+        _same(a, oa)
+        _same(a + b, oa + ob)
+        _same(a - b, oa - ob)
+        _same(b - a, ob - oa)
+        _same(a * b, oa * ob)
+        _same(-a, -oa)
+        _same(a * k, oa * k)
+        _same(k * a, oa * k)
+        _same(a * f, oa * f)
+        _same(a + k, oa + k)
+        _same(a + f, oa + f)
+
+    @given(_pairs(), st.sampled_from([1, 2, 3]), st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_promote_galois_and_equality(self, pair, step, j):
+        (a, b), (oa, ob) = pair
+        _same(a.promote(a.order * step), oa.promote(oa.order * step))
+        if gcd(j, a.order) == 1:
+            _same(a.galois(j), oa.galois(j))
+        assert (a == b) == (oa == ob)
+        assert (a == a.promote(a.order * step)) is True
+        for r in (0, 1, -2, Fraction(3, 2), b.coeffs[0]):
+            assert (a == r) == (oa == r)
+            assert (b == r) == (ob == r)
+        if a == b and a.order == b.order:
+            assert hash(a) == hash(b)
+
+    @given(_pairs(), st.integers(1, 6), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_embedding(self, pair, prec, pick):
+        (a, _), (oa, _) = pair
+        p = _embedding_prime(a.order)
+        g0 = smallest_primitive_root(p)
+        units = [k for k in range(1, p - 1) if gcd(k, p - 1) == 1]
+        g = pow(g0, units[pick % len(units)], p)
+        want = oa.embed_padic(p, prec, g)
+        if want is None:
+            with pytest.raises(NotEmbeddable):
+                cyc_embed_padic(a, p, prec, g)
+        else:
+            assert cyc_embed_padic(a, p, prec, g).residue == want
+
+
+class TestScalarTypesStayChecked:
+    def test_immutable(self):
+        x, u = PAdicInt(5, 3, 7), CycNumber(4, (Fraction(1, 2), 3))
+        for obj, name in ((x, "residue"), (x, "p"), (x, "prec"), (u, "num"),
+                          (u, "den"), (u, "order"), (u, "coeffs")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 1)
+        with pytest.raises(AttributeError):
+            del x.residue
+        with pytest.raises(AttributeError):
+            x.extra = 1
+        assert (x.residue, u.num, u.den) == (7, (1, 6), 2)
+
+    def test_bad_arguments_still_raise(self):
+        for p in (4, 9, 25, 9):       # 9 twice: a cached verdict still raises
+            with pytest.raises(ValueError):
+                PAdicInt(p, 3, 1)
+        with pytest.raises(ValueError):
+            PAdicInt(5, 0, 1)
+        with pytest.raises(ValueError):
+            PAdicInt(5, 3, 1).reduce(0)
+        with pytest.raises(ValueError):
+            CycNumber(4, (1,))
+        with pytest.raises(ValueError):
+            CycNumber(0, ())
+
+    def test_rational_hash_is_the_fraction_hash(self):
+        assert hash(CycNumber.from_rational(Fraction(3, 2), 4)) == \
+            hash(Fraction(3, 2))
+        assert hash(CycNumber.from_rational(-7, 12)) == hash(-7)
+        assert CycNumber.from_rational(Fraction(3, 2), 4) == Fraction(3, 2)
+        assert {CycNumber.from_rational(Fraction(3, 2), 4): 1}[Fraction(3, 2)]
+
+    def test_pickle_roundtrip(self):
+        for x in (PAdicInt(7, 4, 100), CycNumber(12, (Fraction(1, 2), 0, 3, -1))):
+            assert pickle.loads(pickle.dumps(x)) == x

@@ -242,6 +242,28 @@ class TestWeierstrass:
             assert (mp_, lp) == (mf + mg, lf + lg)
 
 
+class TestConstructor:
+    def test_public_constructor_reduces_and_checks(self):
+        e = IwasawaElement(5, 2, (-1, 30, 25, -26))
+        assert e.coeffs == (24, 5, 0, 24)
+        assert IwasawaElement.from_json(
+            {"p": 5, "precision": 2, "coeffs": ["-1", "30"]}).coeffs == (24, 5)
+        assert e.reduce(1).coeffs == (4, 0, 0, 4)
+        assert e.truncate(1) == IwasawaElement(5, 2, (24, 5))
+        for prec in (0, -1):
+            with pytest.raises(ValueError):
+                IwasawaElement(5, prec, (1,))
+        with pytest.raises(ValueError):
+            one_plus_T_pow(PAdicInt(5, 4, 3), 2, 0)
+
+    def test_products_match_the_public_constructor(self):
+        a, b = elem(7, 3, 5, -8, 400), elem(7, 2, 48, 1, 3)
+        got = a * b
+        assert got == IwasawaElement(got.p, got.prec, got.coeffs)
+        assert got.coeffs == tuple(schoolbook_mul_trunc(
+            a.coeffs, b.coeffs, 7**2, 2))
+
+
 class TestOnePlusTPow:
     def test_small_exponents(self):
         e1 = one_plus_T_pow(PAdicInt(5, 10, 1), 4, 3)

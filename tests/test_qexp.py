@@ -199,6 +199,44 @@ class TestPStabilize:
             p_stabilize(make([0, 1], level=5), 1, 1, 5, 2)
 
 
+class TestPStabilizeRoot:
+    """The primitive root reaches every embedding in the q-expansion layer."""
+
+    def stabilize(self, root):
+        chi = next(c for c in characters_mod(13) if c.order == 4)
+        ap = {q: q % 7 - 3 for q in PRIMES_TO_200 if q <= 60}
+        ap[5] = 1
+        g0 = expansion_from_eigenvalues(2, 13, chi, ap, 60)
+        return chi, ap, p_stabilize(g0, ap[5], chi(5), 5, 4,
+                                    primitive_root=root)
+
+    def test_roots_give_distinct_eigenforms(self):
+        from symsq.cyclotomic import cyc_embed_padic
+        from symsq.padic import hensel_unit_root
+        out = {}
+        for root in (2, 3):
+            chi, ap, g = self.stabilize(root)
+            assert g.primitive_root == root
+            c = cyc_embed_padic(chi(5), 5, 4, root) * 5
+            alpha = hensel_unit_root(PAdicInt(5, 4, ap[5]), c)
+            assert coeffs_agree(hecke_U(g, 5), g.scale(alpha)), root
+            # T_2 takes chi(2) = zeta_4^(+-1) along the same root
+            assert coeffs_agree(hecke_T(g, 2), g.scale(ap[2])), root
+            out[root] = g
+        assert out[2].coeffs != out[3].coeffs
+
+    def test_root_roundtrips_through_json(self):
+        _, _, g = self.stabilize(8)                # 8 = 3 mod 5
+        rec = g.to_json()
+        assert rec["primitive_root"] == 3
+        assert QExpansion.from_json(rec) == g
+        _, _, plain = self.stabilize(None)
+        assert plain.primitive_root is None
+        assert "primitive_root" not in plain.to_json()
+        with pytest.raises(SchemaError):
+            QExpansion.from_json(dict(rec, primitive_root=4))
+
+
 class TestEigenRecursion:
     def test_coefficient_recursion(self):
         rng = seeded(41)
