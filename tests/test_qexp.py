@@ -224,6 +224,10 @@ class TestPStabilizeRoot:
             assert coeffs_agree(hecke_T(g, 2), g.scale(ap[2])), root
             out[root] = g
         assert out[2].coeffs != out[3].coeffs
+        with pytest.raises(ValueError):         # two embeddings never mix
+            out[2] - out[3]
+        with pytest.raises(ValueError):
+            QExpansion(2, 1, trivial_character(1), (0, 1), "int", 2)
 
     def test_root_roundtrips_through_json(self):
         _, _, g = self.stabilize(8)                # 8 = 3 mod 5
