@@ -33,34 +33,34 @@ def euler_phi(n: int) -> int:
     return n
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division of integer polynomials with monic divisor."""
-    assert den[-1] == 1
-    num = list(num)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 1)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - deg_d] = c
-        for j, d in enumerate(den):
-            num[i - deg_d + j] -= c * d
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _mobius(n: int) -> int:
+    fac = factorize(n)
+    return 0 if any(e > 1 for _, e in fac) else (-1)**len(fac)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, low degree first, from x^n - 1 by division."""
+    """Coefficients of Phi_n, low degree first, as the Moebius product
+    of (1 - x^d)^mu(n/d) over d | n (equal to Phi_n for n > 1, where the
+    exponents sum to 0): multiply by each sparse factor with mu = +1,
+    then divide exactly by each factor with mu = -1."""
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+    up, down = [], []
+    for d in range(1, n + 1):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_poly(d)))
-            assert all(r == 0 for r in rem)
+            mu = _mobius(n // d)
+            if mu:
+                (up if mu == 1 else down).append(d)
+    poly = [1]
+    for d in up:
+        poly += [0] * d
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i] -= poly[i - d]
+    for d in down:
+        for i in range(d, len(poly)):
+            poly[i] += poly[i - d]
+        del poly[-d:]
     return tuple(poly)
 
 
@@ -69,6 +69,14 @@ def _cyclotomic_sparse(n: int) -> tuple[tuple[int, int], ...]:
     """Nonzero (index, value) pairs of Phi_n below the leading term."""
     phi = cyclotomic_poly(n)
     return tuple((j, v) for j, v in enumerate(phi[:-1]) if v)
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^k) for k < phi(n), the Ramanujan sums
+    c_n(k) = mu(n/g) phi(n) / phi(n/g) with g = gcd(n, k)."""
+    return tuple(_mobius(n // gcd(n, k)) * euler_phi(n)
+                 // euler_phi(n // gcd(n, k)) for k in range(euler_phi(n)))
 
 
 def _reduce_ints(folded: list[int], n: int) -> list[int]:
@@ -90,7 +98,9 @@ class CycNumber:
 
     Stored as integer numerators `num` over one positive denominator
     `den` with gcd(den, *num) == 1, so equal elements of one order have
-    equal data.  A rational value hashes like its Fraction.
+    equal data.  The hash is that of Tr(x)/phi(order), so equal values
+    of different orders hash alike and a rational hashes like its
+    Fraction.
     """
 
     __slots__ = ("order", "num", "den")
@@ -235,9 +245,11 @@ class CycNumber:
         return a.den == b.den and a.num == b.num
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.order, self.num, self.den))
+        # Tr(x)/phi(n) does not change under promote, so values equal
+        # across orders hash alike, and for a rational x it is x itself
+        n = self.order
+        trace = sum(c * t for c, t in zip(self.num, _ramanujan_sums(n)))
+        return hash(Fraction(trace, self.den * euler_phi(n)))
 
     # -- queries ----------------------------------------------------------
 

@@ -374,21 +374,18 @@ def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement,
 
 def emit_report(report, fmt: str, path: str | Path | None = None) -> int:
     """Serialize deterministically; exit code 0 on all-pass else 1."""
+    if fmt not in ("json", "text"):
+        raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, InvariantReport):
-        payload = report.to_json()
-        text = report.to_text()
         passed = report.passed
+        rendered = (report.to_text() if fmt == "text" else
+                    json.dumps(report.to_json(), sort_keys=True, indent=2)
+                    + "\n")
     else:
-        payload = report
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        # a dict renders as the same JSON in either format
         passed = report.get("conclusion") not in (
             "transfer_failed", "not_congruent") and not report.get("failed", False)
-    if fmt == "json":
-        rendered = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "text":
-        rendered = text
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path is None:
         print(rendered, end="")
     else:

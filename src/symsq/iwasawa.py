@@ -7,16 +7,23 @@ unit by Hensel-lifting the factorization T^lambda * (unit) from mod p,
 so the reconstruction p^mu * distinguished * unit == input holds
 exactly modulo (p^prec, T^(trunc+1)) by construction.
 
+The lift is linear, one p-adic digit per step, and solves each digit
+mod p with an inverse of the unit of length lambda, not D.
+
 Every truncated product goes through one kernel, `_poly_mul_trunc`,
 which multiplies by Kronecker substitution: both series are packed into
 big integers with one fixed-width slot per coefficient, multiplied once,
 and unpacked (Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009).  Series inverses mod p use Newton
-iteration on that kernel.
+Kronecker substitution", JSC 2009).  A slot that fits a machine word
+(8 bytes: the mod-p products, and mod p^k ones while they stay that
+narrow) is packed and unpacked through `array`; wider slots go through
+bytes.  Series inverses mod p use Newton iteration on that kernel.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -151,6 +158,16 @@ def _series(p: int, prec: int, coeffs: tuple[int, ...]) -> IwasawaElement:
     return x
 
 
+# array typecode for each slot width up to a machine word: the smallest
+# unsigned item at least that wide.  Array bytes are native-endian and
+# the packed integers are read little-endian, so a big-endian host keeps
+# the bytes path for every width.
+_WORD_CODES = {
+    w: next(c for c in "BHILQ" if array(c).itemsize >= w)
+    for w in range(1, array("Q").itemsize + 1)
+} if sys.byteorder == "little" else {}
+
+
 def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
     """Coefficients 0..d of a*b mod `mod`, by Kronecker substitution.
 
@@ -159,6 +176,8 @@ def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
     holds any product coefficient, a sum of at most min(len a, len b)
     terms below (mod-1)^2, so one big-integer multiply carries no digit
     across slots and the first d+1 slots of the product are the answer.
+    A slot that fits a machine word is packed and unpacked by `array`,
+    widened to the smallest item size that holds it.
     """
     a = _strip([c % mod for c in a[:d + 1]])
     b = _strip([c % mod for c in b[:d + 1]])
@@ -166,10 +185,21 @@ def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
         return [0] * (d + 1)
     width = ((min(len(a), len(b)) * (mod - 1)**2).bit_length() + 7) // 8
     slots = len(a) + len(b) - 1
-    raw = (_pack(a, width) * _pack(b, width)).to_bytes(slots * width, "little")
     n = min(d + 1, slots)
-    out = [int.from_bytes(raw[i:i + width], "little") % mod
-           for i in range(0, n * width, width)]
+    code = _WORD_CODES.get(width)
+    if code is None:
+        raw = (_pack(a, width) * _pack(b, width)).to_bytes(
+            slots * width, "little")
+        out = [int.from_bytes(raw[i:i + width], "little") % mod
+               for i in range(0, n * width, width)]
+    else:
+        words = array(code)
+        width = words.itemsize
+        raw = (int.from_bytes(array(code, a).tobytes(), "little")
+               * int.from_bytes(array(code, b).tobytes(), "little")
+               ).to_bytes(slots * width, "little")
+        words.frombytes(memoryview(raw)[:n * width])
+        out = [c % mod for c in words]
     return out + [0] * (d + 1 - n)
 
 
@@ -260,25 +290,24 @@ def weierstrass_prep(f: IwasawaElement,
     reduced = [c // p**mu for c in f.coeffs]
 
     # Hensel-lift the mod-p factorization T^lam * ubar of the reduced
-    # series to mod p^nprec, keeping deg(unit) <= d - lam.
+    # series to mod p^nprec, keeping deg(unit) <= d - lam.  Mod p each
+    # error digit is err = T^lam * dU + ubar * dP with deg dP < lam, so
+    # dP = err * ubar^(-1) mod T^lam and dU = (err - ubar * dP) / T^lam;
+    # the digits accumulate below p^nprec, so nothing is reduced after.
     ubar = [c % p for c in reduced[lam:]]
-    ubar_inv = _series_inverse_mod_p(ubar, p, d)
+    ubar_inv = _series_inverse_mod_p(ubar, p, lam - 1) if lam else []
     pcoeffs = [0] * lam + [1]
-    ucoeffs = ubar + [0] * lam
+    ucoeffs = ubar
     for m in range(1, nprec):
         pm, pm1 = p**m, p**(m + 1)
         prod = _poly_mul_trunc(pcoeffs, ucoeffs, pm1, d)
         err = [((a - b) % pm1) // pm for a, b in zip(reduced, prod)]
-        h = _poly_mul_trunc(err, ubar_inv, p, d)
-        delta_p = h[:lam]
-        delta_u = _poly_mul_trunc(h[lam:], ubar, p, d - lam)
-        for i, c in enumerate(delta_p):
-            pcoeffs[i] += pm * c
-        for i, c in enumerate(delta_u):
-            ucoeffs[i] += pm * c
-    modulus = p**nprec
-    pcoeffs = [c % modulus for c in pcoeffs]
-    unit = IwasawaElement(p, nprec, tuple(c % modulus for c in ucoeffs))
+        delta_p = _poly_mul_trunc(err[:lam], ubar_inv, p, lam - 1)
+        fit = _poly_mul_trunc(ubar, delta_p, p, d)
+        pcoeffs = [c + pm * x for c, x in zip(pcoeffs, delta_p)] + [1]
+        ucoeffs = [c + pm * ((e - f) % p)
+                   for c, e, f in zip(ucoeffs, err[lam:], fit[lam:])]
+    unit = _series(p, nprec, tuple(ucoeffs) + (0,) * lam)
     return WeierstrassData(p, nprec, mu, lam, tuple(pcoeffs), unit)
 
 

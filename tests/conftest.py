@@ -4,7 +4,10 @@ The oracles here deliberately reimplement things from first principles
 (Moebius-product cyclotomic polynomials, full-convolution multiplication,
 a Fraction-coefficient Q(zeta_n), schoolbook truncated series products,
 per-residue Bernoulli and Gauss sums, Fraction-series logs, brute-force
-root searches) so that they share no code path with the library.
+root searches) so that they share no code path with the library.  The
+one exception is Weierstrass preparation through the full-length unit
+inverse, which runs on the library's series kernels; those are checked
+against the schoolbook ones.
 
 The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
@@ -18,8 +21,12 @@ from math import comb, gcd, lcm
 
 from hypothesis import settings
 
+from symsq import iwasawa
 from symsq.characters import characters_mod
 from symsq.cyclotomic import CycNumber, euler_phi
+from symsq.errors import InsufficientPrecision, TruncationTooShort
+from symsq.iwasawa import TRUNCATION_GUARD, IwasawaElement, WeierstrassData
+from symsq.padic import int_valuation
 
 settings.register_profile("ci", derandomize=True)
 
@@ -237,6 +244,41 @@ def recurrence_series_inverse_mod_p(u, p, d):
         s = sum(u[j] * out[n - j] for j in range(1, n + 1))
         out[n] = -out[0] * s % p
     return out
+
+
+def full_inverse_weierstrass_prep(f: IwasawaElement,
+                                  guard: int = TRUNCATION_GUARD):
+    """Weierstrass preparation with each Hensel digit solved through the
+    full-length unit inverse: h = err * ubar^(-1) mod (p, T^(D+1)), then
+    dP = h mod T^lam and dU = (h div T^lam) * ubar.  mu and lambda are
+    read here, and the refusals are raised here, in the library's order;
+    the products use the library kernels, which have their own oracles.
+    """
+    p, d = f.p, f.trunc
+    found = [(int_valuation(c, p), i) for i, c in enumerate(f.coeffs) if c]
+    if not found:
+        raise InsufficientPrecision("all coefficients vanish")
+    mu, lam = min(found)
+    if lam > d - guard:
+        raise TruncationTooShort(f"lambda = {lam} within {guard} of {d}")
+    nprec = f.prec - mu
+    reduced = [c // p**mu for c in f.coeffs]
+    ubar = [c % p for c in reduced[lam:]]
+    ubar_inv = iwasawa._series_inverse_mod_p(ubar, p, d)
+    pcoeffs = [0] * lam + [1]
+    ucoeffs = ubar + [0] * lam
+    for m in range(1, nprec):
+        pm, pm1 = p**m, p**(m + 1)
+        prod = iwasawa._poly_mul_trunc(pcoeffs, ucoeffs, pm1, d)
+        err = [((a - b) % pm1) // pm for a, b in zip(reduced, prod)]
+        h = iwasawa._poly_mul_trunc(err, ubar_inv, p, d)
+        delta_u = iwasawa._poly_mul_trunc(h[lam:], ubar, p, d - lam)
+        for i, c in enumerate(h[:lam]):
+            pcoeffs[i] += pm * c
+        for i, c in enumerate(delta_u):
+            ucoeffs[i] += pm * c
+    return WeierstrassData(p, nprec, mu, lam, tuple(pcoeffs),
+                           IwasawaElement(p, nprec, tuple(ucoeffs)))
 
 
 # -- Frobenius exponents the long way ----------------------------------------

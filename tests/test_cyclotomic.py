@@ -23,6 +23,13 @@ def test_cyclotomic_polynomials_match_oracle():
         assert [Fraction(c) for c in cyclotomic_poly(n)] == oracle_cyclotomic(n)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in list(range(1, 201)) + [420, 930, 1332]:
+        want = sympy.cyclotomic_poly(n, polys=True).all_coeffs()
+        assert cyclotomic_poly(n) == tuple(int(c) for c in reversed(want)), n
+
+
 def test_phi12_known_value():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
@@ -324,6 +331,18 @@ class TestScalarTypesStayChecked:
         assert hash(CycNumber.from_rational(-7, 12)) == hash(-7)
         assert CycNumber.from_rational(Fraction(3, 2), 4) == Fraction(3, 2)
         assert {CycNumber.from_rational(Fraction(3, 2), 4): 1}[Fraction(3, 2)]
+
+    def test_equal_values_of_different_orders_hash_alike(self):
+        for n in (3, 5):
+            z = CycNumber.zeta(n)
+            assert z == z.promote(2 * n)
+            assert len({z, z.promote(2 * n)}) == 1
+
+    @given(_ORDERS, st.data(), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_survives_promotion(self, n, data, k):
+        x = CycNumber(n, _vector(data.draw, n))
+        assert hash(x) == hash(x.promote(k * n))
 
     def test_pickle_roundtrip(self):
         for x in (PAdicInt(7, 4, 100), CycNumber(12, (Fraction(1, 2), 0, 3, -1))):

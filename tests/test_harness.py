@@ -536,6 +536,20 @@ class TestCLI:
         assert capsys.readouterr().out == separate
         assert cli._build_parser() is cli._build_parser()
 
+    def test_json_report_never_renders_text(self, tmp_path, monkeypatch,
+                                            capsys):
+        from symsq import cli
+        from symsq.harness import InvariantReport
+
+        def refuse(self):
+            raise AssertionError("text rendered for a JSON report")
+
+        monkeypatch.setattr(InvariantReport, "to_text", refuse)
+        form_path = str(write_form(tmp_path))
+        assert cli.main(["report", form_path, "--s0", "2,3", "--no-cache",
+                         "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sigma_table"]
+
     def test_non_primitive_root_exits_2(self, tmp_path):
         # 1 and 4 have order 1 and 2 mod 5, so zeta_4 would go to 1 or
         # -1: no ring map, yet the parent reported PASS

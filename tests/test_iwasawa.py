@@ -9,13 +9,15 @@ from symsq import iwasawa
 from symsq.euler import assemble_imprimitive
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
-from symsq.iwasawa import (CongruenceVerdict, IwasawaElement, congruent_mod_p,
+from symsq.iwasawa import (TRUNCATION_GUARD, CongruenceVerdict,
+                           IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
                            invariants, one_plus_T_pow, product_invariants,
                            reconstruct, specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
-from conftest import (PRIMES_TO_200, recurrence_series_inverse_mod_p,
+from conftest import (PRIMES_TO_200, full_inverse_weierstrass_prep,
+                      recurrence_series_inverse_mod_p,
                       schoolbook_mul_trunc, seeded,
                       teichmuller_frobenius_exponent)
 
@@ -57,6 +59,24 @@ class TestKernels:
         a, b, mod, d = case
         assert iwasawa._poly_mul_trunc(a, b, mod, d) == \
             schoolbook_mul_trunc(a, b, mod, d)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_mul_at_every_slot_width(self, width):
+        # widths 1-8 go through array items (3 widens to 4, 5-7 to 8),
+        # 9 is the narrowest slot on the bytes path; all-(mod - 1)
+        # inputs fill the middle slots of the product to the brim
+        rng = seeded(57)
+        cases = [(p**k, n) for p in (5, 7, 11, 13) for k in range(1, 16)
+                 for n in (1, 2, 5, 17, 40)
+                 if ((n * (p**k - 1)**2).bit_length() + 7) // 8 == width]
+        assert cases
+        for mod, n in cases:
+            top = [mod - 1] * n
+            noisy = [rng.randrange(mod) for _ in range(n + 3)] + [mod - 1]
+            for a, b in ((top, top + [mod - 1] * 4), (top, noisy)):
+                for d in (0, n - 1, len(a) + len(b)):
+                    assert iwasawa._poly_mul_trunc(a, b, mod, d) == \
+                        schoolbook_mul_trunc(a, b, mod, d)
 
     def test_mul_sparse_elements(self):
         one = IwasawaElement.one(7, 10, 60)
@@ -176,7 +196,43 @@ class TestProductInvariants:
         assert product_invariants(lfun, [factor, factor]) == (2, 2)
 
 
+@st.composite
+def prep_cases(draw):
+    """Elements with mu in {0, 1, 2} and lambda from 0 to past D - guard,
+    or vanishing mod p^N, for p in {5, 7, 11, 13}, N <= 30, D <= 200."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    mu = draw(st.sampled_from([0, 1, 2]))
+    kind = draw(st.sampled_from(["prep"] * 6 + ["short", "zero"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, d = rng.randint(1, 30), rng.randint(0, 200)
+    if kind == "prep":
+        lam = rng.randint(0, max(d - TRUNCATION_GUARD, 0))
+    else:
+        lam = rng.randint(max(d - TRUNCATION_GUARD, 0), d)
+    m = p**n
+    coeffs = [rng.randrange(m) for _ in range(d + 1)]
+    for i in range(lam):
+        coeffs[i] = coeffs[i] * p
+    coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
+    if kind == "zero":
+        coeffs = [0] * (d + 1)
+    return IwasawaElement(p, n, tuple(c * p**mu for c in coeffs))
+
+
+def _prep_or_refusal(prep, f):
+    try:
+        return prep(f)
+    except (TruncationTooShort, InsufficientPrecision) as exc:
+        return type(exc)
+
+
 class TestWeierstrass:
+    @given(prep_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_full_inverse_oracle(self, f):
+        assert _prep_or_refusal(weierstrass_prep, f) == \
+            _prep_or_refusal(full_inverse_weierstrass_prep, f)
+
     def test_already_distinguished(self):
         f = elem(5, 4, 25, 5, 1, trunc=8)
         w = weierstrass_prep(f)
