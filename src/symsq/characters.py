@@ -222,10 +222,13 @@ class DirichletCharacter:
     @staticmethod
     def from_json(obj: dict) -> "DirichletCharacter":
         try:
-            m = int(obj["modulus"])
-            images = [(int(g), int(k)) for g, k in obj["images"]]
+            m = obj["modulus"]
+            images = [(g, k) for g, k in obj["images"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad character record: {exc}") from exc
+        if any(type(x) is not int for x in (m, *sum(images, ()))):
+            raise SchemaError(f"character record values must be integers, "
+                              f"got {obj!r}")
         if m < 1:
             raise SchemaError(f"character modulus must be >= 1, got {m}")
         gens = unit_group_structure(m)

@@ -12,47 +12,44 @@ no cache.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from .characters import DirichletCharacter, trivial_character
 from .cyclotomic import exact_json
-from .errors import SchemaError, SymsqError
+from .errors import SymsqError
 from .harness import (congruence_transfer_check, emit_report, invariant_report,
-                      lift_factor, load_form)
+                      lift_factor, load_form, parse_prime, read_json)
 from .iwasawa import IwasawaElement, invariants, specialize, weierstrass_prep
-from .padic import is_prime
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """Global flags, attachable before or after the subcommand."""
-    common = argparse.ArgumentParser(add_help=False)
-    s = argparse.SUPPRESS
-    common.add_argument("--p", type=int, default=s,
-                        help="override the working prime")
-    common.add_argument("--precision", type=int, default=s,
+def _common_flags(top: bool) -> argparse.ArgumentParser:
+    """Global flags, attachable before or after the subcommand.  Only the
+    top-level copy has defaults, so a flag after the subcommand wins."""
+    common = argparse.ArgumentParser(
+        add_help=False, argument_default=None if top else argparse.SUPPRESS)
+    common.add_argument("--p", type=int, help="override the working prime")
+    common.add_argument("--precision", type=int,
                         help="override coefficient precision")
-    common.add_argument("--trunc", type=int, default=s,
-                        help="override the T-truncation")
-    common.add_argument("--primitive-root", type=int, default=s,
+    common.add_argument("--trunc", type=int, help="override the T-truncation")
+    common.add_argument("--primitive-root", type=int,
                         help="primitive root mod p used for all embeddings")
-    common.add_argument("--no-cache", action="store_true", default=s,
+    common.add_argument("--no-cache", action="store_true",
                         help="recompute Euler factors instead of using the cache")
-    common.add_argument("--cache-dir", default=s,
-                        help="content-addressed cache directory")
-    common.add_argument("--format", choices=("json", "text"), default=s)
-    common.add_argument("--output", default=s, help="write output to a file")
+    common.add_argument("--cache-dir", help="content-addressed cache directory")
+    common.add_argument("--format", choices=("json", "text"))
+    common.add_argument("--output", help="write output to a file")
+    if top:
+        common.set_defaults(cache_dir=".symsq-cache", format="json")
     return common
 
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    common = _common_flags(top=False)
     ap = argparse.ArgumentParser(
         prog="symsq",
-        parents=[common],
+        parents=[_common_flags(top=True)],
         description="exact symmetric-square Euler factors, Lambda-lifts, "
                     "and Iwasawa mu/lambda bookkeeping")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -60,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_euler = sub.add_parser("euler", help="print the local factor P_q",
                              parents=[common])
     p_euler.add_argument("form")
-    p_euler.add_argument("-q", type=int, required=True)
+    p_euler.add_argument("-q", required=True, help="a prime")
 
     p_lift = sub.add_parser("lift", help="Lambda-lift of P_q with mu/lambda",
                             parents=[common])
     p_lift.add_argument("form")
-    p_lift.add_argument("-q", type=int, required=True)
+    p_lift.add_argument("-q", required=True, help="a prime")
     p_lift.add_argument("--psi", default=None, help="character record file")
     p_lift.add_argument("--t", type=int, default=0, help="even tame exponent")
 
@@ -106,31 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_character(arg: str | None) -> DirichletCharacter:
     if arg is None:
         return trivial_character(1)
-    return DirichletCharacter.from_json(json.loads(Path(arg).read_text()))
+    return DirichletCharacter.from_json(read_json(arg))
 
 
 def _load_element(path: str) -> IwasawaElement:
-    return IwasawaElement.from_json(json.loads(Path(path).read_text()))
-
-
-_DEFAULTS = {"p": None, "precision": None, "trunc": None,
-             "primitive_root": None, "no_cache": False,
-             "cache_dir": ".symsq-cache", "format": "json", "output": None}
-
-
-def _resolve(args):
-    """Fill in defaults for flags the parser left SUPPRESSed."""
-    for name, default in _DEFAULTS.items():
-        if not hasattr(args, name):
-            setattr(args, name, default)
-    return args
-
-
-def _parse_s0(text: str) -> list[int]:
-    s0 = [int(q) for q in text.split(",") if q]
-    if not all(is_prime(q) for q in s0):
-        raise SchemaError(f"S0 must hold primes, got {text!r}")
-    return s0
+    return IwasawaElement.from_json(read_json(path))
 
 
 def _load_form(args):
@@ -139,68 +116,50 @@ def _load_form(args):
 
 
 def main(argv=None) -> int:
-    args = _resolve(_build_parser().parse_args(argv))
+    args = _build_parser().parse_args(argv)
     cache_dir = None if args.no_cache else args.cache_dir
     try:
         if args.command == "euler":
-            form = _load_form(args)
-            factor = form.euler_factor(args.q)
-            out = {"q": args.q, "degree": factor.degree,
+            q = parse_prime(args.q, "-q")
+            factor = _load_form(args).euler_factor(q)
+            out = {"q": q, "degree": factor.degree,
                    "coeffs": [exact_json(c) for c in factor.coeffs]}
-            return emit_report(out, args.format, args.output)
-
-        if args.command == "lift":
+        elif args.command == "lift":
+            q = parse_prime(args.q, "-q")
             form = _load_form(args)
             psi = _load_character(args.psi)
-            lifted = lift_factor(form, args.q, psi, args.t,
+            lifted = lift_factor(form, q, psi, args.t,
                                  args.primitive_root, cache_dir)
             mu, lam = invariants(lifted)
-            out = {"q": args.q, "t": args.t, "mu": mu, "lambda": lam,
+            out = {"q": q, "t": args.t, "mu": mu, "lambda": lam,
                    "lift": lifted.to_json()}
-            return emit_report(out, args.format, args.output)
-
-        if args.command == "sigma":
+        elif args.command in ("sigma", "report"):
             form = _load_form(args)
             psi = _load_character(args.psi)
-            s0 = _parse_s0(args.s0)
-            report = invariant_report(form, psi, args.t, s0, None,
-                                      args.primitive_root, cache_dir)
-            return emit_report(report, args.format, args.output)
-
-        if args.command == "prep":
-            f = _load_element(args.element)
-            w = weierstrass_prep(f, guard=args.guard)
+            s0 = [parse_prime(q, "S0") for q in args.s0.split(",") if q]
+            lfun = (_load_element(args.lfun)
+                    if args.command == "report" and args.lfun else None)
+            out = invariant_report(form, psi, args.t, s0, lfun,
+                                   args.primitive_root, cache_dir)
+            if args.command == "report":
+                out.provenance.update({
+                    "psi_source": args.psi or "<trivial>",
+                    "lfun_source": args.lfun, "s0": sorted(set(s0))})
+        elif args.command == "prep":
+            w = weierstrass_prep(_load_element(args.element), guard=args.guard)
             out = {"mu": w.mu, "lambda": w.lam, "precision": w.prec,
                    "distinguished": [str(c) for c in w.distinguished],
                    "unit": w.unit.to_json()}
-            return emit_report(out, args.format, args.output)
-
-        if args.command == "specialize":
+        elif args.command == "specialize":
             f = _load_element(args.element)
             value = specialize(f, args.n)
             out = {"n": args.n, "p": f.p, "precision": value.prec,
                    "value": str(value.residue)}
-            return emit_report(out, args.format, args.output)
-
-        if args.command == "congruence":
+        else:                               # congruence
             f, g = _load_element(args.first), _load_element(args.second)
             out = congruence_transfer_check(f, g, f.p)
-            return emit_report(out, args.format, args.output)
-
-        if args.command == "report":
-            form = _load_form(args)
-            psi = _load_character(args.psi)
-            s0 = _parse_s0(args.s0)
-            lfun = _load_element(args.lfun) if args.lfun else None
-            report = invariant_report(form, psi, args.t, s0, lfun,
-                                      args.primitive_root, cache_dir)
-            report.provenance.update({
-                "psi_source": args.psi or "<trivial>",
-                "lfun_source": args.lfun, "s0": sorted(set(s0))})
-            return emit_report(report, args.format, args.output)
-
-        raise SymsqError(f"unhandled command {args.command}")
-    except (SymsqError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return emit_report(out, args.format, args.output)
+    except (SymsqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

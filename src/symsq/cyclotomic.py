@@ -298,7 +298,11 @@ class CycNumber:
 
     @staticmethod
     def from_json(obj: dict) -> "CycNumber":
-        return CycNumber(obj["order"], tuple(Fraction(c) for c in obj["coeffs"]))
+        """Inverse of to_json; ValueError for a malformed record."""
+        order, coeffs = obj.get("order"), obj.get("coeffs")
+        if type(order) is not int or not isinstance(coeffs, list):
+            raise ValueError(f"bad cyclotomic value {obj!r}")
+        return CycNumber(order, [parse_rational(c) for c in coeffs])
 
 
 _new = object.__new__
@@ -417,8 +421,12 @@ def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
 
 
 def parse_rational(s) -> int | Fraction:
-    """An int or Fraction from its JSON form (a string or a number)."""
-    f = Fraction(str(s))
+    """An int or Fraction from its JSON form (a string or a number);
+    ValueError for anything else, bools and zero denominators included."""
+    try:
+        f = Fraction(str(s))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
     return int(f) if f.denominator == 1 else f
 
 

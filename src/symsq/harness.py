@@ -13,7 +13,6 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .characters import (DirichletCharacter, is_residually_trivial,
@@ -24,12 +23,12 @@ from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
                       invariants, product_invariants)
-from .padic import factorize, int_valuation, is_prime
+from .padic import factorize, is_prime
 
 
 @dataclass
 class FormRecord:
-    """Eigenvalue data for one p-stabilized-eligible form."""
+    """Eigenvalue data for one p-stabilized-eligible form, all exact."""
 
     label: str
     weight: int
@@ -39,8 +38,8 @@ class FormRecord:
     p: int
     precision: int
     trunc: int
+    # level prime -> {"type", "aq"} and/or {"poly": exact coefficients}
     bad_primes: dict[int, dict] = field(default_factory=dict)
-    flags: dict[str, bool] = field(default_factory=dict)
     source: str | None = None
 
     def satake(self, q: int) -> SatakeData:
@@ -49,9 +48,8 @@ class FormRecord:
             raise ValueError("local data at p is handled by stabilization")
         if self.level % q == 0:
             entry = self.bad_primes[q]
-            rtype = entry["type"]
-            aq = parse_rational(entry.get("aq", "0"))
-            return SatakeData(q, rtype, aq, 0, self.weight)
+            return SatakeData(q, entry["type"], entry.get("aq", 0), 0,
+                              self.weight)
         if q not in self.ap:
             raise SchemaError(
                 f"eigenvalue a({q}) not in the record (bound too small)")
@@ -62,28 +60,68 @@ class FormRecord:
         """Untwisted local factor, honouring explicit polynomial overrides."""
         entry = self.bad_primes.get(q)
         if entry and "poly" in entry:
-            coeffs = tuple(parse_exact(c) for c in entry["poly"])
-            return EulerFactor(q, coeffs)
+            return EulerFactor(q, entry["poly"])
         return symsq_factor(self.satake(q), 1)
+
+
+def read_json(path: str | Path):
+    """The JSON value in a file.  Any failure to read it is a SchemaError;
+    ValueError covers bad JSON, bytes that are not text, long integers."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def parse_prime(text: str, what: str) -> int:
+    """A prime written as a plain decimal; anything else is a SchemaError."""
+    if not (text.isascii() and text.isdigit() and text[0] != "0"
+            and is_prime(int(text))):
+        raise SchemaError(f"{what} must hold primes, got {text!r}")
+    return int(text)
+
+
+def _by_prime(obj, name: str, problems: list[str]) -> dict:
+    """{prime: value} from an object keyed by primes, else problems."""
+    if not isinstance(obj, dict):
+        problems.append(f"{name} must be an object keyed by primes")
+        return {}
+    out = {}
+    for key, value in obj.items():
+        try:
+            out[parse_prime(key, name)] = value
+        except SchemaError as exc:
+            problems.append(str(exc))
+    return out
+
+
+def _bad_prime(entry) -> dict:
+    """A bad-prime entry with exact values; ValueError if malformed."""
+    if not isinstance(entry, dict) or type(entry.get("poly", [])) is not list:
+        raise ValueError(f"malformed entry {entry!r}")
+    out = {}
+    if entry.get("type") in ("ordinary", "depleted"):
+        out = {"type": entry["type"], "aq": parse_rational(entry.get("aq", 0))}
+    elif "type" in entry or "poly" not in entry:
+        raise ValueError("needs a type (ordinary|depleted) or a poly")
+    if "poly" in entry:
+        out["poly"] = tuple(parse_exact(c) for c in entry["poly"])
+    return out
 
 
 def load_form(path: str | Path, *, p: int | None = None,
               precision: int | None = None,
               trunc: int | None = None) -> FormRecord:
-    """Parse and fully validate a form record; errors are enumerated.
-    p, precision and trunc override the record before validation."""
-    path = Path(path)
-    try:
-        rec = json.loads(path.read_text())
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    problems = []
-    for key in ("label", "weight", "level", "character", "ap",
-                "p", "precision", "trunc"):
-        if key not in rec:
-            problems.append(f"missing key {key!r}")
+    """Decode and fully validate a form record; errors are enumerated.
+    p, precision and trunc override the record before validation.  The
+    `flags` key is ignored."""
+    rec = read_json(path)
+    if not isinstance(rec, dict):
+        raise SchemaError("a form record is a JSON object")
+    problems = [f"missing key {key!r}" for key in (
+        "label", "weight", "level", "character", "ap", "p", "precision",
+        "trunc") if key not in rec]
     if problems:
         raise SchemaError("; ".join(problems))
 
@@ -92,17 +130,18 @@ def load_form(path: str | Path, *, p: int | None = None,
     p = rec["p"] if p is None else p
     precision = rec["precision"] if precision is None else precision
     trunc = rec["trunc"] if trunc is None else trunc
-    if not isinstance(weight, int) or weight < 2:
+    if type(weight) is not int or weight < 2:
         problems.append(f"weight must be an integer >= 2, got {weight!r}")
-    if not isinstance(level, int) or level < 1:
+    if type(level) is not int or level < 1:
         problems.append(f"level must be a positive integer, got {level!r}")
-    if not isinstance(p, int) or p < 5 or not is_prime(p):
+        level = None
+    if type(p) is not int or p < 5 or not is_prime(p):
         problems.append(f"p must be a prime >= 5, got {p!r}")
-    elif isinstance(level, int) and level % p == 0:
+    elif level and level % p == 0:
         problems.append(f"level {level} must be prime to p = {p}")
-    if not isinstance(precision, int) or precision < 1:
+    if type(precision) is not int or precision < 1:
         problems.append(f"precision must be >= 1, got {precision!r}")
-    if not isinstance(trunc, int) or trunc < 1:
+    if type(trunc) is not int or trunc < 1:
         problems.append(f"trunc must be >= 1, got {trunc!r}")
 
     try:
@@ -110,35 +149,27 @@ def load_form(path: str | Path, *, p: int | None = None,
     except SchemaError as exc:
         problems.append(str(exc))
         character = trivial_character(1)
-    if isinstance(level, int) and level >= 1 and \
-            level % character.modulus != 0:
+    if level and level % character.modulus != 0:
         problems.append(
             f"character modulus {character.modulus} does not divide "
             f"the level {level}")
 
-    ap: dict[int, object] = {}
-    for key, value in rec["ap"].items():
+    ap = _by_prime(rec["ap"], "ap", problems)
+    for q, value in ap.items():
         try:
-            q = int(key)
             ap[q] = parse_rational(value)
-        except (ValueError, TypeError):
-            problems.append(f"bad eigenvalue entry {key!r}: {value!r}")
-            continue
-        if not is_prime(q):
-            problems.append(f"eigenvalue index {q} is not prime")
-
-    bad_primes: dict[int, dict] = {}
-    for key, entry in rec.get("bad_primes", {}).items():
-        q = int(key)
-        bad_primes[q] = entry
-        if isinstance(level, int) and level % q != 0:
+        except ValueError:
+            problems.append(f"bad eigenvalue entry {q}: {value!r}")
+    bad_primes = _by_prime(rec.get("bad_primes", {}), "bad_primes", problems)
+    for q, entry in bad_primes.items():
+        if level and level % q != 0:
             problems.append(f"bad-prime override at {q} but {q} does not "
                             f"divide the level {level}")
-        if "poly" not in entry and entry.get("type") not in (
-                "ordinary", "depleted"):
-            problems.append(f"bad-prime entry at {q} needs a type "
-                            f"(ordinary|depleted) or an explicit poly")
-    if isinstance(level, int):
+        try:
+            bad_primes[q] = _bad_prime(entry)
+        except ValueError as exc:
+            problems.append(f"bad-prime entry at {q}: {exc}")
+    if level:
         for q, _ in factorize(level):
             if q not in bad_primes:
                 problems.append(f"no bad-prime entry for level prime {q}")
@@ -146,26 +177,20 @@ def load_form(path: str | Path, *, p: int | None = None,
         raise SchemaError("; ".join(problems))
 
     form = FormRecord(label, weight, level, character, ap, p, precision,
-                      trunc, bad_primes, dict(rec.get("flags", {})),
-                      source=str(path))
+                      trunc, bad_primes, source=str(Path(path)))
+    for q in bad_primes:        # each override builds its factor on load
+        form.euler_factor(q)
     # ordinarity is checked on load, not at first use
     if p not in ap:
         raise SchemaError(f"record has no a_{p}; ordinarity cannot be checked")
     a_p = ap[p]
-    if _val_of(a_p, p) != 0:
+    if a_p.numerator % p == 0 or a_p.denominator % p == 0:
         raise NotOrdinary(f"a_{p} = {a_p} is not a unit at {p}")
     # every referenced character value must land in Z_p
     if (p - 1) % character.order != 0:
         raise NotEmbeddable(
             f"nebentype order {character.order} does not divide p-1 = {p - 1}")
     return form
-
-
-def _val_of(x, p: int) -> int | None:
-    f = Fraction(x)
-    if f == 0:
-        return None
-    return int_valuation(f.numerator, p) - int_valuation(f.denominator, p)
 
 
 # -- Euler factor cache ------------------------------------------------------
@@ -191,7 +216,8 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     """Lambda-lift of the local factor at q, optionally content-cached.
 
     An entry that does not decode, or was lifted at another p, precision
-    or truncation, is a miss; entries are written whole, then renamed.
+    or truncation, is a miss; entries are written whole, then renamed,
+    and a write that fails is skipped.
     A primitive root that is not one mod p is refused before any lift."""
     embedding_root(form.p, primitive_root)
     factor = factor or form.euler_factor(q)
@@ -199,19 +225,22 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
         path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
                                             factor=factor) + ".json")
         try:
-            cached = IwasawaElement.from_json(json.loads(path.read_text()))
+            cached = IwasawaElement.from_json(read_json(path))
             if (cached.p, cached.prec, cached.trunc) == (
                     form.p, form.precision, form.trunc):
                 return cached
-        except (OSError, ValueError, ArithmeticError, SchemaError):
+        except SchemaError:
             pass
     lifted = euler_to_lambda(factor, psi, t, form.p, form.precision,
                              form.trunc, primitive_root)
     if cache_dir is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(lifted.to_json(), sort_keys=True))
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+            tmp.write_text(json.dumps(lifted.to_json(), sort_keys=True))
+            os.replace(tmp, path)
+        except OSError:
+            pass            # an unwritable cache leaves the lift uncached
     return lifted
 
 
@@ -374,8 +403,6 @@ def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement,
 
 def emit_report(report, fmt: str, path: str | Path | None = None) -> int:
     """Serialize deterministically; exit code 0 on all-pass else 1."""
-    if fmt not in ("json", "text"):
-        raise ValueError(f"unknown format {fmt!r}")
     if isinstance(report, InvariantReport):
         passed = report.passed
         rendered = (report.to_text() if fmt == "text" else
@@ -384,7 +411,7 @@ def emit_report(report, fmt: str, path: str | Path | None = None) -> int:
     else:
         # a dict renders as the same JSON in either format
         passed = report.get("conclusion") not in (
-            "transfer_failed", "not_congruent") and not report.get("failed", False)
+            "transfer_failed", "not_congruent")
         rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if path is None:
         print(rendered, end="")

@@ -138,12 +138,15 @@ class IwasawaElement:
 
     @staticmethod
     def from_json(rec: dict) -> "IwasawaElement":
+        """Inverse of to_json; anything but a prime p >= 5, an int
+        precision >= 1 and decimal-string coeffs is a SchemaError."""
         try:
-            p = int(rec["p"])
-            if p < 5 or not is_prime(p):
-                raise ValueError(f"p must be a prime >= 5, got {p}")
-            return IwasawaElement(p, int(rec["precision"]),
-                                  tuple(int(c) for c in rec["coeffs"]))
+            p, prec, coeffs = rec["p"], rec["precision"], rec["coeffs"]
+            if type(p) is not int or p < 5 or not is_prime(p):
+                raise ValueError(f"p must be a prime >= 5, got {p!r}")
+            if type(prec) is not int or type(coeffs) is not list or not coeffs:
+                raise ValueError("need an int precision, non-empty coeffs")
+            return IwasawaElement(p, prec, tuple(int(c, 10) for c in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc
 
@@ -283,10 +286,7 @@ def weierstrass_prep(f: IwasawaElement,
     if lam > d - guard:
         raise TruncationTooShort(
             f"lambda = {lam} is within {guard} of the truncation {d}")
-    nprec = f.prec - mu
-    if nprec < 1:
-        raise InsufficientPrecision(
-            f"mu = {mu} consumes the whole precision {f.prec}")
+    nprec = f.prec - mu        # >= 1: coefficients lie in [0, p^prec)
     reduced = [c // p**mu for c in f.coeffs]
 
     # Hensel-lift the mod-p factorization T^lam * ubar of the reduced

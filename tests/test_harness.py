@@ -8,7 +8,7 @@ import pytest
 from symsq.characters import characters_mod, trivial_character
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
-from symsq import harness
+from symsq import cli, harness
 from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
                            emit_report, invariant_report, lift_factor,
                            load_form)
@@ -246,7 +246,7 @@ def _grid_form(rng, p, prec, trunc, kind):
     if kind == 1:
         level = rng.choice([q for q in (3, 7, 11, 13, 17) if q != p])
         chi = next(c for c in characters_mod(level) if c.order == 2)
-        bad = {level: {"type": "ordinary", "aq": str(rng.choice((1, -1)))}}
+        bad = {level: {"type": "ordinary", "aq": rng.choice((1, -1))}}
     elif kind == 2 and (p - 1) % 4 == 0:
         level = rng.choice([q for q in (5, 13, 17, 29) if q != p])
         chi = rng.choice([c for c in characters_mod(level) if c.order == 4])
@@ -385,11 +385,22 @@ class TestEmit:
         assert [int(l.split()[0][2:]) for l in lines] == [2, 3, 7]
 
 
+def run_subprocess(*args):
+    return subprocess.run([sys.executable, "-m", "symsq.cli", *args],
+                          capture_output=True, text=True)
+
+
 class TestCLI:
+    @pytest.fixture(autouse=True)
+    def _capture(self, capsys):
+        self.capsys = capsys
+
     def run_cli(self, *args):
-        return subprocess.run(
-            [sys.executable, "-m", "symsq.cli", *args],
-            capture_output=True, text=True)
+        """symsq run in process, read back like a finished subprocess."""
+        self.capsys.readouterr()
+        code = cli.main(list(args))
+        out, err = self.capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
 
     def test_prep_and_specialize(self, tmp_path):
         lam = elem(5, 4, 25, 5, 1, trunc=10)
@@ -416,7 +427,7 @@ class TestCLI:
 
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"
-        assert self.run_cli("prep", str(missing)).returncode == 2
+        assert run_subprocess("prep", str(missing)).returncode == 2
 
     def test_report_determinism_and_cache(self, tmp_path):
         form_path = write_form(tmp_path)
@@ -522,7 +533,6 @@ class TestCLI:
     def test_one_process_matches_separate_processes(self, tmp_path, capsys):
         # the argparse tree is built once per process; nothing a command
         # parses may reach the next one
-        from symsq import cli
         form_path = str(write_form(tmp_path))
         lfun = tmp_path / "L.json"
         lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
@@ -530,7 +540,7 @@ class TestCLI:
                   "--no-cache"]
         runs = [report, ["prep", str(lfun), "--guard", "2"],
                 report + ["--format", "text"]]
-        separate = "".join(self.run_cli(*argv).stdout for argv in runs)
+        separate = "".join(run_subprocess(*argv).stdout for argv in runs)
         capsys.readouterr()
         assert [cli.main(argv) for argv in runs] == [0, 0, 0]
         assert capsys.readouterr().out == separate
@@ -538,7 +548,6 @@ class TestCLI:
 
     def test_json_report_never_renders_text(self, tmp_path, monkeypatch,
                                             capsys):
-        from symsq import cli
         from symsq.harness import InvariantReport
 
         def refuse(self):
@@ -599,6 +608,42 @@ class TestCLI:
             assert specialize(lifted, 1) == want
             lifts[root] = lifted
         assert lifts[3] != lifts[None]
+
+    def test_global_flags_before_or_after_the_subcommand(self, tmp_path,
+                                                         monkeypatch):
+        ap = json.loads(write_form(tmp_path).read_text())["ap"]
+        ap["7"] = "1"
+        form_path = str(write_form(tmp_path, ap=ap))
+        flags = ["--no-cache", "--format", "text", "--p", "7"]
+        sigma = ["sigma", form_path, "--s0", "2,3"]
+        before = self.run_cli(*flags, *sigma, "--precision", "3")
+        after = self.run_cli(*sigma, "--precision", "3", *flags)
+        assert before.returncode == 0, before.stderr
+        assert before.stdout == after.stdout
+        assert before.stdout.startswith("form toy-11a  p=7 N=3 D=16")
+        # a flag after the subcommand wins over the same flag before it
+        assert self.run_cli("--precision", "5", *sigma, "--precision", "3",
+                            *flags).stdout == before.stdout
+        # the defaults: JSON, and the cache in .symsq-cache
+        monkeypatch.chdir(tmp_path)
+        assert json.loads(self.run_cli(*sigma).stdout)["sigma_table"]
+        assert list((tmp_path / ".symsq-cache").glob("*.json"))
+
+    def test_unwritable_cache_is_skipped(self, tmp_path):
+        # a --cache-dir naming a regular file used to exit 2 with
+        # FileExistsError, though the cache flags are not inputs
+        form_path = str(write_form(tmp_path))
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        for args in (("lift", form_path, "-q", "2"),
+                     ("sigma", form_path, "--s0", "2,3"),
+                     ("report", form_path, "--s0", "2,3", "--lfun", str(lfun))):
+            cached = self.run_cli(*args, "--cache-dir", str(blocker))
+            assert cached.returncode == 0, (args, cached.stderr)
+            assert cached.stdout == self.run_cli(*args, "--no-cache").stdout
+        assert blocker.read_text() == ""
 
     def test_euler_and_lift_and_sigma(self, tmp_path):
         form_path = write_form(tmp_path)
