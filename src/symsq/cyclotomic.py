@@ -16,6 +16,7 @@ explicitly.
 from __future__ import annotations
 
 import cmath
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -422,12 +423,28 @@ def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
 
 def parse_rational(s) -> int | Fraction:
     """An int or Fraction from its JSON form (a string or a number);
-    ValueError for anything else, bools and zero denominators included."""
+    ValueError for anything else, bools and zero denominators included,
+    and for a power of ten past the int-string digit limit, which is
+    refused before Fraction spends seconds expanding it."""
+    text = str(s)
+    _, e, exp = text.upper().partition("E")
     try:
-        f = Fraction(str(s))
+        huge = bool(e) and abs(int(exp)) >= _digit_limit()
+    except ValueError:          # no integer exponent: Fraction refuses it
+        huge = False
+    if huge:
+        raise ValueError(f"exponent of {s!r} exceeds {_digit_limit()} digits")
+    try:
+        f = Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
     return int(f) if f.denominator == 1 else f
+
+
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), or its default 4300 where the limit
+    is switched off (0) or, before Python 3.10.7, absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def parse_exact(s) -> int | Fraction | CycNumber:

@@ -23,8 +23,8 @@ from fractions import Fraction
 from .characters import DirichletCharacter
 from .cyclotomic import CycNumber, cyc_embed_padic, exact_json, parse_exact
 from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
-from .iwasawa import (IwasawaElement, _series, factorial_valuation,
-                      frobenius_exponent, invariants, one_plus_T_pow)
+from .iwasawa import (IwasawaElement, binomial_sum, factorial_valuation,
+                      frobenius_exponent, invariants)
 from .padic import PAdicInt, from_rational, inv, is_prime, teichmuller
 
 RAMIFICATION_TYPES = ("unramified", "ordinary", "depleted")
@@ -137,21 +137,19 @@ def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
     """Evaluate the factor at X = scalar * (1+T)^exponent in Lambda.
 
     The j-th power of the group-like element is (1+T)^(j*exponent),
-    exactly so modulo (p^prec, T^(trunc+1)), so each power is one
-    binomial series and no series is multiplied.
+    exactly so modulo (p^prec, T^(trunc+1)), so the value is the sum of
+    c_j scalar^j (1+T)^(j*exponent): one `binomial_sum`, which walks
+    each power's binomial series once, and no series is multiplied.
     """
     p = scalar.p
-    modulus = p**prec
-    out = [1] + [0] * trunc          # the constant term of a factor is 1
+    terms = [(1, exponent * 0)]      # the constant term of a factor is 1
     scale = PAdicInt(p, prec, 1)
     for j, c in enumerate(factor.coeffs[1:], 1):
         scale = scale * scalar
         a = (cyc_embed_padic(c, p, prec, primitive_root) * scale).residue
-        if a == 0:
-            continue
-        power = one_plus_T_pow(exponent * j, trunc, prec).coeffs
-        out = [(x + a * y) % modulus for x, y in zip(out, power)]
-    return _series(p, prec, tuple(out))
+        if a:
+            terms.append((a, exponent * j))
+    return binomial_sum(terms, trunc, prec)
 
 
 def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,

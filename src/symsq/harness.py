@@ -25,6 +25,10 @@ from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
                       invariants, product_invariants)
 from .padic import factorize, is_prime
 
+# The largest level a form record may name: the level is factored by
+# trial division, which takes at most 10^6 steps below this bound.
+MAX_LEVEL = 10**12
+
 
 @dataclass
 class FormRecord:
@@ -132,8 +136,9 @@ def load_form(path: str | Path, *, p: int | None = None,
     trunc = rec["trunc"] if trunc is None else trunc
     if type(weight) is not int or weight < 2:
         problems.append(f"weight must be an integer >= 2, got {weight!r}")
-    if type(level) is not int or level < 1:
-        problems.append(f"level must be a positive integer, got {level!r}")
+    if type(level) is not int or not 1 <= level <= MAX_LEVEL:
+        problems.append(f"level must be an integer in [1, {MAX_LEVEL}], "
+                        f"got {level!r}")
         level = None
     if type(p) is not int or p < 5 or not is_prime(p):
         problems.append(f"p must be a prime >= 5, got {p!r}")

@@ -18,6 +18,11 @@ Kronecker substitution", JSC 2009).  A slot that fits a machine word
 (8 bytes: the mod-p products, and mod p^k ones while they stay that
 narrow) is packed and unpacked through `array`; wider slots go through
 bytes.  Series inverses mod p use Newton iteration on that kernel.
+
+Group-like elements (1+T)^e, e in Z_p, and sums of their multiples, the
+Lambda-lifts of Euler factors, come from a second kernel, `binomial_sum`,
+which walks each exponent's falling factorial once and multiplies no
+series (Washington, "Introduction to Cyclotomic Fields", ch. 7).
 """
 
 from __future__ import annotations
@@ -347,45 +352,71 @@ def factorial_valuation(d: int, p: int) -> int:
 
 @lru_cache(maxsize=128)
 def _factorial_table(p: int, trunc: int, prec: int):
-    """p^v_p(k!) and (p-free part of k!)^(-1) mod p^prec for k = 0..trunc,
-    from one modular inverse, walking back down by the factors k."""
+    """p^v_p(k) for k = 1..trunc, and (p-free part of k!)^(-1) mod p^prec
+    for k = 0..trunc, from one modular inverse, walking back down by the
+    factors k."""
     m = p**prec
-    pvs, units = [1], [1]
+    p_parts, units = [], [1]
     for k in range(1, trunc + 1):
         pk = p**int_valuation(k, p)
-        pvs.append(pvs[-1] * pk)
+        p_parts.append(pk)
         units.append(k // pk)
     inv_units = [pow(prod(units), -1, m)]
     for unit in reversed(units[1:]):
         inv_units.append(inv_units[-1] * unit % m)
-    return tuple(pvs), tuple(reversed(inv_units))
+    return tuple(p_parts), tuple(reversed(inv_units))
 
 
-def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
-    """(1+T)^e as a binomial series, coefficients correct mod p^prec.
+def binomial_sum(terms, trunc: int, prec: int) -> IwasawaElement:
+    """Sum of a * (1+T)^e over the (int a, PAdicInt e) pairs of `terms`
+    (at least one), coefficients correct mod p^prec.
 
-    Dividing the falling factorial by k! costs v_p(k!) digits, so the
-    exponent must arrive with that much guard precision.  Only the
-    falling factorial depends on e; k! comes from a shared table.
+    Each term walks a * e(e-1)...(e-k+1) once, for k = 1..trunc: at each
+    multiple k of p it checks that the falling factorial is divisible by
+    p^v_p(k!) and divides by p^v_p(k), and it keeps the walk modulo
+    p^(need - v_p(k!)), the digits still good.  The walks go into one
+    accumulator, whose coefficients are divided by the p-free part of k!
+    once, at the end.  Dividing by k! costs v_p(k!) digits, so each
+    exponent must arrive with need = prec + v_p(trunc!) digits.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
-    p = e.p
+    p = terms[0][1].p
     need = prec + factorial_valuation(trunc, p)
-    if e.prec < need:
-        raise PrecisionLoss(
-            f"exponent precision {e.prec} < {need} needed for D={trunc}")
-    pvs, inv_units = _factorial_table(p, trunc, prec)
-    big, out_mod = p**e.prec, p**prec
-    coeffs, num = [1], 1     # num: e(e-1)...(e-k+1) mod big
-    for k in range(1, trunc + 1):
-        num = num * (e.residue - k + 1) % big
-        c, r = divmod(num, pvs[k])
-        if r:
-            raise PrecisionLoss(f"falling factorial not divisible by "
-                                f"p^{factorial_valuation(k, p)}")
-        coeffs.append(c * inv_units[k] % out_mod)
-    return _series(p, prec, tuple(coeffs))
+    p_parts, inv_units = _factorial_table(p, trunc, prec)
+    big, out_mod = p**need, p**prec
+    acc = [0] * (trunc + 1)
+    for a, e in terms:
+        if e.prec < need:
+            raise PrecisionLoss(
+                f"exponent precision {e.prec} < {need} needed for D={trunc}")
+        a, x = a % out_mod, e.residue % big
+        if not (a and x):           # a = 0, or (1+T)^e = 1 mod p^prec
+            acc[0] += a
+            continue
+        # v_p(a) < prec, so p^(v_p(a) + j) divides the walk exactly when
+        # p^j divides the falling factorial
+        pa = p**int_valuation(a, p)
+        num, m, walk = a, big, [a]
+        for y, pk in zip(range(x, x - trunc, -1), p_parts):
+            num = num * y % m
+            if pk > 1:
+                if num % (pk * pa):
+                    raise PrecisionLoss(
+                        f"falling factorial not divisible by p^"
+                        f"{factorial_valuation(len(walk), p)}")
+                num //= pk
+                m //= pk
+            walk.append(num)
+        acc = [s + c for s, c in zip(acc, walk)]
+    return _series(p, prec, tuple(s * u % out_mod
+                                  for s, u in zip(acc, inv_units)))
+
+
+def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
+    """(1+T)^e as a binomial series, coefficients correct mod p^prec; the
+    exponent needs prec + v_p(trunc!) digits (see `binomial_sum`)."""
+    return binomial_sum([(1, e)], trunc, prec)
 
 
 @lru_cache(maxsize=None)
@@ -394,12 +425,15 @@ def _inv_log_gamma(p: int, prec: int) -> PAdicInt:
     return inv(padic_log1p(PAdicInt(p, prec + 1, p)).exact_div_p(1))
 
 
+@lru_cache(maxsize=1024)
 def frobenius_exponent(q: int, p: int, prec: int) -> PAdicInt:
     """e(q) with (1+p)^e(q) = q_w, the wild projection of q.
 
     teich(q)^(p-1) = 1, so log q_w = log(q^(p-1))/(p-1) needs no
     Teichmueller lift; both logs have valuation >= 1, and the quotient
     log(q_w)/log(1+p) lands back in Z_p at the requested precision.
+    Cached: e(q) depends only on (q, p, prec), which recur from lift to
+    lift and from form to form.
     """
     if q % p == 0:
         raise ValueError(f"q = {q} must differ from p = {p}")

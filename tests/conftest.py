@@ -3,8 +3,9 @@
 The oracles here deliberately reimplement things from first principles
 (Moebius-product cyclotomic polynomials, full-convolution multiplication,
 a Fraction-coefficient Q(zeta_n), schoolbook truncated series products,
-per-residue Bernoulli and Gauss sums, Fraction-series logs, brute-force
-root searches) so that they share no code path with the library.  The
+per-residue Bernoulli and Gauss sums, Fraction-series logs, exact
+binomial series, brute-force root searches) so that they share no code
+path with the library.  The
 one exception is Weierstrass preparation through the full-length unit
 inverse, which runs on the library's series kernels; those are checked
 against the schoolbook ones.
@@ -17,16 +18,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 from hypothesis import settings
 
 from symsq import iwasawa
 from symsq.characters import characters_mod
-from symsq.cyclotomic import CycNumber, euler_phi
-from symsq.errors import InsufficientPrecision, TruncationTooShort
+from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
+from symsq.errors import (InsufficientPrecision, PrecisionLoss,
+                          TruncationTooShort)
 from symsq.iwasawa import TRUNCATION_GUARD, IwasawaElement, WeierstrassData
-from symsq.padic import int_valuation
+from symsq.padic import PAdicInt, int_valuation
 
 settings.register_profile("ci", derandomize=True)
 
@@ -306,6 +308,42 @@ def teichmuller_frobenius_exponent(q, p, prec):
     log_qw = pow_per_term_log1p(qw - 1, p, w)
     log_gamma = pow_per_term_log1p(p, p, w)
     return log_qw // p * pow(log_gamma // p, -1, p**prec) % p**prec
+
+
+# -- Frobenius substitution one power at a time -------------------------------
+
+
+def exact_binomial_series(e, d, mod):
+    """C(e, k) mod `mod` for k = 0..d, from the exact integers
+    C(e, k) = C(e, k-1) (e-k+1) / k."""
+    out, c = [1], 1
+    for k in range(1, d + 1):
+        c = c * (e - k + 1) // k
+        out.append(c % mod)
+    return out
+
+
+def per_power_substitute_frobenius(factor, scalar, exponent, trunc, prec,
+                                   primitive_root=None):
+    """substitute_frobenius one power at a time: the binomial series of
+    (1+T)^(j*exponent) for each j, each added into the output in its own
+    pass.  The series are exact binomials, which share no code with
+    iwasawa.binomial_sum; a short exponent raises PrecisionLoss as there."""
+    p = scalar.p
+    need = prec + int_valuation(factorial(trunc), p)
+    if exponent.prec < need:
+        raise PrecisionLoss(f"exponent precision {exponent.prec} < {need}")
+    modulus = p**prec
+    out = [1] + [0] * trunc          # the constant term of a factor is 1
+    scale = PAdicInt(p, prec, 1)
+    for j, c in enumerate(factor.coeffs[1:], 1):
+        scale = scale * scalar
+        a = (cyc_embed_padic(c, p, prec, primitive_root) * scale).residue
+        if a == 0:
+            continue
+        power = exact_binomial_series((exponent * j).residue, trunc, modulus)
+        out = [(x + a * y) % modulus for x, y in zip(out, power)]
+    return IwasawaElement(p, prec, tuple(out))
 
 
 # -- sigma from Lucas's theorem ----------------------------------------------

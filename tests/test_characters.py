@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from symsq.characters import (DirichletCharacter, bernoulli_number,
-                              characters_mod, gauss_sum, gen_bernoulli,
+from symsq.characters import (MAX_MODULUS, DirichletCharacter,
+                              bernoulli_number, characters_mod, gauss_sum, gen_bernoulli,
                               is_residually_trivial, l_neg, tame_wild_split,
                               teichmuller_character, trivial_character,
                               unit_group_structure)
@@ -277,3 +277,12 @@ class TestSerialization:
         for m in (0, -7):
             with pytest.raises(SchemaError, match="modulus"):
                 DirichletCharacter.from_json({"modulus": m, "images": []})
+
+    def test_modulus_bound(self):
+        # the largest modulus a record may name decodes; one more is
+        # refused before it is factored
+        top = trivial_character(MAX_MODULUS).to_json()
+        assert DirichletCharacter.from_json(top).modulus == MAX_MODULUS
+        with pytest.raises(SchemaError, match="modulus"):
+            DirichletCharacter.from_json({"modulus": MAX_MODULUS + 1,
+                                          "images": []})

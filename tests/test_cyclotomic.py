@@ -183,6 +183,20 @@ def test_exact_json_roundtrip():
         parse_rational("zeta")
 
 
+def test_exponent_notation_is_bounded():
+    # small exponents read as before; a power of ten past the int-string
+    # digit limit is refused before Fraction expands it (8 s for 1e8000000)
+    assert parse_rational("1e3") == 1000
+    assert parse_rational("-25e-2") == Fraction(-1, 4)
+    assert parse_rational("15E-1") == Fraction(3, 2)
+    assert parse_rational("1e4299") == 10**4299
+    for text in ("1e4300", "1e8000000", "-3E-8000000", "2e+1_000_000"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_rational("1e")
+
+
 def test_serialization_roundtrip():
     u = CycNumber(8, (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(7, 11)))
     assert CycNumber.from_json(u.to_json()) == u

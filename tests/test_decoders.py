@@ -12,11 +12,13 @@ import copy
 import io
 import json
 import tempfile
+import time
 import warnings
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -359,3 +361,23 @@ def test_nothing_but_argparse_leaves_main(tmp_path_factory, case):
         assert (code, out) == _run(root, Case(argv)), case
     else:
         assert code == case.expect, case
+
+
+# each of these took 3 to 21 s before its exit 2: Fraction expanded the
+# power of ten, and trial division factored the modulus or the level.
+# The primes differ so that no case finds another's factoring cached.
+STALLS = {
+    "ap-exponent": ("form", ("set", ("ap", "2"), "1e8000000")),
+    "record-character": ("form", ("set", ("character", "modulus"),
+                                  10**15 + 37)),
+    "level": ("form", ("set", ("level",), 10**15 + 91)),
+    "psi": ("psi", ("set", ("modulus",), 10**15 + 159)),
+}
+
+
+@pytest.mark.parametrize("edit", STALLS.values(), ids=list(STALLS))
+def test_huge_values_are_refused_at_once(tmp_path, edit):
+    start = time.perf_counter()
+    code, _ = _run(tmp_path, Case(COMMANDS["sigma"], (edit,)))
+    assert code == 2
+    assert time.perf_counter() - start < 1

@@ -1,20 +1,28 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symsq import euler
 from symsq.characters import characters_mod, trivial_character
-from symsq.cyclotomic import CycNumber, cyc_embed_padic
+from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
 from symsq.errors import (DivergenceGuard, InvalidSatake, NotIntegral,
-                          NotOrdinary)
+                          NotOrdinary, PrecisionLoss)
 from symsq.euler import (EulerFactor, SatakeData, assemble_imprimitive,
                          df_complex, df_convergence_report, ep_factor,
                          euler_to_lambda, evaluate_factor_complex,
                          evaluate_factor_padic, sigma_q,
                          substitute_frobenius, symsq_dirichlet_coeff_check,
                          symsq_factor)
-from symsq.iwasawa import IwasawaElement, congruent_mod_p, invariants
+from symsq.iwasawa import (IwasawaElement, congruent_mod_p,
+                           factorial_valuation, frobenius_exponent,
+                           invariants)
 from symsq.padic import PAdicInt, inv, teichmuller
 
-from conftest import characters_with_order_dividing, seeded
+from conftest import (PRIMES_TO_200, characters_with_order_dividing,
+                      per_power_substitute_frobenius, seeded)
 
 
 class TestSatakeValidation:
@@ -100,6 +108,60 @@ class TestSymsqFactor:
             data = SatakeData(q, "unramified", a, 1, k)
             assert symsq_dirichlet_coeff_check(data)
             assert symsq_dirichlet_coeff_check(data, trivial_character(1))
+
+
+def _rationals(p):
+    return st.builds(Fraction, st.integers(-10**4, 10**4),
+                     st.integers(1, 60).filter(lambda d: d % p))
+
+
+@st.composite
+def embeddable_factors(draw, p, q):
+    """Euler factors at q of degree 0-3 with int, Fraction and CycNumber
+    coefficients (zeros included) that embed in Z_p."""
+    orders = [n for n in range(2, p) if (p - 1) % n == 0]
+    cyc = st.sampled_from(orders).flatmap(lambda n: st.lists(
+        _rationals(p), min_size=euler_phi(n), max_size=euler_phi(n)).map(
+        lambda c: CycNumber(n, c)))
+    coeffs = draw(st.lists(st.one_of(
+        st.just(0), st.integers(-10**9, 10**9), _rationals(p), cyc),
+        max_size=3))
+    return EulerFactor(q, (1, *coeffs))
+
+
+QUADRATIC = [c for m in (3, 4, 8) for c in characters_mod(m) if c.order == 2]
+
+
+class TestBinomialSumKernel:
+    """The lift's single binomial_sum against one series per power j."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_power_oracle(self, data):
+        p = data.draw(st.sampled_from([5, 7, 11, 13]))
+        prec, trunc = data.draw(st.integers(1, 30)), data.draw(
+            st.integers(0, 200))
+        q = data.draw(st.sampled_from([q for q in PRIMES_TO_200[:20]
+                                       if q != p]))
+        factor = data.draw(embeddable_factors(p, q))
+        psi = data.draw(st.sampled_from([trivial_character(1)] + QUADRATIC))
+        t = data.draw(st.sampled_from([0, 2, 4]))
+        got = euler_to_lambda(factor, psi, t, p, prec, trunc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(euler, "substitute_frobenius",
+                       per_power_substitute_frobenius)
+            want = euler_to_lambda(factor, psi, t, p, prec, trunc)
+        assert got == want
+
+        # an exponent one digit short of prec + v_p(trunc!) is refused
+        need = prec + factorial_valuation(trunc, p)
+        if need > 1:
+            short = frobenius_exponent(q, p, need - 1)
+            scalar = PAdicInt(p, prec, data.draw(st.integers(1, p - 1)))
+            for route in (substitute_frobenius,
+                          per_power_substitute_frobenius):
+                with pytest.raises(PrecisionLoss):
+                    route(factor, scalar, short, trunc, prec)
 
 
 class TestLambdaLift:

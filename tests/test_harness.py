@@ -106,6 +106,19 @@ class TestLoadForm:
         with pytest.raises(NotEmbeddable):
             load_form(path)
 
+    def test_level_bound(self, tmp_path):
+        # the largest prime level below the bound loads (trial division
+        # takes 10^6 steps); a level past it is refused unfactored
+        top = 999_999_999_989
+        assert top < harness.MAX_LEVEL
+        path = write_form(tmp_path, level=top,
+                          character=trivial_character(1).to_json(),
+                          bad_primes={str(top): {"type": "depleted"}})
+        assert load_form(path).level == top
+        path = write_form(tmp_path, level=harness.MAX_LEVEL + 1)
+        with pytest.raises(SchemaError, match="level"):
+            load_form(path)
+
     def test_level_prime_entries_required(self, tmp_path):
         path = write_form(tmp_path, bad_primes={})
         with pytest.raises(SchemaError) as err:
