@@ -16,13 +16,18 @@ explicitly.
 from __future__ import annotations
 
 import cmath
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import NotEmbeddable, OrderMismatch
 from .padic import PAdicInt, factorize, teichmuller
+
+# The largest power of ten that exponent notation may write in a JSON
+# rational.  10^4299 has 4300 digits, Python's default int-string limit,
+# so every value read can be written back; Fraction would otherwise spend
+# seconds expanding an exponent such as 1e8000000.
+MAX_EXPONENT = 4299
 
 
 @lru_cache(maxsize=None)
@@ -424,27 +429,21 @@ def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
 def parse_rational(s) -> int | Fraction:
     """An int or Fraction from its JSON form (a string or a number);
     ValueError for anything else, bools and zero denominators included,
-    and for a power of ten past the int-string digit limit, which is
-    refused before Fraction spends seconds expanding it."""
+    and for exponent notation past MAX_EXPONENT, refused before Fraction
+    expands it."""
     text = str(s)
     _, e, exp = text.upper().partition("E")
     try:
-        huge = bool(e) and abs(int(exp)) >= _digit_limit()
+        huge = bool(e) and abs(int(exp)) > MAX_EXPONENT
     except ValueError:          # no integer exponent: Fraction refuses it
         huge = False
     if huge:
-        raise ValueError(f"exponent of {s!r} exceeds {_digit_limit()} digits")
+        raise ValueError(f"exponent of {s!r} exceeds {MAX_EXPONENT}")
     try:
         f = Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
     return int(f) if f.denominator == 1 else f
-
-
-def _digit_limit() -> int:
-    """sys.get_int_max_str_digits(), or its default 4300 where the limit
-    is switched off (0) or, before Python 3.10.7, absent."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def parse_exact(s) -> int | Fraction | CycNumber:

@@ -425,15 +425,12 @@ def _inv_log_gamma(p: int, prec: int) -> PAdicInt:
     return inv(padic_log1p(PAdicInt(p, prec + 1, p)).exact_div_p(1))
 
 
-@lru_cache(maxsize=1024)
 def frobenius_exponent(q: int, p: int, prec: int) -> PAdicInt:
     """e(q) with (1+p)^e(q) = q_w, the wild projection of q.
 
     teich(q)^(p-1) = 1, so log q_w = log(q^(p-1))/(p-1) needs no
     Teichmueller lift; both logs have valuation >= 1, and the quotient
     log(q_w)/log(1+p) lands back in Z_p at the requested precision.
-    Cached: e(q) depends only on (q, p, prec), which recur from lift to
-    lift and from form to form.
     """
     if q % p == 0:
         raise ValueError(f"q = {q} must differ from p = {p}")

@@ -1,4 +1,5 @@
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsq.cyclotomic import (CycNumber, _zeta_image, cyc_embed_padic,
-                              cyc_mul, cyclotomic_poly,
+from symsq.cyclotomic import (MAX_EXPONENT, CycNumber, _zeta_image,
+                              cyc_embed_padic, cyc_mul, cyclotomic_poly,
                               default_primitive_root, dlog, embedding_root,
                               euler_phi, exact_json, parse_exact,
                               parse_rational)
@@ -195,6 +196,20 @@ def test_exponent_notation_is_bounded():
             parse_rational(text)
     with pytest.raises(ValueError):
         parse_rational("1e")
+
+
+def test_exponent_bound_ignores_the_interpreter_digit_limit():
+    # the bound is MAX_EXPONENT, not sys.get_int_max_str_digits(): lifting
+    # that limit must not let 1e8000000 through to Fraction
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for text in ("1e4300", "1e8000000"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_rational(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
 
 
 def test_serialization_roundtrip():
