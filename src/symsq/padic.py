@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import NotAUnit, NotOrdinary, PrecisionLoss
 
@@ -277,7 +278,10 @@ def padic_log1p(x: PAdicInt) -> PAdicInt:
 
     The alternating series is summed on the exact residue with enough
     guard digits to absorb the divisions by n; replacing x by its
-    residue is harmless because log is 1-Lipschitz on 1 + pZ_p.
+    residue is harmless because log is 1-Lipschitz on 1 + pZ_p.  It is
+    summed for y = (1+x)^(p^k) - 1 and divided by p^k: y is known to k
+    more digits than x and has valuation >= v(x) + k, so the series needs
+    about 1/(k+1) of the terms; k ~ sqrt(prec) balances the two.
     """
     v = x.val()
     if v is not None and v < 1:
@@ -285,21 +289,23 @@ def padic_log1p(x: PAdicInt) -> PAdicInt:
     n_out = x.prec
     if x.residue == 0:
         return _padic(x.p, n_out, 0)
-    p, r = x.p, x.residue
-    # terms beyond n_max have v_p(x^n / n) >= n - log_p(n) >= n_out
-    n_max = n_out + 1
-    while n_max - int_valuation_bound(n_max, p) < n_out:
+    p, k = x.p, isqrt(n_out)
+    n_in = n_out + k
+    m_in = p**n_in
+    r = pow(1 + x.residue, p**k, m_in) - 1
+    # terms beyond n_max have v_p(y^n / n) >= n (v + k) - log_p(n) >= n_in
+    n_max = 1
+    while n_max * (v + k) - int_valuation_bound(n_max, p) < n_in:
         n_max += 1
-    # r^n takes one multiply per term, kept mod p^(n_out + max v_p(n))
-    big = p**(n_out + int_valuation_bound(n_max, p))
-    m_out = p**n_out
+    # y^n takes one multiply per term, kept mod p^(n_in + max v_p(n))
+    big = p**(n_in + int_valuation_bound(n_max, p))
     total, a = 0, 1
     for n in range(1, n_max + 1):
         a = a * r % big
         pj = p**int_valuation(n, p)
-        term = (a % (m_out * pj)) // pj * pow(n // pj, -1, m_out)
+        term = (a % (m_in * pj)) // pj * pow(n // pj, -1, m_in)
         total += term if n % 2 == 1 else -term
-    return _padic(p, n_out, total)
+    return _padic(p, n_out, total % m_in // p**k)
 
 
 def int_valuation_bound(n: int, p: int) -> int:
