@@ -129,6 +129,8 @@ class DirichletCharacter:
         a %= m
         if gcd(a, m) != 1:
             return None
+        if not any(self.exponents):     # trivial: no discrete log needed
+            return 0
         xs = _dlog_table(m)[a]
         n = self.order
         total = 0

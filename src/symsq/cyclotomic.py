@@ -395,32 +395,44 @@ def _zeta_image(p: int, prec: int, n: int, g: int) -> int:
     return pow(teichmuller(g, p, prec).residue, (p - 1) // n, p**prec)
 
 
+def _residue_embedding(p: int, prec: int, primitive_root: int | None):
+    """The map u -> residue in [0, p^prec) of the image of u along
+    zeta_n -> teich(g)^((p-1)/n), g = embedding_root(p, primitive_root),
+    for a CycNumber, int or Fraction u; NotEmbeddable when n does not
+    divide p - 1 or p divides a denominator.  Every embedding into Z_p
+    is this one: cyc_embed_padic, and p_stabilize's coefficients."""
+    g = embedding_root(p, primitive_root)
+    m = p**prec
+
+    def embed(u) -> int:
+        if isinstance(u, int):
+            return u % m
+        if isinstance(u, CycNumber):
+            n, num, den = u.order, u.num, u.den
+        else:
+            u = Fraction(u)
+            n, num, den = 1, (u.numerator,), u.denominator
+        if (p - 1) % n != 0:
+            raise NotEmbeddable(f"order {n} does not divide p - 1 = {p - 1}")
+        if den % p == 0:
+            bad = next(c for c in u.coeffs if c.denominator % p == 0) \
+                if isinstance(u, CycNumber) else u
+            raise NotEmbeddable(f"denominator of {bad} is divisible by {p}")
+        total = num[0]
+        if n > 1:
+            z, total = _zeta_image(p, prec, n, g), 0
+            for c in reversed(num):
+                total = (total * z + c) % m
+        return total * pow(den, -1, m) % m
+    return embed
+
+
 def cyc_embed_padic(u: CycNumber | int | Fraction, p: int, prec: int,
                     primitive_root: int | None = None) -> PAdicInt:
     """Embed Q(zeta_n) into Z_p along zeta_n -> teich(g)^((p-1)/n), with
     g = embedding_root(p, primitive_root); ints and Fractions embed as
     rationals."""
-    g = embedding_root(p, primitive_root)
-    if isinstance(u, CycNumber):
-        n, num, den = u.order, u.num, u.den
-    elif isinstance(u, int):
-        n, num, den = 1, (u,), 1
-    else:
-        u = Fraction(u)
-        n, num, den = 1, (u.numerator,), u.denominator
-    if (p - 1) % n != 0:
-        raise NotEmbeddable(f"order {n} does not divide p - 1 = {p - 1}")
-    if den % p == 0:
-        bad = next(c for c in u.coeffs if c.denominator % p == 0) \
-            if isinstance(u, CycNumber) else u
-        raise NotEmbeddable(f"denominator of {bad} is divisible by {p}")
-    m = p**prec
-    total = num[0]
-    if n > 1:
-        z, total = _zeta_image(p, prec, n, g), 0
-        for c in reversed(num):
-            total = (total * z + c) % m
-    return PAdicInt(p, prec, total * pow(den, -1, m))
+    return PAdicInt(p, prec, _residue_embedding(p, prec, primitive_root)(u))
 
 
 # -- exact scalars in JSON ---------------------------------------------------

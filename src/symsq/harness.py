@@ -21,12 +21,15 @@ from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
-from .iwasawa import (TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
-                      invariants, product_invariants)
+from .iwasawa import (MAX_PRECISION, MAX_TRUNC, TRUNCATION_GUARD,
+                      IwasawaElement, congruent_mod_p, invariants,
+                      product_invariants)
 from .padic import factorize, is_prime
 
 # The largest level a form record may name: the level is factored by
-# trial division, which takes at most 10^6 steps below this bound.
+# trial division, which takes at most 10^6 steps below this bound.  The
+# precision and the truncation are bounded by iwasawa.MAX_PRECISION and
+# iwasawa.MAX_TRUNC, which every Lambda-element decoder shares.
 MAX_LEVEL = 10**12
 
 
@@ -144,10 +147,12 @@ def load_form(path: str | Path, *, p: int | None = None,
         problems.append(f"p must be a prime >= 5, got {p!r}")
     elif level and level % p == 0:
         problems.append(f"level {level} must be prime to p = {p}")
-    if type(precision) is not int or precision < 1:
-        problems.append(f"precision must be >= 1, got {precision!r}")
-    if type(trunc) is not int or trunc < 1:
-        problems.append(f"trunc must be >= 1, got {trunc!r}")
+    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
+        problems.append(f"precision must be an integer in "
+                        f"[1, {MAX_PRECISION}], got {precision!r}")
+    if type(trunc) is not int or not 1 <= trunc <= MAX_TRUNC:
+        problems.append(f"trunc must be an integer in [1, {MAX_TRUNC}], "
+                        f"got {trunc!r}")
 
     try:
         character = DirichletCharacter.from_json(rec["character"])

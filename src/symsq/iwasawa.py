@@ -38,6 +38,13 @@ from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
 from .padic import PAdicInt, int_valuation, inv, is_prime, padic_log1p
 
+# The largest precision N and truncation D that a decoder accepts, in
+# form records, --precision/--trunc, Lambda-element files and cache
+# entries.  The work of a lift or a preparation grows with both; at
+# p = 13 a preparation at (MAX_PRECISION, MAX_TRUNC) takes under 2 s.
+MAX_PRECISION = 100
+MAX_TRUNC = 1000
+
 
 @dataclass(frozen=True)
 class IwasawaElement:
@@ -144,13 +151,17 @@ class IwasawaElement:
     @staticmethod
     def from_json(rec: dict) -> "IwasawaElement":
         """Inverse of to_json; anything but a prime p >= 5, an int
-        precision >= 1 and decimal-string coeffs is a SchemaError."""
+        precision in [1, MAX_PRECISION] and 1 to MAX_TRUNC + 1
+        decimal-string coeffs is a SchemaError."""
         try:
             p, prec, coeffs = rec["p"], rec["precision"], rec["coeffs"]
             if type(p) is not int or p < 5 or not is_prime(p):
                 raise ValueError(f"p must be a prime >= 5, got {p!r}")
             if type(prec) is not int or type(coeffs) is not list or not coeffs:
                 raise ValueError("need an int precision, non-empty coeffs")
+            if not 1 <= prec <= MAX_PRECISION or len(coeffs) > MAX_TRUNC + 1:
+                raise ValueError(f"need a precision in [1, {MAX_PRECISION}] "
+                                 f"and at most {MAX_TRUNC + 1} coeffs")
             return IwasawaElement(p, prec, tuple(int(c, 10) for c in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc

@@ -11,6 +11,13 @@ Coefficients live in one of three rings, tagged on the expansion:
 (PAdicInt of a common precision).  A "padic" expansion made with an
 explicit primitive root carries it, and every later embedding of a
 nebentype value into Z_p uses it; None means the default root.
+
+p_stabilize works on integer residues: it lifts every coefficient once
+(an exact value through the one embedding of cyclotomic, a PAdicInt
+by its residue), forms a(n) - beta a(n/p) mod p^prec and wraps each
+result in a PAdicInt once, with the precision tags of the composition
+g0 - V_p(g0).scale(beta).  Scaling a "padic" expansion by a PAdicInt
+is the same kind of residue loop.
 """
 
 from __future__ import annotations
@@ -21,11 +28,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import DirichletCharacter
-from .cyclotomic import (CycNumber, cyc_embed_padic, embedding_root,
-                         exact_json, parse_exact, parse_rational)
+from .cyclotomic import (CycNumber, _residue_embedding, cyc_embed_padic,
+                         embedding_root, exact_json, parse_exact,
+                         parse_rational)
 from .errors import (BadMode, BadPrime, NotEmbeddable, OddCharacter,
                      SchemaError)
-from .padic import PAdicInt, factorize, hensel_unit_root, inv
+from .padic import PAdicInt, _padic, factorize, hensel_unit_root, inv
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
 
@@ -67,6 +75,12 @@ class QExpansion:
         return dataclasses.replace(self, coeffs=self.coeffs[:new_trunc + 1])
 
     def scale(self, c) -> "QExpansion":
+        if isinstance(c, PAdicInt) and self.ring == "padic" \
+                and all(a.p == c.p for a in self.coeffs):  # else c * a raises
+            p, cp, cr = c.p, c.prec, c.residue
+            return dataclasses.replace(self, coeffs=tuple(
+                _padic(p, min(cp, a.prec), cr * a.residue)
+                for a in self.coeffs))
         ring = "cyc" if isinstance(c, CycNumber) and self.ring == "int" \
             else self.ring
         return dataclasses.replace(
@@ -260,30 +274,45 @@ def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,
     coefficients mod p^prec.  U_p acts on the result by alpha.  Exact
     values embed along embedding_root(p, primitive_root); a root given
     here is stored, reduced mod p, on the result.
+
+    Each b(n) = a(n) - beta a(n/p) carries the tag that the composition
+    with V_p proves: off multiples of p, V_p's zero has the precision of
+    a(0), so min(prec a(n), prec beta, prec a(0)).
     """
     if g0.level % p == 0:
         raise BadPrime(f"{p} already divides the level {g0.level}")
     if not isinstance(g0.weight, int):
         raise BadPrime(f"stabilization needs an integer weight, got {g0.weight}")
     root = None if primitive_root is None else embedding_root(p, primitive_root)
-    a_p = _to_padic(a_p, p, prec, root)
-    eps_p = _to_padic(eps_p, p, prec, root)
+    embed = _residue_embedding(p, prec, root)
+    a_p, eps_p = (PAdicInt(p, e, r)
+                  for e, r in _lifts((a_p, eps_p), p, prec, embed))
     c = eps_p * p**(g0.weight - 1)
     alpha = hensel_unit_root(a_p, c)
     beta = c * inv(alpha)
-    coeffs = tuple(_to_padic(a, p, prec, root) for a in g0.coeffs)
-    lifted = dataclasses.replace(g0, coeffs=coeffs, ring="padic",
-                                 primitive_root=root)
-    out = lifted - hecke_V(lifted, p).scale(beta)
-    return dataclasses.replace(out, level=g0.level * p)
+    precs, res = zip(*_lifts(g0.coeffs, p, prec, embed))
+    b, bp = beta.residue, beta.prec
+    off = min(bp, precs[0])
+    coeffs = tuple(
+        _padic(p, e if e < off else off, r) if n % p else
+        _padic(p, min(e, bp, precs[n // p]), r - b * res[n // p])
+        for n, (e, r) in enumerate(zip(precs, res)))
+    return QExpansion(g0.weight, g0.level * p, g0.character, coeffs,
+                      "padic", root)
 
 
-def _to_padic(x, p: int, prec: int, primitive_root: int | None) -> PAdicInt:
-    if isinstance(x, PAdicInt):
-        if x.p != p:
-            raise ValueError(f"mixed primes {x.p} and {p}")
-        return x.reduce(min(x.prec, prec))
-    return cyc_embed_padic(x, p, prec, primitive_root)
+def _lifts(values, p: int, prec: int, embed) -> list[tuple[int, int]]:
+    """Each value in Z_p as (precision, residue): an exact value goes
+    through `embed` at prec, and a PAdicInt keeps at most prec digits."""
+    return [(prec, embed(x)) if not isinstance(x, PAdicInt)
+            else _reduced(x, p, prec) for x in values]
+
+
+def _reduced(x: PAdicInt, p: int, prec: int) -> tuple[int, int]:
+    if x.p != p:
+        raise ValueError(f"mixed primes {x.p} and {p}")
+    e = min(x.prec, prec)
+    return e, x.residue % p**e
 
 
 def theta(chi: DirichletCharacter, trunc: int) -> QExpansion:

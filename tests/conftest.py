@@ -5,17 +5,19 @@ The oracles here deliberately reimplement things from first principles
 a Fraction-coefficient Q(zeta_n), schoolbook truncated series products,
 per-residue Bernoulli and Gauss sums, Fraction-series logs, exact
 binomial series, brute-force root searches) so that they share no code
-path with the library.  The
-one exception is Weierstrass preparation through the full-length unit
-inverse, which runs on the library's series kernels; those are checked
-against the schoolbook ones.
+path with the library.  There are two exceptions.  Weierstrass
+preparation through the full-length unit inverse runs on the library's
+series kernels; those are checked against the schoolbook ones.
+p-stabilization as the operator composition g0 - beta V_p(g0) runs on
+the library's V_p, embedding and PAdicInt arithmetic, each tested on its
+own, but not on p_stabilize's residue pass.
 
 The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -24,11 +26,13 @@ from hypothesis import settings
 
 from symsq import iwasawa
 from symsq.characters import characters_mod
-from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
-from symsq.errors import (InsufficientPrecision, PrecisionLoss,
+from symsq.cyclotomic import (CycNumber, cyc_embed_padic, embedding_root,
+                              euler_phi)
+from symsq.errors import (BadPrime, InsufficientPrecision, PrecisionLoss,
                           TruncationTooShort)
 from symsq.iwasawa import TRUNCATION_GUARD, IwasawaElement, WeierstrassData
-from symsq.padic import PAdicInt, int_valuation
+from symsq.padic import PAdicInt, hensel_unit_root, int_valuation, inv
+from symsq.qexp import hecke_V
 
 settings.register_profile("ci", derandomize=True)
 
@@ -344,6 +348,39 @@ def per_power_substitute_frobenius(factor, scalar, exponent, trunc, prec,
         power = exact_binomial_series((exponent * j).residue, trunc, modulus)
         out = [(x + a * y) % modulus for x, y in zip(out, power)]
     return IwasawaElement(p, prec, tuple(out))
+
+
+# -- p-stabilization as an operator composition ------------------------------
+
+
+def _composed_to_padic(x, p, prec, root):
+    if isinstance(x, PAdicInt):
+        if x.p != p:
+            raise ValueError(f"mixed primes {x.p} and {p}")
+        return x.reduce(min(x.prec, prec))
+    return cyc_embed_padic(x, p, prec, root)
+
+
+def composed_p_stabilize(g0, a_p, eps_p, p, prec, primitive_root=None):
+    """qexp.p_stabilize as the operator composition lifted - beta V_p(lifted):
+    every coefficient lifted to a PAdicInt on its own, V_p's zeros taken
+    from a(0), and beta applied by PAdicInt.__mul__ rather than by the
+    residue loop of QExpansion.scale."""
+    if g0.level % p == 0:
+        raise BadPrime(f"{p} already divides the level {g0.level}")
+    if not isinstance(g0.weight, int):
+        raise BadPrime(f"stabilization needs an integer weight, got {g0.weight}")
+    root = None if primitive_root is None else embedding_root(p, primitive_root)
+    a_p = _composed_to_padic(a_p, p, prec, root)
+    eps_p = _composed_to_padic(eps_p, p, prec, root)
+    c = eps_p * p**(g0.weight - 1)
+    alpha = hensel_unit_root(a_p, c)
+    beta = c * inv(alpha)
+    lifted = replace(g0, ring="padic", primitive_root=root, coeffs=tuple(
+        _composed_to_padic(a, p, prec, root) for a in g0.coeffs))
+    shifted = hecke_V(lifted, p)
+    scaled = replace(shifted, coeffs=tuple(beta * a for a in shifted.coeffs))
+    return replace(lifted - scaled, level=g0.level * p)
 
 
 # -- sigma from Lucas's theorem ----------------------------------------------

@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from symsq.characters import (MAX_MODULUS, DirichletCharacter,
+from symsq.characters import (MAX_MODULUS, DirichletCharacter, _dlog_table,
                               bernoulli_number, characters_mod, gauss_sum, gen_bernoulli,
                               is_residually_trivial, l_neg, tame_wild_split,
                               teichmuller_character, trivial_character,
@@ -44,6 +44,15 @@ class TestEvaluation:
                     if gcd(a * b, m) != 1:
                         continue
                     assert chi(a * b) == chi(a) * chi(b)
+
+    def test_trivial_character_builds_no_dlog_table(self):
+        # the trivial character used to fill a discrete-log table of
+        # phi(m) entries to return 1; 99989 is prime and used nowhere else
+        before = _dlog_table.cache_info().currsize
+        chi = trivial_character(99989)
+        assert chi(2) == 1 and chi(-1) == 1 and chi.is_even()
+        assert chi(3 * 99989).is_zero()
+        assert _dlog_table.cache_info().currsize == before
 
     def test_parity_is_sign_at_minus_one(self):
         for m in (3, 4, 5, 8, 12):

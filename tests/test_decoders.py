@@ -363,21 +363,34 @@ def test_nothing_but_argparse_leaves_main(tmp_path_factory, case):
         assert code == case.expect, case
 
 
+def _sigma(*edits, options=()):
+    return Case(COMMANDS["sigma"] + options, edits)
+
+
 # each of these took 3 to 21 s before its exit 2: Fraction expanded the
 # power of ten, and trial division factored the modulus or the level.
 # The primes differ so that no case finds another's factoring cached.
+# Before precision and truncation had bounds, sigma ran 5.6 s to exit 0
+# at precision 20000, and was still running after 8 s at trunc 10^6;
+# prep ran on at precision 10^5.
 STALLS = {
-    "ap-exponent": ("form", ("set", ("ap", "2"), "1e8000000")),
-    "record-character": ("form", ("set", ("character", "modulus"),
-                                  10**15 + 37)),
-    "level": ("form", ("set", ("level",), 10**15 + 91)),
-    "psi": ("psi", ("set", ("modulus",), 10**15 + 159)),
+    "ap-exponent": _sigma(("form", ("set", ("ap", "2"), "1e8000000"))),
+    "record-character": _sigma(("form", ("set", ("character", "modulus"),
+                                         10**15 + 37))),
+    "level": _sigma(("form", ("set", ("level",), 10**15 + 91))),
+    "psi": _sigma(("psi", ("set", ("modulus",), 10**15 + 159))),
+    "precision": _sigma(("form", ("set", ("precision",), 20000))),
+    "trunc": _sigma(("form", ("set", ("trunc",), 10**6))),
+    "precision-option": _sigma(options=("--precision", "20000")),
+    "trunc-option": _sigma(options=("--trunc", str(10**6))),
+    "lambda-precision": Case(COMMANDS["prep"], (
+        ("lam", ("set", ("precision",), 10**5)),)),
 }
 
 
-@pytest.mark.parametrize("edit", STALLS.values(), ids=list(STALLS))
-def test_huge_values_are_refused_at_once(tmp_path, edit):
+@pytest.mark.parametrize("case", STALLS.values(), ids=list(STALLS))
+def test_huge_values_are_refused_at_once(tmp_path, case):
     start = time.perf_counter()
-    code, _ = _run(tmp_path, Case(COMMANDS["sigma"], (edit,)))
+    code, _ = _run(tmp_path, case)
     assert code == 2
     assert time.perf_counter() - start < 1

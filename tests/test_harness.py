@@ -12,7 +12,7 @@ from symsq import cli, harness
 from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
                            emit_report, invariant_report, lift_factor,
                            load_form)
-from symsq.iwasawa import IwasawaElement
+from symsq.iwasawa import MAX_PRECISION, MAX_TRUNC, IwasawaElement
 
 from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
                       smallest_primitive_root)
@@ -118,6 +118,18 @@ class TestLoadForm:
         path = write_form(tmp_path, level=harness.MAX_LEVEL + 1)
         with pytest.raises(SchemaError, match="level"):
             load_form(path)
+
+    def test_precision_and_trunc_bounds(self, tmp_path):
+        # a record at both bounds loads; one past either, in the record
+        # or as an override, is refused on load
+        path = write_form(tmp_path, precision=MAX_PRECISION, trunc=MAX_TRUNC)
+        form = load_form(path)
+        assert (form.precision, form.trunc) == (MAX_PRECISION, MAX_TRUNC)
+        for key, top in (("precision", MAX_PRECISION), ("trunc", MAX_TRUNC)):
+            with pytest.raises(SchemaError, match=key):
+                load_form(write_form(tmp_path, **{key: top + 1}))
+            with pytest.raises(SchemaError, match=key):
+                load_form(write_form(tmp_path), **{key: top + 1})
 
     def test_level_prime_entries_required(self, tmp_path):
         path = write_form(tmp_path, bad_primes={})

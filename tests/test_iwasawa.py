@@ -9,7 +9,8 @@ from symsq import iwasawa
 from symsq.euler import assemble_imprimitive
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
-from symsq.iwasawa import (TRUNCATION_GUARD, CongruenceVerdict,
+from symsq.iwasawa import (MAX_PRECISION, MAX_TRUNC, TRUNCATION_GUARD,
+                           CongruenceVerdict,
                            IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
                            invariants, one_plus_T_pow, product_invariants,
@@ -500,6 +501,19 @@ class TestSerialization:
         for p in (0, 1, 3, 4, -5, 25):
             rec = {"p": p, "precision": 3, "coeffs": ["1", "5", "0"]}
             with pytest.raises(SchemaError, match="prime"):
+                IwasawaElement.from_json(rec)
+
+    def test_precision_and_truncation_bounds(self):
+        # a record at both bounds decodes; one past either, or a
+        # precision below 1, is refused before any coefficient is read
+        top = {"p": 5, "precision": MAX_PRECISION,
+               "coeffs": ["1"] * (MAX_TRUNC + 1)}
+        f = IwasawaElement.from_json(top)
+        assert (f.prec, f.trunc) == (MAX_PRECISION, MAX_TRUNC)
+        for rec in (top | {"precision": MAX_PRECISION + 1},
+                    top | {"precision": 0},
+                    top | {"coeffs": ["1"] * (MAX_TRUNC + 2)}):
+            with pytest.raises(SchemaError, match="precision in"):
                 IwasawaElement.from_json(rec)
 
     def test_verdict_truthiness(self):

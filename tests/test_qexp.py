@@ -4,14 +4,15 @@ import pytest
 
 from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber
-from symsq.errors import (BadMode, BadPrime, NotOrdinary, OddCharacter,
-                          SchemaError)
+from symsq.errors import (BadMode, BadPrime, NotEmbeddable, NotOrdinary,
+                          OddCharacter, SchemaError)
 from symsq.padic import PAdicInt
 from symsq.qexp import (QExpansion, coeffs_agree, deplete,
                         expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
                         p_stabilize, tau, theta)
 
-from conftest import PRIMES_TO_200, random_eigen_map, seeded
+from conftest import (PRIMES_TO_200, composed_p_stabilize, random_eigen_map,
+                      random_unit, seeded)
 
 
 def make(coeffs, weight=2, level=1, char=None, ring="int"):
@@ -239,6 +240,105 @@ class TestPStabilizeRoot:
         assert "primitive_root" not in plain.to_json()
         with pytest.raises(SchemaError):
             QExpansion.from_json(dict(rec, primitive_root=4))
+
+
+def _tags(f):
+    return [(c.p, c.prec, c.residue) for c in f.coeffs]
+
+
+class TestPStabilizeResidues:
+    """The one-pass p_stabilize against the operator composition
+    lifted - beta V_p(lifted) of conftest.composed_p_stabilize."""
+
+    def inputs(self, rng):
+        chi = next(c for c in characters_mod(13) if c.order == 4)
+        ap = {q: rng.randint(-9, 9) for q in PRIMES_TO_200 if q <= 40}
+        ap[5] = random_unit(rng, 5, 20)
+        k = rng.choice((2, 3, 4))
+        yield "int", make([rng.randint(-99, 99) for _ in range(41)], k), \
+            ap[5], 1
+        yield "fraction", make([Fraction(rng.randint(-99, 99),
+                                         rng.choice((1, 2, 3, 7, 12)))
+                                for _ in range(41)], k), \
+            Fraction(ap[5], 3), Fraction(1, 2)
+        yield "cyc", expansion_from_eigenvalues(2, 13, chi, ap, 40), \
+            ap[5], chi(5)
+        yield "cyc-denominators", make(
+            [CycNumber(4, (Fraction(rng.randint(-9, 9), d),
+                           Fraction(rng.randint(-9, 9), d)))
+             for d in rng.choices((1, 2, 3, 6), k=41)],
+            k, 13, chi, "cyc"), ap[5], chi(5) * 3
+        # mixed precisions, a short a_p and a p-adic eps: the tags of the
+        # result mix the coefficients', a(0)'s and beta's precisions
+        yield "padic", make([PAdicInt(5, rng.randint(1, 7),
+                                      rng.randrange(5**7))
+                             for _ in range(41)], k, ring="padic"), \
+            PAdicInt(5, rng.randint(2, 7), ap[5]), PAdicInt(5, 5, 6)
+
+    def test_matches_the_composition(self):
+        rng = seeded(44)
+        for _ in range(3):
+            for name, g0, a_p, eps in self.inputs(rng):
+                for root in (2, 3):
+                    for prec in (3, 6):
+                        got = p_stabilize(g0, a_p, eps, 5, prec, root)
+                        want = composed_p_stabilize(g0, a_p, eps, 5, prec,
+                                                    root)
+                        assert _tags(got) == _tags(want), (name, root, prec)
+                        assert got == want, (name, root, prec)
+                        assert got.to_json() == want.to_json()
+                        if name == "padic":
+                            assert len({c.prec for c in got.coeffs}) > 1
+
+    def test_same_refusals(self):
+        chi = next(c for c in characters_mod(13) if c.order == 4)
+        cyc = [CycNumber.zero(4), CycNumber(4, (Fraction(1, 10), 1))]
+        cases = {
+            "fraction": (make([0, 1, Fraction(2, 5), 3]), 1, 1,
+                         NotEmbeddable),
+            "cyc": (make(cyc, level=13, char=chi, ring="cyc"), 1, chi(5),
+                    NotEmbeddable),
+            "order": (make([0, CycNumber.zeta(3)], ring="cyc"), 1, 1,
+                      NotEmbeddable),
+            "a_p": (make([0, 1]), Fraction(1, 5), 1, NotEmbeddable),
+            "padic": (make([PAdicInt(5, 3, 1), PAdicInt(7, 3, 2)],
+                           ring="padic"), 1, 1, ValueError),
+            "padic-a_p": (make([0, 1]), PAdicInt(7, 3, 1), 1, ValueError),
+            # the first bad coefficient decides, as in the composition
+            "first": (make([0, PAdicInt(7, 3, 1), Fraction(1, 5)]), 1, 1,
+                      ValueError),
+        }
+        for name, (g0, a_p, eps, error) in cases.items():
+            for root in (2, 3):
+                with pytest.raises(error) as got:
+                    p_stabilize(g0, a_p, eps, 5, 4, root)
+                with pytest.raises(error) as want:
+                    composed_p_stabilize(g0, a_p, eps, 5, 4, root)
+                assert type(got.value) is type(want.value), name
+                assert str(got.value) == str(want.value), name
+
+
+class TestScaleResidues:
+    def test_tags_are_those_of_padic_mul(self):
+        # every tag is what PAdicInt.__mul__ proves, min of the two
+        # precisions, never more
+        rng = seeded(45)
+        f = make([PAdicInt(5, rng.randint(1, 6), rng.randrange(5**6))
+                  for _ in range(40)], ring="padic")
+        for cprec in (1, 3, 6):
+            c = PAdicInt(5, cprec, rng.randrange(5**6))
+            got = f.scale(c)
+            assert got.ring == "padic" and got.level == f.level
+            for a, b in zip(f.coeffs, got.coeffs):
+                want = c * a
+                assert (b.prec, b.residue) == (want.prec, want.residue)
+                assert b.prec == min(a.prec, cprec)
+        other = PAdicInt(7, 3, 2)
+        with pytest.raises(ValueError) as want:
+            other * f.coeffs[0]
+        with pytest.raises(ValueError) as got:
+            f.scale(other)
+        assert str(got.value) == str(want.value)
 
 
 class TestEigenRecursion:
