@@ -3,10 +3,10 @@
 Exit codes: 0 when every reported assertion passes, 1 when a checked
 relation fails, 2 on input errors.  All output is deterministic: JSON
 is emitted with sorted keys and no timestamps, so identical inputs give
-byte-identical reports.  The cache flags (``--cache-dir``, ``--no-cache``)
-are not inputs to the output: they only choose where Lambda-lifts are
-kept, so a report is byte-identical with a cold cache, a warm cache or
-no cache.
+byte-identical reports.  Lambda-lifts are computed in memory and
+nothing is written unless ``--cache-dir`` names a directory to keep
+them in; that flag is not an input to the output, so a report is
+byte-identical with a cold cache, a warm cache or none.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ def _common_flags(top: bool) -> argparse.ArgumentParser:
     common.add_argument("--trunc", type=int, help="override the T-truncation")
     common.add_argument("--primitive-root", type=int,
                         help="primitive root mod p used for all embeddings")
-    common.add_argument("--no-cache", action="store_true",
-                        help="recompute Euler factors instead of using the cache")
-    common.add_argument("--cache-dir", help="content-addressed cache directory")
+    common.add_argument("--cache-dir", help="keep Lambda-lifts in this directory")
     common.add_argument("--format", choices=("json", "text"))
     common.add_argument("--output", help="write output to a file")
     if top:
-        common.set_defaults(cache_dir=".symsq-cache", format="json")
+        common.set_defaults(format="json")
     return common
 
 
@@ -77,7 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prep = sub.add_parser("prep", help="Weierstrass data of a Lambda element",
                             parents=[common])
     p_prep.add_argument("element", help="Lambda-element JSON file")
-    p_prep.add_argument("--guard", type=int, default=4)
 
     p_spec = sub.add_parser("specialize", help="evaluate at a cyclotomic point",
                             parents=[common])
@@ -117,7 +114,6 @@ def _load_form(args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cache_dir = None if args.no_cache else args.cache_dir
     try:
         if args.command == "euler":
             q = parse_prime(args.q, "-q")
@@ -129,7 +125,7 @@ def main(argv=None) -> int:
             form = _load_form(args)
             psi = _load_character(args.psi)
             lifted = lift_factor(form, q, psi, args.t,
-                                 args.primitive_root, cache_dir)
+                                 args.primitive_root, args.cache_dir)
             mu, lam = invariants(lifted)
             out = {"q": q, "t": args.t, "mu": mu, "lambda": lam,
                    "lift": lifted.to_json()}
@@ -140,13 +136,13 @@ def main(argv=None) -> int:
             lfun = (_load_element(args.lfun)
                     if args.command == "report" and args.lfun else None)
             out = invariant_report(form, psi, args.t, s0, lfun,
-                                   args.primitive_root, cache_dir)
+                                   args.primitive_root, args.cache_dir)
             if args.command == "report":
                 out.provenance.update({
                     "psi_source": args.psi or "<trivial>",
                     "lfun_source": args.lfun, "s0": sorted(set(s0))})
         elif args.command == "prep":
-            w = weierstrass_prep(_load_element(args.element), guard=args.guard)
+            w = weierstrass_prep(_load_element(args.element))
             out = {"mu": w.mu, "lambda": w.lam, "precision": w.prec,
                    "distinguished": [str(c) for c in w.distinguished],
                    "unit": w.unit.to_json()}

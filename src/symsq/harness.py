@@ -21,15 +21,16 @@ from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
-from .iwasawa import (MAX_PRECISION, MAX_TRUNC, TRUNCATION_GUARD,
-                      IwasawaElement, congruent_mod_p, invariants,
-                      product_invariants)
+from .iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
+                      TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
+                      invariants, product_invariants)
 from .padic import factorize, is_prime
 
 # The largest level a form record may name: the level is factored by
 # trial division, which takes at most 10^6 steps below this bound.  The
-# precision and the truncation are bounded by iwasawa.MAX_PRECISION and
-# iwasawa.MAX_TRUNC, which every Lambda-element decoder shares.
+# precision, the truncation and p^precision are bounded by
+# iwasawa.MAX_PRECISION, MAX_TRUNC and MAX_PADIC_MODULUS, which every
+# Lambda-element decoder shares.
 MAX_LEVEL = 10**12
 
 
@@ -83,10 +84,13 @@ def read_json(path: str | Path):
 
 def parse_prime(text: str, what: str) -> int:
     """A prime written as a plain decimal; anything else is a SchemaError."""
-    if not (text.isascii() and text.isdigit() and text[0] != "0"
-            and is_prime(int(text))):
-        raise SchemaError(f"{what} must hold primes, got {text!r}")
-    return int(text)
+    try:
+        if (text.isascii() and text.isdigit() and text[0] != "0"
+                and is_prime(int(text))):
+            return int(text)
+    except ValueError as exc:       # too many digits, or past is_prime's bound
+        raise SchemaError(f"{what} must hold primes: {exc}") from exc
+    raise SchemaError(f"{what} must hold primes, got {text!r}")
 
 
 def _by_prime(obj, name: str, problems: list[str]) -> dict:
@@ -143,13 +147,19 @@ def load_form(path: str | Path, *, p: int | None = None,
         problems.append(f"level must be an integer in [1, {MAX_LEVEL}], "
                         f"got {level!r}")
         level = None
-    if type(p) is not int or p < 5 or not is_prime(p):
-        problems.append(f"p must be a prime >= 5, got {p!r}")
-    elif level and level % p == 0:
-        problems.append(f"level {level} must be prime to p = {p}")
+    try:
+        if type(p) is not int or p < 5 or not is_prime(p):
+            problems.append(f"p must be a prime >= 5, got {p!r}")
+        elif level and level % p == 0:
+            problems.append(f"level {level} must be prime to p = {p}")
+    except ValueError as exc:               # past is_prime's bound
+        problems.append(f"p: {exc}")
     if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
         problems.append(f"precision must be an integer in "
                         f"[1, {MAX_PRECISION}], got {precision!r}")
+    elif type(p) is int and p**precision > MAX_PADIC_MODULUS:
+        problems.append(f"p^precision = {p}^{precision} is past "
+                        f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
     if type(trunc) is not int or not 1 <= trunc <= MAX_TRUNC:
         problems.append(f"trunc must be an integer in [1, {MAX_TRUNC}], "
                         f"got {trunc!r}")

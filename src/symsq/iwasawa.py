@@ -38,12 +38,14 @@ from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
 from .padic import PAdicInt, int_valuation, inv, is_prime, padic_log1p
 
-# The largest precision N and truncation D that a decoder accepts, in
-# form records, --precision/--trunc, Lambda-element files and cache
-# entries.  The work of a lift or a preparation grows with both; at
-# p = 13 a preparation at (MAX_PRECISION, MAX_TRUNC) takes under 2 s.
+# The largest precision N, truncation D and modulus p^N that a decoder
+# accepts, in form records, --p/--precision/--trunc, Lambda-element
+# files and cache entries.  The work of a lift or a preparation grows
+# with D and with the size of p^N; at p = 13 a preparation at
+# (MAX_PRECISION, MAX_TRUNC) takes under 2 s.
 MAX_PRECISION = 100
 MAX_TRUNC = 1000
+MAX_PADIC_MODULUS = 13**MAX_PRECISION
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,6 @@ class IwasawaElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, IwasawaElement):
-            return NotImplemented
-        return (self.p, self.prec, self.coeffs) == (
-            other.p, other.prec, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.p, self.prec, self.coeffs))
-
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.trunc >= 6 else ""
@@ -151,8 +144,9 @@ class IwasawaElement:
     @staticmethod
     def from_json(rec: dict) -> "IwasawaElement":
         """Inverse of to_json; anything but a prime p >= 5, an int
-        precision in [1, MAX_PRECISION] and 1 to MAX_TRUNC + 1
-        decimal-string coeffs is a SchemaError."""
+        precision in [1, MAX_PRECISION] with p^precision at most
+        MAX_PADIC_MODULUS, and 1 to MAX_TRUNC + 1 decimal-string coeffs
+        is a SchemaError."""
         try:
             p, prec, coeffs = rec["p"], rec["precision"], rec["coeffs"]
             if type(p) is not int or p < 5 or not is_prime(p):
@@ -162,6 +156,9 @@ class IwasawaElement:
             if not 1 <= prec <= MAX_PRECISION or len(coeffs) > MAX_TRUNC + 1:
                 raise ValueError(f"need a precision in [1, {MAX_PRECISION}] "
                                  f"and at most {MAX_TRUNC + 1} coeffs")
+            if p**prec > MAX_PADIC_MODULUS:
+                raise ValueError(f"p^precision = {p}^{prec} is past "
+                                 f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
             return IwasawaElement(p, prec, tuple(int(c, 10) for c in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc

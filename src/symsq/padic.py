@@ -24,14 +24,21 @@ from math import isqrt
 
 from .errors import NotAUnit, NotOrdinary, PrecisionLoss
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _SMALL_PRIMES (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017):
+# below it the bases decide primality, at and above it is_prime refuses.
+MAX_PRIME_TEST = 3317044064679887385961981
 
 
 @lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for every n below 3.3e24."""
+    """Deterministic Miller-Rabin; n >= MAX_PRIME_TEST is a ValueError."""
     if n < 2:
         return False
+    if n >= MAX_PRIME_TEST:
+        raise ValueError(f"primality is decided only below "
+                         f"{MAX_PRIME_TEST}, got {n}")
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q

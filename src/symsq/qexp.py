@@ -8,7 +8,9 @@ V_q are exact values, not unknowns.
 
 Coefficients live in one of three rings, tagged on the expansion:
 "int" (exact integers or Fractions), "cyc" (CycNumber), or "padic"
-(PAdicInt of a common precision).  A "padic" expansion made with an
+(PAdicInt, each with its own precision tag; to_json writes one
+"precision" when the tags agree and the list of tags when they do not,
+so from_json inverts it).  A "padic" expansion made with an
 explicit primitive root carries it, and every later embedding of a
 nebentype value into Z_p uses it; None means the default root.
 
@@ -105,8 +107,9 @@ class QExpansion:
         if label is not None:
             rec["label"] = label
         if self.ring == "padic":
+            tags = [c.prec for c in self.coeffs]
             rec["p"] = self.coeffs[0].p
-            rec["precision"] = min(c.prec for c in self.coeffs)
+            rec["precision"] = tags[0] if len(set(tags)) == 1 else tags
         if self.primitive_root is not None:
             rec["primitive_root"] = self.primitive_root
         if self.ring == "cyc":
@@ -125,8 +128,15 @@ class QExpansion:
                 coeffs = tuple(parse_exact(c) for c in raw)
                 ring = "cyc"
             elif "p" in rec:
-                p, prec = int(rec["p"]), int(rec["precision"])
-                coeffs = tuple(PAdicInt(p, prec, int(c)) for c in raw)
+                p, tags = int(rec["p"]), rec["precision"]
+                if type(tags) is not list:
+                    tags = [int(tags)] * len(raw)
+                elif len(tags) != len(raw) or any(type(n) is not int
+                                                  for n in tags):
+                    raise ValueError("a precision list needs one int tag "
+                                     "per coefficient")
+                coeffs = tuple(PAdicInt(p, n, int(c))
+                               for n, c in zip(tags, raw))
                 ring = "padic"
                 if "primitive_root" in rec:
                     root = embedding_root(p, int(rec["primitive_root"]))

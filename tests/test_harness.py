@@ -12,7 +12,8 @@ from symsq import cli, harness
 from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
                            emit_report, invariant_report, lift_factor,
                            load_form)
-from symsq.iwasawa import MAX_PRECISION, MAX_TRUNC, IwasawaElement
+from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
+                           IwasawaElement)
 
 from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
                       smallest_primitive_root)
@@ -130,6 +131,23 @@ class TestLoadForm:
                 load_form(write_form(tmp_path, **{key: top + 1}))
             with pytest.raises(SchemaError, match=key):
                 load_form(write_form(tmp_path), **{key: top + 1})
+
+    def test_modulus_bound(self, tmp_path):
+        # p^precision up to 13^100 loads; past it, in the record or by
+        # an override, it is refused on load (p = 17 at precision 100
+        # used to load, and a lift or a preparation grows with p^N)
+        ap = json.loads(write_form(tmp_path).read_text())["ap"]
+        ap.update({"13": "1", "17": "1"})
+        path = write_form(tmp_path, ap=ap, p=13, precision=MAX_PRECISION)
+        assert load_form(path).p**MAX_PRECISION == MAX_PADIC_MODULUS
+        with pytest.raises(SchemaError, match="MAX_PADIC_MODULUS"):
+            load_form(write_form(tmp_path, ap=ap, p=17,
+                                 precision=MAX_PRECISION))
+        with pytest.raises(SchemaError, match="MAX_PADIC_MODULUS"):
+            load_form(path, p=17)
+        with pytest.raises(SchemaError, match="MAX_PADIC_MODULUS"):
+            load_form(write_form(tmp_path, ap=ap, p=17),
+                      precision=MAX_PRECISION)
 
     def test_level_prime_entries_required(self, tmp_path):
         path = write_form(tmp_path, bad_primes={})
@@ -462,7 +480,7 @@ class TestCLI:
         args = ("report", str(form_path), "--s0", "2,3", "--lfun", str(lfun))
         first = self.run_cli(*args, "--cache-dir", str(cache))
         second = self.run_cli(*args, "--cache-dir", str(cache))
-        nocache = self.run_cli(*args, "--no-cache")
+        nocache = self.run_cli(*args)
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout == nocache.stdout
         assert list(cache.glob("*.json"))
@@ -478,7 +496,7 @@ class TestCLI:
             text = entry.read_text()
             entry.write_text(text[:len(text) // 2])
         again = self.run_cli(*args, "--cache-dir", str(cache))
-        nocache = self.run_cli(*args, "--no-cache")
+        nocache = self.run_cli(*args)
         assert again.returncode == 0, again.stderr
         assert again.stdout == nocache.stdout
         for entry in cache.glob("*.json"):
@@ -489,14 +507,14 @@ class TestCLI:
         ap["7"] = "14"
         form_path = write_form(tmp_path, ap=ap)
         out = self.run_cli("sigma", str(form_path), "--s0", "2", "--p", "7",
-                           "--no-cache", "--format", "text")
+                           "--format", "text")
         assert out.returncode == 2
         assert "PASS" not in out.stdout
         assert "a_7 = 14" in out.stderr
 
     def test_override_p_dividing_level_exit_code(self, tmp_path):
         out = self.run_cli("sigma", str(write_form(tmp_path)), "--s0", "2",
-                           "--p", "11", "--no-cache")
+                           "--p", "11")
         assert out.returncode == 2
         assert "prime to p = 11" in out.stderr
 
@@ -504,7 +522,7 @@ class TestCLI:
         form_path = write_form(tmp_path)
         lfun = tmp_path / "L.json"
         lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
-        args = ("report", str(form_path), "--lfun", str(lfun), "--no-cache")
+        args = ("report", str(form_path), "--lfun", str(lfun))
         typed = self.run_cli(*args, "--s0", "3,2,2")
         canonical = self.run_cli(*args, "--s0", "2,3")
         assert canonical.returncode == 0, canonical.stderr
@@ -516,7 +534,7 @@ class TestCLI:
         lfun.write_text(json.dumps(
             elem(7, 10, *([0] * 6 + [1]), trunc=60).to_json()))
         out = self.run_cli("report", str(write_p7_form(tmp_path)),
-                           "--s0", "2,19", "--lfun", str(lfun), "--no-cache")
+                           "--s0", "2,19", "--lfun", str(lfun))
         assert out.returncode == 2
         assert "truncation" in out.stderr
 
@@ -538,12 +556,14 @@ class TestCLI:
 
     def test_s0_must_hold_primes(self, tmp_path, capsys):
         # --s0 0 used to end in a ZeroDivisionError traceback, and 4,6
-        # exited 2 only because a(4) is missing from the record
+        # exited 2 only because a(4) is missing from the record, as did
+        # the strong pseudoprimes to the bases 2..37 and 2..41
         from symsq.cli import main
         form_path = str(write_form(tmp_path))
-        for s0 in ("0", "4,6", "2,1", "2,-3"):
+        for s0 in ("0", "4,6", "2,1", "2,-3", "2,318665857834031151167461",
+                   "3317044064679887385961981"):
             for cmd in ("sigma", "report"):
-                assert main([cmd, form_path, "--s0", s0, "--no-cache"]) == 2
+                assert main([cmd, form_path, "--s0", s0]) == 2
                 assert "S0 must hold primes" in capsys.readouterr().err
 
     def test_psi_modulus_zero_exits_2(self, tmp_path, capsys):
@@ -552,7 +572,7 @@ class TestCLI:
         psi.write_text(json.dumps({"modulus": 0, "images": []}))
         for cmd in ("sigma", "report"):
             assert main([cmd, str(write_form(tmp_path)), "--s0", "2,3",
-                         "--psi", str(psi), "--no-cache"]) == 2
+                         "--psi", str(psi)]) == 2
             assert "modulus" in capsys.readouterr().err
 
     def test_one_process_matches_separate_processes(self, tmp_path, capsys):
@@ -561,9 +581,8 @@ class TestCLI:
         form_path = str(write_form(tmp_path))
         lfun = tmp_path / "L.json"
         lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
-        report = ["report", form_path, "--s0", "2,3", "--lfun", str(lfun),
-                  "--no-cache"]
-        runs = [report, ["prep", str(lfun), "--guard", "2"],
+        report = ["report", form_path, "--s0", "2,3", "--lfun", str(lfun)]
+        runs = [report, ["prep", str(lfun)],
                 report + ["--format", "text"]]
         separate = "".join(run_subprocess(*argv).stdout for argv in runs)
         capsys.readouterr()
@@ -580,7 +599,7 @@ class TestCLI:
 
         monkeypatch.setattr(InvariantReport, "to_text", refuse)
         form_path = str(write_form(tmp_path))
-        assert cli.main(["report", form_path, "--s0", "2,3", "--no-cache",
+        assert cli.main(["report", form_path, "--s0", "2,3",
                          "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["sigma_table"]
 
@@ -589,10 +608,10 @@ class TestCLI:
         # -1: no ring map, yet the parent reported PASS
         form_path = write_order4_form(tmp_path)
         for root in ("1", "4"):
-            for s0, cache in (("2,3", "--no-cache"), ("", "--no-cache"),
-                              ("2,3", f"--cache-dir={tmp_path / 'c'}")):
+            for s0, cache in (("2,3", ()), ("", ()),
+                              ("2,3", (f"--cache-dir={tmp_path / 'c'}",))):
                 out = self.run_cli("sigma", str(form_path), "--s0", s0,
-                                   "--primitive-root", root, cache)
+                                   "--primitive-root", root, *cache)
                 assert out.returncode == 2, (root, s0, out.stdout)
                 assert f"{root} is not a primitive root mod 5" in out.stderr
         assert not (tmp_path / "c").exists()
@@ -601,8 +620,7 @@ class TestCLI:
         form_path = write_order4_form(tmp_path)
         lfun = tmp_path / "L.json"
         lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
-        args = ("report", str(form_path), "--s0", "2,3", "--lfun", str(lfun),
-                "--no-cache")
+        args = ("report", str(form_path), "--s0", "2,3", "--lfun", str(lfun))
         eight = self.run_cli(*args, "--primitive-root", "8")
         three = self.run_cli(*args, "--primitive-root", "3")
         default = self.run_cli(*args)
@@ -624,8 +642,7 @@ class TestCLI:
         lifts = {}
         for root in (None, 3):
             flag = () if root is None else ("--primitive-root", str(root))
-            out = self.run_cli("lift", str(form_path), "-q", "2",
-                               "--no-cache", *flag)
+            out = self.run_cli("lift", str(form_path), "-q", "2", *flag)
             assert out.returncode == 0, out.stderr
             lifted = IwasawaElement.from_json(json.loads(out.stdout)["lift"])
             want = evaluate_factor_padic(form.euler_factor(2), CycNumber.one(),
@@ -634,12 +651,11 @@ class TestCLI:
             lifts[root] = lifted
         assert lifts[3] != lifts[None]
 
-    def test_global_flags_before_or_after_the_subcommand(self, tmp_path,
-                                                         monkeypatch):
+    def test_global_flags_before_or_after_the_subcommand(self, tmp_path):
         ap = json.loads(write_form(tmp_path).read_text())["ap"]
         ap["7"] = "1"
         form_path = str(write_form(tmp_path, ap=ap))
-        flags = ["--no-cache", "--format", "text", "--p", "7"]
+        flags = ["--format", "text", "--p", "7"]
         sigma = ["sigma", form_path, "--s0", "2,3"]
         before = self.run_cli(*flags, *sigma, "--precision", "3")
         after = self.run_cli(*sigma, "--precision", "3", *flags)
@@ -649,10 +665,46 @@ class TestCLI:
         # a flag after the subcommand wins over the same flag before it
         assert self.run_cli("--precision", "5", *sigma, "--precision", "3",
                             *flags).stdout == before.stdout
-        # the defaults: JSON, and the cache in .symsq-cache
-        monkeypatch.chdir(tmp_path)
+        # the default format is JSON
         assert json.loads(self.run_cli(*sigma).stdout)["sigma_table"]
-        assert list((tmp_path / ".symsq-cache").glob("*.json"))
+
+    def test_without_cache_dir_nothing_is_written(self, tmp_path,
+                                                  monkeypatch):
+        # lift, sigma and report used to keep their lifts in a
+        # .symsq-cache directory made in the working directory
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        form_path = str(write_form(inputs))
+        lfun = inputs / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        for args in (("lift", form_path, "-q", "2"),
+                     ("sigma", form_path, "--s0", "2,3"),
+                     ("report", form_path, "--s0", "2,3", "--lfun", str(lfun))):
+            out = self.run_cli(*args)
+            assert out.returncode == 0, (args, out.stderr)
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in inputs.iterdir()) == ["L.json",
+                                                           "form.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("sigma", "@form", "--s0", "2,3", "--no-cache"),
+        ("--no-cache", "lift", "@form", "-q", "2"),
+        ("prep", "@lam", "--guard", "4"),
+    ])
+    def test_retired_flags_exit_2(self, tmp_path, argv):
+        # --no-cache and prep --guard were removed: the cache is off
+        # unless --cache-dir names one, and prep applies TRUNCATION_GUARD
+        files = {"@form": str(write_form(tmp_path)),
+                 "@lam": str(tmp_path / "L.json")}
+        (tmp_path / "L.json").write_text(
+            json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(*(files.get(a, a) for a in argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in self.capsys.readouterr().err
 
     def test_unwritable_cache_is_skipped(self, tmp_path):
         # a --cache-dir naming a regular file used to exit 2 with
@@ -667,21 +719,21 @@ class TestCLI:
                      ("report", form_path, "--s0", "2,3", "--lfun", str(lfun))):
             cached = self.run_cli(*args, "--cache-dir", str(blocker))
             assert cached.returncode == 0, (args, cached.stderr)
-            assert cached.stdout == self.run_cli(*args, "--no-cache").stdout
+            assert cached.stdout == self.run_cli(*args).stdout
         assert blocker.read_text() == ""
 
     def test_euler_and_lift_and_sigma(self, tmp_path):
         form_path = write_form(tmp_path)
-        out = self.run_cli("euler", str(form_path), "-q", "2", "--no-cache")
+        out = self.run_cli("euler", str(form_path), "-q", "2")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["degree"] == 3
 
-        out = self.run_cli("lift", str(form_path), "-q", "2", "--no-cache")
+        out = self.run_cli("lift", str(form_path), "-q", "2")
         assert out.returncode == 0
         payload = json.loads(out.stdout)
         assert payload["mu"] == 0
 
         out = self.run_cli("sigma", str(form_path), "--s0", "2,3,11",
-                           "--no-cache", "--format", "text")
+                           "--format", "text")
         assert out.returncode == 0
         assert "sigma_total" in out.stdout

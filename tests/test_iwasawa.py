@@ -9,8 +9,8 @@ from symsq import iwasawa
 from symsq.euler import assemble_imprimitive
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
-from symsq.iwasawa import (MAX_PRECISION, MAX_TRUNC, TRUNCATION_GUARD,
-                           CongruenceVerdict,
+from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
+                           TRUNCATION_GUARD, CongruenceVerdict,
                            IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
                            invariants, one_plus_T_pow, product_invariants,
@@ -515,6 +515,17 @@ class TestSerialization:
                     top | {"coeffs": ["1"] * (MAX_TRUNC + 2)}):
             with pytest.raises(SchemaError, match="precision in"):
                 IwasawaElement.from_json(rec)
+
+    def test_modulus_bound(self):
+        # p^precision up to 13^100 decodes; 17^100 and 1000003^19 are
+        # refused before any coefficient is read
+        top = {"p": 13, "precision": MAX_PRECISION, "coeffs": ["1", "13"]}
+        assert IwasawaElement.from_json(top).modulus == MAX_PADIC_MODULUS
+        for rec in (top | {"p": 17}, top | {"p": 1000003, "precision": 19}):
+            with pytest.raises(SchemaError, match="MAX_PADIC_MODULUS"):
+                IwasawaElement.from_json(rec)
+        assert IwasawaElement.from_json(
+            top | {"p": 1000003, "precision": 18}).prec == 18
 
     def test_verdict_truthiness(self):
         assert CongruenceVerdict(True, 1)

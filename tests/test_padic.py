@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq.errors import NotAUnit, NotOrdinary, PrecisionLoss
-from symsq.padic import (PAdicInt, factorize, from_rational, hensel_unit_root,
-                         inv, padic_log1p, teichmuller, val)
+from symsq.padic import (MAX_PRIME_TEST, PAdicInt, factorize, from_rational,
+                         hensel_unit_root, inv, is_prime, padic_log1p,
+                         teichmuller, val)
 
 from conftest import pow_per_term_log1p, seeded
 
@@ -202,6 +203,23 @@ class TestPrecisionModel:
         assert x + y == y + x
         assert x * y == y * x
         assert (x + y) * x == x * x + y * x
+
+
+class TestIsPrime:
+    def test_strong_pseudoprimes_against_sympy(self):
+        # psi_12 passes the twelve bases 2..37, so is_prime took it for a
+        # prime until base 41 was added; psi_13 passes all thirteen bases
+        # and is the first n that is_prime refuses
+        sympy = pytest.importorskip("sympy")
+        psi_12, psi_13 = 318665857834031151167461, 3317044064679887385961981
+        assert psi_13 == MAX_PRIME_TEST
+        assert is_prime(psi_12) is sympy.isprime(psi_12) is False
+        assert not sympy.isprime(psi_13)
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(psi_13)
+        assert is_prime(sympy.prevprime(psi_13))
+        for n in [*range(5001), *range(psi_13 - 500, psi_13)]:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestFactorize:

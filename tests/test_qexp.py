@@ -405,6 +405,23 @@ class TestSerialization:
         back = QExpansion.from_json(f.to_json())
         assert back == f
 
+    def test_mixed_precision_tags_roundtrip(self):
+        # to_json wrote only the least tag, so from_json cut every
+        # coefficient of this p_stabilize result to precision 2
+        g0 = QExpansion(2, 1, trivial_character(1), (PAdicInt(5, 2, 3),) + tuple(
+            PAdicInt(5, 6, c) for c in (1, 7, 2, 9, 4, 11)), "padic")
+        g = p_stabilize(g0, 1, 1, 5, 6)
+        rec = g.to_json()
+        assert rec["precision"] == [2, 2, 2, 2, 2, 6, 2]
+        assert QExpansion.from_json(rec) == g
+        assert QExpansion.from_json(rec).to_json() == rec
+        # equal tags are still written as one int
+        assert g.truncate(4).to_json()["precision"] == 2
+        for tags in ([6] * 6, [6] * 8, [6, 6, 6, True, 6, 6, 6],
+                     [6, 6, "6", 6, 6, 6, 6], [6, 6, 6, 0, 6, 6, 6]):
+            with pytest.raises(SchemaError):
+                QExpansion.from_json(dict(rec, precision=tags))
+
     def test_cyc_roundtrip_with_rational_coefficients(self):
         # a cyc expansion keeps ints where the nebentype does not enter
         chi = next(c for c in characters_mod(13) if c.order == 4)
