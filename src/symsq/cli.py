@@ -7,6 +7,9 @@ byte-identical reports.  Lambda-lifts are computed in memory and
 nothing is written unless ``--cache-dir`` names a directory to keep
 them in; that flag is not an input to the output, so a report is
 byte-identical with a cold cache, a warm cache or none.
+
+Each subcommand takes only the flags it reads (see _build_parser),
+written after it and in full; any other flag exits 2 (argparse).
 """
 
 from __future__ import annotations
@@ -23,77 +26,54 @@ from .harness import (congruence_transfer_check, emit_report, invariant_report,
 from .iwasawa import IwasawaElement, invariants, specialize, weierstrass_prep
 
 
-def _common_flags(top: bool) -> argparse.ArgumentParser:
-    """Global flags, attachable before or after the subcommand.  Only the
-    top-level copy has defaults, so a flag after the subcommand wins."""
-    common = argparse.ArgumentParser(
-        add_help=False, argument_default=None if top else argparse.SUPPRESS)
-    common.add_argument("--p", type=int, help="override the working prime")
-    common.add_argument("--precision", type=int,
-                        help="override coefficient precision")
-    common.add_argument("--trunc", type=int, help="override the T-truncation")
-    common.add_argument("--primitive-root", type=int,
-                        help="primitive root mod p used for all embeddings")
-    common.add_argument("--cache-dir", help="keep Lambda-lifts in this directory")
-    common.add_argument("--format", choices=("json", "text"))
-    common.add_argument("--output", help="write output to a file")
-    if top:
-        common.set_defaults(format="json")
-    return common
-
-
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags(top=False)
+    # parent parsers, one per group of flags that some subcommands share
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--format", choices=("json", "text"), default="json",
+                     help="output format (default: json)")
+    out.add_argument("--output", help="write output to a file")
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("form", help="form record JSON file")
+    form.add_argument("--p", type=int, help="override the working prime")
+    form.add_argument("--precision", type=int,
+                      help="override coefficient precision")
+    form.add_argument("--trunc", type=int, help="override the T-truncation")
+    lift = argparse.ArgumentParser(add_help=False, parents=[form])
+    lift.add_argument("--psi", help="character record file")
+    lift.add_argument("--t", type=int, default=0, help="even tame exponent")
+    lift.add_argument("--primitive-root", type=int,
+                      help="primitive root mod p used for all embeddings")
+    lift.add_argument("--cache-dir", help="keep Lambda-lifts in this directory")
+    sigma = argparse.ArgumentParser(add_help=False, parents=[lift])
+    sigma.add_argument("--s0", required=True,
+                       help="comma-separated primes, e.g. 2,3,7")
+
     ap = argparse.ArgumentParser(
         prog="symsq",
-        parents=[_common_flags(top=True)],
         description="exact symmetric-square Euler factors, Lambda-lifts, "
                     "and Iwasawa mu/lambda bookkeeping")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_euler = sub.add_parser("euler", help="print the local factor P_q",
-                             parents=[common])
-    p_euler.add_argument("form")
-    p_euler.add_argument("-q", required=True, help="a prime")
+    def command(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[*parents, out],
+                              allow_abbrev=False)
 
-    p_lift = sub.add_parser("lift", help="Lambda-lift of P_q with mu/lambda",
-                            parents=[common])
-    p_lift.add_argument("form")
-    p_lift.add_argument("-q", required=True, help="a prime")
-    p_lift.add_argument("--psi", default=None, help="character record file")
-    p_lift.add_argument("--t", type=int, default=0, help="even tame exponent")
-
-    p_sigma = sub.add_parser("sigma", help="sigma table over a prime set",
-                             parents=[common])
-    p_sigma.add_argument("form")
-    p_sigma.add_argument("--s0", required=True,
-                         help="comma-separated primes, e.g. 2,3,7")
-    p_sigma.add_argument("--psi", default=None)
-    p_sigma.add_argument("--t", type=int, default=0)
-
-    p_prep = sub.add_parser("prep", help="Weierstrass data of a Lambda element",
-                            parents=[common])
-    p_prep.add_argument("element", help="Lambda-element JSON file")
-
-    p_spec = sub.add_parser("specialize", help="evaluate at a cyclotomic point",
-                            parents=[common])
+    command("euler", "print the local factor P_q", form).add_argument(
+        "-q", required=True, help="a prime")
+    command("lift", "Lambda-lift of P_q with mu/lambda", lift).add_argument(
+        "-q", required=True, help="a prime")
+    command("sigma", "sigma table over a prime set", sigma)
+    command("prep", "Weierstrass data of a Lambda element").add_argument(
+        "element", help="Lambda-element JSON file")
+    p_spec = command("specialize", "evaluate at a cyclotomic point")
     p_spec.add_argument("element")
     p_spec.add_argument("-n", type=int, required=True)
-
-    p_cong = sub.add_parser("congruence", help="mod-p congruence transfer check",
-                            parents=[common])
+    p_cong = command("congruence", "mod-p congruence transfer check")
     p_cong.add_argument("first")
     p_cong.add_argument("second")
-
-    p_rep = sub.add_parser("report", help="full invariant report",
-                           parents=[common])
-    p_rep.add_argument("form")
-    p_rep.add_argument("--s0", required=True)
-    p_rep.add_argument("--psi", default=None)
-    p_rep.add_argument("--t", type=int, default=0)
-    p_rep.add_argument("--lfun", default=None,
-                       help="Lambda-element file with the p-adic L-function")
+    command("report", "full invariant report", sigma).add_argument(
+        "--lfun", help="Lambda-element file with the p-adic L-function")
     return ap
 
 

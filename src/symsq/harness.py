@@ -21,17 +21,10 @@ from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
 from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
                      SchemaError, TruncationTooShort)
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
-from .iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
-                      TRUNCATION_GUARD, IwasawaElement, congruent_mod_p,
-                      invariants, product_invariants)
+from .iwasawa import (MAX_LEVEL, MAX_TRUNC, MAX_WEIGHT, TRUNCATION_GUARD,
+                      IwasawaElement, congruent_mod_p, invariants,
+                      padic_problems, product_invariants)
 from .padic import factorize, is_prime
-
-# The largest level a form record may name: the level is factored by
-# trial division, which takes at most 10^6 steps below this bound.  The
-# precision, the truncation and p^precision are bounded by
-# iwasawa.MAX_PRECISION, MAX_TRUNC and MAX_PADIC_MODULUS, which every
-# Lambda-element decoder shares.
-MAX_LEVEL = 10**12
 
 
 @dataclass
@@ -141,25 +134,17 @@ def load_form(path: str | Path, *, p: int | None = None,
     p = rec["p"] if p is None else p
     precision = rec["precision"] if precision is None else precision
     trunc = rec["trunc"] if trunc is None else trunc
-    if type(weight) is not int or weight < 2:
-        problems.append(f"weight must be an integer >= 2, got {weight!r}")
+    if type(weight) is not int or not 2 <= weight <= MAX_WEIGHT:
+        problems.append(f"weight must be an integer in [2, {MAX_WEIGHT}], "
+                        f"got {weight!r}")
     if type(level) is not int or not 1 <= level <= MAX_LEVEL:
         problems.append(f"level must be an integer in [1, {MAX_LEVEL}], "
                         f"got {level!r}")
         level = None
-    try:
-        if type(p) is not int or p < 5 or not is_prime(p):
-            problems.append(f"p must be a prime >= 5, got {p!r}")
-        elif level and level % p == 0:
-            problems.append(f"level {level} must be prime to p = {p}")
-    except ValueError as exc:               # past is_prime's bound
-        problems.append(f"p: {exc}")
-    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
-        problems.append(f"precision must be an integer in "
-                        f"[1, {MAX_PRECISION}], got {precision!r}")
-    elif type(p) is int and p**precision > MAX_PADIC_MODULUS:
-        problems.append(f"p^precision = {p}^{precision} is past "
-                        f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
+    bad_p = padic_problems(p, precision)
+    if not bad_p and level and level % p == 0:
+        bad_p.append(f"level {level} must be prime to p = {p}")
+    problems += bad_p
     if type(trunc) is not int or not 1 <= trunc <= MAX_TRUNC:
         problems.append(f"trunc must be an integer in [1, {MAX_TRUNC}], "
                         f"got {trunc!r}")

@@ -38,14 +38,36 @@ from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
 from .padic import PAdicInt, int_valuation, inv, is_prime, padic_log1p
 
-# The largest precision N, truncation D and modulus p^N that a decoder
-# accepts, in form records, --p/--precision/--trunc, Lambda-element
-# files and cache entries.  The work of a lift or a preparation grows
-# with D and with the size of p^N; at p = 13 a preparation at
-# (MAX_PRECISION, MAX_TRUNC) takes under 2 s.
+# The largest precision N, truncation D, modulus p^N, level and weight
+# that a decoder accepts, in form and q-expansion records, overrides,
+# Lambda-element files and cache entries.  The work of a lift or a
+# preparation grows with D and p^N (at p = 13 a preparation at the
+# bounds takes under 2 s), trial division of a level below MAX_LEVEL
+# takes at most 10^6 steps, and a local factor holds q^(3(k-1)).
 MAX_PRECISION = 100
 MAX_TRUNC = 1000
 MAX_PADIC_MODULUS = 13**MAX_PRECISION
+MAX_LEVEL = 10**12
+MAX_WEIGHT = 1000
+
+
+def padic_problems(p, precision) -> list[str]:
+    """What is wrong with a decoded p and precision, empty if nothing: p
+    must be a prime >= 5 (below padic.MAX_PRIME_TEST), the precision an
+    int in [1, MAX_PRECISION], and p^precision at most MAX_PADIC_MODULUS."""
+    problems = []
+    try:
+        if type(p) is not int or p < 5 or not is_prime(p):
+            problems.append(f"p must be a prime >= 5, got {p!r}")
+    except ValueError as exc:               # past is_prime's bound
+        problems.append(f"p: {exc}")
+    if type(precision) is not int or not 1 <= precision <= MAX_PRECISION:
+        problems.append(f"need a precision in [1, {MAX_PRECISION}], "
+                        f"got {precision!r}")
+    elif not problems and p**precision > MAX_PADIC_MODULUS:
+        problems.append(f"p^precision = {p}^{precision} is past "
+                        f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -143,22 +165,17 @@ class IwasawaElement:
 
     @staticmethod
     def from_json(rec: dict) -> "IwasawaElement":
-        """Inverse of to_json; anything but a prime p >= 5, an int
-        precision in [1, MAX_PRECISION] with p^precision at most
-        MAX_PADIC_MODULUS, and 1 to MAX_TRUNC + 1 decimal-string coeffs
-        is a SchemaError."""
+        """Inverse of to_json; anything but a p and precision that pass
+        padic_problems and 1 to MAX_TRUNC + 1 decimal-string coeffs is a
+        SchemaError."""
         try:
             p, prec, coeffs = rec["p"], rec["precision"], rec["coeffs"]
-            if type(p) is not int or p < 5 or not is_prime(p):
-                raise ValueError(f"p must be a prime >= 5, got {p!r}")
-            if type(prec) is not int or type(coeffs) is not list or not coeffs:
-                raise ValueError("need an int precision, non-empty coeffs")
-            if not 1 <= prec <= MAX_PRECISION or len(coeffs) > MAX_TRUNC + 1:
-                raise ValueError(f"need a precision in [1, {MAX_PRECISION}] "
-                                 f"and at most {MAX_TRUNC + 1} coeffs")
-            if p**prec > MAX_PADIC_MODULUS:
-                raise ValueError(f"p^precision = {p}^{prec} is past "
-                                 f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
+            problems = padic_problems(p, prec)
+            if type(coeffs) is not list or not 0 < len(coeffs) <= MAX_TRUNC + 1:
+                problems.append(f"need 1 to {MAX_TRUNC + 1} coeffs at a "
+                                f"precision in [1, {MAX_PRECISION}]")
+            if problems:
+                raise ValueError("; ".join(problems))
             return IwasawaElement(p, prec, tuple(int(c, 10) for c in coeffs))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Lambda-element record: {exc}") from exc

@@ -35,6 +35,7 @@ from .cyclotomic import (CycNumber, _residue_embedding, cyc_embed_padic,
                          parse_rational)
 from .errors import (BadMode, BadPrime, NotEmbeddable, OddCharacter,
                      SchemaError)
+from .iwasawa import MAX_LEVEL, MAX_WEIGHT, padic_problems
 from .padic import PAdicInt, _padic, factorize, hensel_unit_root, inv
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
@@ -118,28 +119,43 @@ class QExpansion:
 
     @staticmethod
     def from_json(rec: dict) -> "QExpansion":
+        """Inverse of to_json; the weight, the level and a padic p and
+        precision tags follow the bounds of a form record."""
         try:
-            weight = parse_rational(rec["weight"])
-            level = int(rec["level"])
+            weight, level = parse_rational(rec["weight"]), rec["level"]
+            if abs(weight) > MAX_WEIGHT:
+                raise ValueError(f"weight {weight} is past {MAX_WEIGHT}")
+            if type(level) is not int or not 1 <= level <= MAX_LEVEL:
+                raise ValueError(f"level must be an integer in "
+                                 f"[1, {MAX_LEVEL}], got {level!r}")
             character = DirichletCharacter.from_json(rec["character"])
             raw = rec["coeffs"]
+            if type(raw) is not list:
+                raise ValueError(f"coeffs must be a list, got {raw!r}")
             root = None
             if rec.get("ring") == "cyc":
                 coeffs = tuple(parse_exact(c) for c in raw)
                 ring = "cyc"
             elif "p" in rec:
-                p, tags = int(rec["p"]), rec["precision"]
+                p, tags = rec["p"], rec["precision"]
                 if type(tags) is not list:
-                    tags = [int(tags)] * len(raw)
+                    tags = [tags] * len(raw)
                 elif len(tags) != len(raw) or any(type(n) is not int
                                                   for n in tags):
                     raise ValueError("a precision list needs one int tag "
                                      "per coefficient")
+                problems = (padic_problems(p, min(tags))
+                            or padic_problems(p, max(tags)))
+                if problems:
+                    raise ValueError("; ".join(problems))
                 coeffs = tuple(PAdicInt(p, n, int(c))
                                for n, c in zip(tags, raw))
                 ring = "padic"
                 if "primitive_root" in rec:
-                    root = embedding_root(p, int(rec["primitive_root"]))
+                    root = rec["primitive_root"]
+                    if type(root) is not int:
+                        raise ValueError(f"non-int primitive_root {root!r}")
+                    root = embedding_root(p, root)
             else:
                 coeffs = tuple(parse_rational(c) for c in raw)
                 ring = "int"

@@ -7,10 +7,12 @@ it.  A mutation that is invalid by construction must exit 2, and a
 damaged cache entry must give the answer that no cache gives.
 """
 
+import argparse
 import contextlib
 import copy
 import io
 import json
+import re
 import tempfile
 import time
 import warnings
@@ -24,6 +26,10 @@ from hypothesis import strategies as st
 
 from symsq import cli
 from symsq.characters import trivial_character
+from symsq.errors import SchemaError
+from symsq.harness import load_form
+from symsq.iwasawa import MAX_WEIGHT, IwasawaElement, padic_problems
+from symsq.qexp import QExpansion
 
 from conftest import PRIMES_TO_200, random_eigen_map, seeded
 
@@ -162,7 +168,7 @@ def _int_below(least):
 
 FORM_EDITS = [
     ((), NOT_OBJECT),
-    (("weight",), _int_below(2)),
+    (("weight",), st.one_of(_int_below(2), st.just(MAX_WEIGHT + 1))),
     (("level",), st.one_of(_int_below(1), st.sampled_from([22, 33, 55]))),
     (("p",), st.one_of(_int_below(5), st.sampled_from([9, 11, 25]))),
     (("precision",), _int_below(1)),
@@ -211,8 +217,6 @@ FLAG_VALUES = {
     "--primitive-root": ["0", "1", "4", "5", "x"],
     "--format": ["xml", "", "JSON"],
 }
-GLOBAL_FLAGS = ("--p", "--precision", "--trunc", "--primitive-root",
-                "--format")
 FORM_FLAGS = ("--p", "--precision", "--trunc", "--format")
 COMMAND_FLAGS = {
     "euler": ("-q",) + FORM_FLAGS,
@@ -223,6 +227,25 @@ COMMAND_FLAGS = {
     "specialize": ("-n", "--format"),
     "congruence": ("--format",),
 }
+# a value each flag accepts where it is read
+VALID = {"-q": "2", "--s0": "2,3", "-n": "1", "--t": "0", "--p": "7",
+         "--precision": "3", "--trunc": "8", "--primitive-root": "2",
+         "--psi": "@psi", "--lfun": "@lam", "--cache-dir": "@store"}
+
+
+def _reads(command) -> set:
+    """The flags a command reads: COMMAND_FLAGS and the file flags.
+    Every command writes --output; those that lift (the readers of a
+    character) take --psi and --cache-dir, and report reads --lfun."""
+    files = {"--output"}
+    if command in READERS["psi"]:
+        files |= {"--psi", "--cache-dir"}
+    if command == "report":
+        files.add("--lfun")
+    return set(COMMAND_FLAGS[command]) | files
+
+
+ALL_FLAGS = sorted(set().union(*map(_reads, COMMANDS)))
 
 
 def _edits(table, deletions):
@@ -261,16 +284,19 @@ def argv_cases(draw):
     """A command line with one value or one argument gone wrong."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = list(COMMANDS[command])
-    how = draw(st.sampled_from(("flag", "drop", "unknown", "file")))
+    how = draw(st.sampled_from(("flag", "foreign", "drop", "unknown",
+                                "file")))
     if how == "flag":
         flag = draw(st.sampled_from(COMMAND_FLAGS[command]))
         value = draw(st.sampled_from(FLAG_VALUES[flag]))
         if flag in argv:
             argv[argv.index(flag) + 1] = value
-        elif flag in GLOBAL_FLAGS and draw(st.booleans()):
-            argv = [flag, value] + argv
         else:
             argv += [flag, value]
+    elif how == "foreign":                  # a flag another command reads
+        flag = draw(st.sampled_from(
+            [f for f in ALL_FLAGS if f not in _reads(command)]))
+        argv += [flag, VALID[flag]]
     elif how == "drop":
         required = [i for i, a in enumerate(argv)
                     if a in ("-q", "--s0", "-n") or a.startswith("@")]
@@ -350,6 +376,8 @@ def _q(command, q):
 @example(case=_lam("congruence", ("coeffs",), []))
 @example(case=_lam("prep", ("precision",), True))
 @example(case=Case(CACHED[:-1] + ("@lam2",), expect="same"))
+# euler has --trunc but no --t, and read --t 8 as --trunc 8
+@example(case=Case(COMMANDS["euler"] + ("--t", "8")))
 @example(case=Case(COMMANDS["sigma"], (("form", ("text", "[" * 10**5)),)))
 def test_nothing_but_argparse_leaves_main(tmp_path_factory, case):
     root = tmp_path_factory.getbasetemp()
@@ -358,6 +386,31 @@ def test_nothing_but_argparse_leaves_main(tmp_path_factory, case):
         assert (code, out) == _run(root, Case(case.argv[:-2])), case
     else:
         assert code == case.expect, case
+
+
+def test_each_command_takes_exactly_the_flags_it_reads():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(COMMANDS)
+    for command, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings
+                   if a.dest != "help"}
+        assert options == _reads(command), command
+
+
+# every command took these flags and ignored those it does not read
+UNREAD = [(command, flag) for command in COMMANDS
+          for flag in ("--p", "--precision", "--trunc", "--primitive-root",
+                       "--cache-dir") if flag not in _reads(command)]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD,
+                         ids=[f"{c}{f}" for c, f in UNREAD])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
+    assert len(UNREAD) == 17
+    assert _run(tmp_path, Case(COMMANDS[command]))[0] == 0
+    assert _run(tmp_path, Case(COMMANDS[command] + (flag, VALID[flag]))) \
+        == (2, "")
 
 
 def _sigma(*edits, options=()):
@@ -370,12 +423,14 @@ def _sigma(*edits, options=()):
 # Before precision and truncation had bounds, sigma ran 5.6 s to exit 0
 # at precision 20000, and was still running after 8 s at trunc 10^6;
 # prep ran on at precision 10^5, and for 13 s to exit 0 at p = 1000003
-# with precision 100 and lambda = 500.
+# with precision 100 and lambda = 500.  Before the weight had a bound,
+# sigma took 6.6 s to exit 0 at weight 3*10^6.
 STALLS = {
     "ap-exponent": _sigma(("form", ("set", ("ap", "2"), "1e8000000"))),
     "record-character": _sigma(("form", ("set", ("character", "modulus"),
                                          10**15 + 37))),
     "level": _sigma(("form", ("set", ("level",), 10**15 + 91))),
+    "weight": _sigma(("form", ("set", ("weight",), 10**7))),
     "psi": _sigma(("psi", ("set", ("modulus",), 10**15 + 159))),
     "precision": _sigma(("form", ("set", ("precision",), 20000))),
     "trunc": _sigma(("form", ("set", ("trunc",), 10**6))),
@@ -395,6 +450,26 @@ def test_huge_values_are_refused_at_once(tmp_path, case):
     code, _ = _run(tmp_path, case)
     assert code == 2
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p, precision", [
+    (4, 3), (7.5, 3), (True, 3), (10**30, 3), (5, 3.9), (5, 0), (5, 101),
+    (5, True), (17, 100), (1000003, 19)])
+def test_one_padic_rule_for_every_decoder(tmp_path, p, precision):
+    # each decoder spelled out its own p and precision checks, and the
+    # q-expansion decoder had none
+    rule = "; ".join(padic_problems(p, precision))
+    assert rule
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(FORM | {"p": p, "precision": precision}))
+    qexp = {"weight": "2", "level": 1,
+            "character": trivial_character(1).to_json(),
+            "coeffs": ["0", "1"], "p": p, "precision": precision}
+    for decode in (lambda: load_form(path),
+                   lambda: IwasawaElement.from_json(LAMBDA | qexp),
+                   lambda: QExpansion.from_json(qexp)):
+        with pytest.raises(SchemaError, match=re.escape(rule)):
+            decode()
 
 
 # strong pseudoprimes to the bases 2..37 and 2..41: is_prime took both

@@ -13,7 +13,7 @@ from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
                            emit_report, invariant_report, lift_factor,
                            load_form)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
-                           IwasawaElement)
+                           MAX_WEIGHT, IwasawaElement)
 
 from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
                       smallest_primitive_root)
@@ -119,6 +119,14 @@ class TestLoadForm:
         path = write_form(tmp_path, level=harness.MAX_LEVEL + 1)
         with pytest.raises(SchemaError, match="level"):
             load_form(path)
+
+    def test_weight_bound(self, tmp_path):
+        # a local factor holds q^(3(k-1)): sigma took 6.6 s to exit 0 at
+        # weight 3*10^6, and was still running at 10^7
+        path = write_form(tmp_path, weight=MAX_WEIGHT)
+        assert load_form(path).weight == MAX_WEIGHT
+        with pytest.raises(SchemaError, match="weight"):
+            load_form(write_form(tmp_path, weight=MAX_WEIGHT + 1))
 
     def test_precision_and_trunc_bounds(self, tmp_path):
         # a record at both bounds loads; one past either, in the record
@@ -652,19 +660,22 @@ class TestCLI:
         assert lifts[3] != lifts[None]
 
     def test_global_flags_before_or_after_the_subcommand(self, tmp_path):
+        # every subcommand took seven global flags, before or after it,
+        # and the one after won; a flag now goes after the subcommand
+        # that reads it, and before it exits 2
         ap = json.loads(write_form(tmp_path).read_text())["ap"]
         ap["7"] = "1"
         form_path = str(write_form(tmp_path, ap=ap))
         flags = ["--format", "text", "--p", "7"]
         sigma = ["sigma", form_path, "--s0", "2,3"]
-        before = self.run_cli(*flags, *sigma, "--precision", "3")
         after = self.run_cli(*sigma, "--precision", "3", *flags)
-        assert before.returncode == 0, before.stderr
-        assert before.stdout == after.stdout
-        assert before.stdout.startswith("form toy-11a  p=7 N=3 D=16")
-        # a flag after the subcommand wins over the same flag before it
-        assert self.run_cli("--precision", "5", *sigma, "--precision", "3",
-                            *flags).stdout == before.stdout
+        assert after.returncode == 0, after.stderr
+        assert after.stdout.startswith("form toy-11a  p=7 N=3 D=16")
+        for before in ([*flags, *sigma, "--precision", "3"],
+                       ["--precision", "5", *sigma, "--precision", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                self.run_cli(*before)
+            assert exc.value.code == 2
         # the default format is JSON
         assert json.loads(self.run_cli(*sigma).stdout)["sigma_table"]
 

@@ -6,6 +6,7 @@ from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber
 from symsq.errors import (BadMode, BadPrime, NotEmbeddable, NotOrdinary,
                           OddCharacter, SchemaError)
+from symsq.iwasawa import MAX_WEIGHT
 from symsq.padic import PAdicInt
 from symsq.qexp import (QExpansion, coeffs_agree, deplete,
                         expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
@@ -443,6 +444,23 @@ class TestSerialization:
                     dict(base, ring="cyc", coeffs=[{"order": 4}])):
             with pytest.raises(SchemaError):
                 QExpansion.from_json(rec)
+
+    @pytest.mark.parametrize("edit", [
+        {"p": 7.5}, {"precision": 3.9}, {"level": True},
+        {"precision": 200000}, {"precision": [3, 3, 101]},
+        {"weight": str(MAX_WEIGHT + 1)}, {"weight": str(-MAX_WEIGHT - 1)},
+        {"primitive_root": 2.9}, {"primitive_root": "3"}, {"coeffs": "017"},
+        {"coeffs": {"0": "1"}}])
+    def test_header_follows_the_decoder_bounds(self, edit):
+        # from_json read p 7.5 as 7, precision 3.9 as 3, level true as 1,
+        # primitive_root 2.9 as 2 and the string "017" as coefficients
+        # 0, 1, 7, and took any precision and weight
+        f = QExpansion(2, 5, trivial_character(1),
+                       tuple(PAdicInt(5, 3, c) for c in (0, 1, 17)), "padic")
+        assert QExpansion.from_json(
+            dict(f.to_json(), weight=str(MAX_WEIGHT))).weight == MAX_WEIGHT
+        with pytest.raises(SchemaError):
+            QExpansion.from_json(f.to_json() | edit)
 
     def test_weight_half_roundtrip(self):
         t = theta(trivial_character(1), 5)
