@@ -26,12 +26,22 @@ from .harness import (congruence_transfer_check, emit_report, invariant_report,
 from .iwasawa import IwasawaElement, invariants, specialize, weierstrass_prep
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It refuses the arguments it does not read
+    itself, so the error shows its own usage line; argparse would hand
+    them back to the top-level parser, whose usage names no flag."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # parent parsers, one per group of flags that some subcommands share
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--format", choices=("json", "text"), default="json",
-                     help="output format (default: json)")
     out.add_argument("--output", help="write output to a file")
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument("form", help="form record JSON file")
@@ -48,12 +58,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sigma = argparse.ArgumentParser(add_help=False, parents=[lift])
     sigma.add_argument("--s0", required=True,
                        help="comma-separated primes, e.g. 2,3,7")
+    sigma.add_argument("--format", choices=("json", "text"), default="json",
+                       help="output format (default: json)")
 
     ap = argparse.ArgumentParser(
         prog="symsq",
         description="exact symmetric-square Euler factors, Lambda-lifts, "
                     "and Iwasawa mu/lambda bookkeeping")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_CommandParser)
 
     def command(name, summary, *parents):
         return sub.add_parser(name, help=summary, parents=[*parents, out],
@@ -134,7 +147,8 @@ def main(argv=None) -> int:
         else:                               # congruence
             f, g = _load_element(args.first), _load_element(args.second)
             out = congruence_transfer_check(f, g, f.p)
-        return emit_report(out, args.format, args.output)
+        # only sigma and report have a text form; a dict is always JSON
+        return emit_report(out, getattr(args, "format", "json"), args.output)
     except (SymsqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

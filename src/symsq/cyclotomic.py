@@ -4,8 +4,9 @@ A CycNumber is a coefficient vector of length phi(n) in the power basis
 1, zeta, ..., zeta^(phi(n)-1), held as integer numerators over one
 common denominator (Cohen, "A Course in Computational Algebraic Number
 Theory", 4.2), with reduction modulo the n-th cyclotomic polynomial done
-on the integers.  Rationals are exact throughout; Bernoulli denominators
-are the whole point.
+on the integers and products through padic's Kronecker kernel.
+Rationals are exact throughout; Bernoulli denominators are the whole
+point.
 
 Arithmetic through the dunder operators promotes both operands to the
 lcm of their orders.  The spec-level cyc_mul is strict and raises
@@ -21,13 +22,18 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import NotEmbeddable, OrderMismatch
-from .padic import PAdicInt, factorize, teichmuller
+from .padic import PAdicInt, _poly_mul_trunc, factorize, teichmuller
 
 # The largest power of ten that exponent notation may write in a JSON
 # rational.  10^4299 has 4300 digits, Python's default int-string limit,
 # so every value read can be written back; Fraction would otherwise spend
 # seconds expanding an exponent such as 1e8000000.
 MAX_EXPONENT = 4299
+# The largest order a decoded CycNumber may have, checked before
+# euler_phi factors it by trial division (at most 10^3 steps below this
+# bound, against 10^9 at an order near 10^18).  The Gauss-sum and
+# L-value tables reach order 1332.
+MAX_ORDER = 10**6
 
 
 @lru_cache(maxsize=None)
@@ -218,14 +224,15 @@ class CycNumber:
         a, b = self._align(other)
         if a is NotImplemented:
             return NotImplemented
-        # convolve, fold by zeta^n = 1 and reduce over the integers
-        n = a.order
+        n, phi = a.order, len(a.num)
+        if phi == 1:                        # orders 1 and 2: rationals
+            return _cyc(n, [a.num[0] * b.num[0]], a.den * b.den)
+        # each product coefficient c has |c| <= phi * max|a_i| * max|b_j|,
+        # so m > 2|c| and c is its residue mod m read back symmetrically
+        m = 2 * phi * max(map(abs, a.num)) * max(map(abs, b.num)) + 1
         folded = [0] * n
-        nb = [(j, y) for j, y in enumerate(b.num) if y]
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in nb:
-                    folded[(i + j) % n] += x * y
+        for i, c in enumerate(_poly_mul_trunc(a.num, b.num, m, 2 * phi - 2)):
+            folded[i % n] += c if 2 * c < m else c - m
         return _cyc(n, _reduce_ints(folded, n), a.den * b.den)
 
     __rmul__ = __mul__
@@ -304,10 +311,13 @@ class CycNumber:
 
     @staticmethod
     def from_json(obj: dict) -> "CycNumber":
-        """Inverse of to_json; ValueError for a malformed record."""
+        """Inverse of to_json; ValueError for a malformed record or an
+        order past MAX_ORDER."""
         order, coeffs = obj.get("order"), obj.get("coeffs")
         if type(order) is not int or not isinstance(coeffs, list):
             raise ValueError(f"bad cyclotomic value {obj!r}")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"need an order in [1, {MAX_ORDER}], got {order}")
         return CycNumber(order, [parse_rational(c) for c in coeffs])
 
 

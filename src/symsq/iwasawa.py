@@ -10,15 +10,8 @@ exactly modulo (p^prec, T^(trunc+1)) by construction.
 The lift is linear, one p-adic digit per step, and solves each digit
 mod p with an inverse of the unit of length lambda, not D.
 
-Every truncated product goes through one kernel, `_poly_mul_trunc`,
-which multiplies by Kronecker substitution: both series are packed into
-big integers with one fixed-width slot per coefficient, multiplied once,
-and unpacked (Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", JSC 2009).  A slot that fits a machine word
-(8 bytes: the mod-p products, and mod p^k ones while they stay that
-narrow) is packed and unpacked through `array`; wider slots go through
-bytes.  Series inverses mod p use Newton iteration on that kernel.
-
+Every truncated product goes through padic's Kronecker kernel,
+`_poly_mul_trunc`, and series inverses mod p use Newton iteration on it.
 Group-like elements (1+T)^e, e in Z_p, and sums of their multiples, the
 Lambda-lifts of Euler factors, come from a second kernel, `binomial_sum`,
 which walks each exponent's falling factorial once and multiplies no
@@ -27,8 +20,6 @@ series (Washington, "Introduction to Cyclotomic Fields", ch. 7).
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -36,7 +27,8 @@ from math import prod
 from .characters import DirichletCharacter
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
-from .padic import PAdicInt, int_valuation, inv, is_prime, padic_log1p
+from .padic import (PAdicInt, _poly_mul_trunc, int_valuation, inv, is_prime,
+                    padic_log1p)
 
 # The largest precision N, truncation D, modulus p^N, level and weight
 # that a decoder accepts, in form and q-expansion records, overrides,
@@ -189,63 +181,6 @@ def _series(p: int, prec: int, coeffs: tuple[int, ...]) -> IwasawaElement:
     object.__setattr__(x, "prec", prec)
     object.__setattr__(x, "coeffs", coeffs)
     return x
-
-
-# array typecode for each slot width up to a machine word: the smallest
-# unsigned item at least that wide.  Array bytes are native-endian and
-# the packed integers are read little-endian, so a big-endian host keeps
-# the bytes path for every width.
-_WORD_CODES = {
-    w: next(c for c in "BHILQ" if array(c).itemsize >= w)
-    for w in range(1, array("Q").itemsize + 1)
-} if sys.byteorder == "little" else {}
-
-
-def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
-    """Coefficients 0..d of a*b mod `mod`, by Kronecker substitution.
-
-    Each series is reduced into [0, mod), stripped of trailing zeros and
-    packed into one integer with a byte slot per coefficient; a slot
-    holds any product coefficient, a sum of at most min(len a, len b)
-    terms below (mod-1)^2, so one big-integer multiply carries no digit
-    across slots and the first d+1 slots of the product are the answer.
-    A slot that fits a machine word is packed and unpacked by `array`,
-    widened to the smallest item size that holds it.
-    """
-    a = _strip([c % mod for c in a[:d + 1]])
-    b = _strip([c % mod for c in b[:d + 1]])
-    if not a or not b:
-        return [0] * (d + 1)
-    width = ((min(len(a), len(b)) * (mod - 1)**2).bit_length() + 7) // 8
-    slots = len(a) + len(b) - 1
-    n = min(d + 1, slots)
-    code = _WORD_CODES.get(width)
-    if code is None:
-        raw = (_pack(a, width) * _pack(b, width)).to_bytes(
-            slots * width, "little")
-        out = [int.from_bytes(raw[i:i + width], "little") % mod
-               for i in range(0, n * width, width)]
-    else:
-        words = array(code)
-        width = words.itemsize
-        raw = (int.from_bytes(array(code, a).tobytes(), "little")
-               * int.from_bytes(array(code, b).tobytes(), "little")
-               ).to_bytes(slots * width, "little")
-        words.frombytes(memoryview(raw)[:n * width])
-        out = [c % mod for c in words]
-    return out + [0] * (d + 1 - n)
-
-
-def _strip(c: list[int]) -> list[int]:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _pack(c: list[int], width: int) -> int:
-    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c),
-                          "little")
 
 
 @dataclass(frozen=True)

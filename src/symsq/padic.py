@@ -14,10 +14,21 @@ None, to be read as "at least prec".
 The public PAdicInt constructor checks p and prec.  Results of ring
 operations take p and prec from operands that were checked already, so
 they are built by `_padic`, which only reduces the residue.
+
+Integer polynomials, Lambda's truncated series and the numerators of
+Q(zeta_n) alike, are multiplied by one kernel, `_poly_mul_trunc`, by
+Kronecker substitution: both are packed into big integers with one
+fixed-width slot per coefficient, multiplied once, and unpacked (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+JSC 2009).  A slot that fits a machine word (8 bytes: the mod-p
+products, and mod p^k ones while they stay that narrow) is packed and
+unpacked through `array`; wider slots go through bytes.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -347,3 +358,60 @@ def hensel_unit_root(a_p: PAdicInt, c: PAdicInt) -> PAdicInt:
         x = (x - fx * pow(dfx, -1, m)) % m
     assert (x * x - a * x + c0) % m == 0
     return _padic(p, n, x)
+
+
+# array typecode for each slot width up to a machine word: the smallest
+# unsigned item at least that wide.  Array bytes are native-endian and
+# the packed integers are read little-endian, so a big-endian host keeps
+# the bytes path for every width.
+_WORD_CODES = {
+    w: next(c for c in "BHILQ" if array(c).itemsize >= w)
+    for w in range(1, array("Q").itemsize + 1)
+} if sys.byteorder == "little" else {}
+
+
+def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
+    """Coefficients 0..d of a*b mod `mod`, by Kronecker substitution.
+
+    Each series is reduced into [0, mod), stripped of trailing zeros and
+    packed into one integer with a byte slot per coefficient; a slot
+    holds any product coefficient, a sum of at most min(len a, len b)
+    terms below (mod-1)^2, so one big-integer multiply carries no digit
+    across slots and the first d+1 slots of the product are the answer.
+    A slot that fits a machine word is packed and unpacked by `array`,
+    widened to the smallest item size that holds it.
+    """
+    a = _strip([c % mod for c in a[:d + 1]])
+    b = _strip([c % mod for c in b[:d + 1]])
+    if not a or not b:
+        return [0] * (d + 1)
+    width = ((min(len(a), len(b)) * (mod - 1)**2).bit_length() + 7) // 8
+    slots = len(a) + len(b) - 1
+    n = min(d + 1, slots)
+    code = _WORD_CODES.get(width)
+    if code is None:
+        raw = (_pack(a, width) * _pack(b, width)).to_bytes(
+            slots * width, "little")
+        out = [int.from_bytes(raw[i:i + width], "little") % mod
+               for i in range(0, n * width, width)]
+    else:
+        words = array(code)
+        width = words.itemsize
+        raw = (int.from_bytes(array(code, a).tobytes(), "little")
+               * int.from_bytes(array(code, b).tobytes(), "little")
+               ).to_bytes(slots * width, "little")
+        words.frombytes(memoryview(raw)[:n * width])
+        out = [c % mod for c in words]
+    return out + [0] * (d + 1 - n)
+
+
+def _strip(c: list[int]) -> list[int]:
+    n = len(c)
+    while n and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _pack(c: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in c),
+                          "little")

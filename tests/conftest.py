@@ -24,7 +24,7 @@ from math import comb, factorial, gcd, lcm
 
 from hypothesis import settings
 
-from symsq import iwasawa
+from symsq import iwasawa, padic
 from symsq.characters import characters_mod
 from symsq.cyclotomic import (CycNumber, cyc_embed_padic, embedding_root,
                               euler_phi)
@@ -61,8 +61,9 @@ def _mobius(n):
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
@@ -71,13 +72,14 @@ def _poly_divmod(num, den):
     dn = len(den) - 1
     lead = den[-1]
     quot = [Fraction(0)] * max(len(num) - dn, 1)
+    terms = [(j, d) for j, d in enumerate(den) if d]
     for i in range(len(num) - 1, dn - 1, -1):
         if num[i] == 0:
             continue
         c = num[i] / lead
         quot[i - dn] = c
-        for j in range(dn + 1):
-            num[i - dn + j] -= c * den[j]
+        for j, d in terms:
+            num[i - dn + j] -= c * d
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return quot, num
@@ -115,7 +117,7 @@ def oracle_cyc_mul(u: CycNumber, v: CycNumber) -> tuple:
     folded = [Fraction(0)] * n
     for e, c in enumerate(prod):
         folded[e % n] += c
-    _, rem = _poly_divmod(folded, oracle_cyclotomic(n))
+    _, rem = _poly_divmod(folded, _oracle_phi(n))
     rem = list(rem) + [Fraction(0)] * (euler_phi(n) - len(rem))
     return tuple(rem[:euler_phi(n)])
 
@@ -275,10 +277,10 @@ def full_inverse_weierstrass_prep(f: IwasawaElement,
     ucoeffs = ubar + [0] * lam
     for m in range(1, nprec):
         pm, pm1 = p**m, p**(m + 1)
-        prod = iwasawa._poly_mul_trunc(pcoeffs, ucoeffs, pm1, d)
+        prod = padic._poly_mul_trunc(pcoeffs, ucoeffs, pm1, d)
         err = [((a - b) % pm1) // pm for a, b in zip(reduced, prod)]
-        h = iwasawa._poly_mul_trunc(err, ubar_inv, p, d)
-        delta_u = iwasawa._poly_mul_trunc(h[lam:], ubar, p, d - lam)
+        h = padic._poly_mul_trunc(err, ubar_inv, p, d)
+        delta_u = padic._poly_mul_trunc(h[lam:], ubar, p, d - lam)
         for i, c in enumerate(h[:lam]):
             pcoeffs[i] += pm * c
         for i, c in enumerate(delta_u):
@@ -492,6 +494,7 @@ def oracle_gen_bernoulli(chi, m):
     return total * Fraction(c)**(m - 1)
 
 
+@lru_cache(maxsize=None)
 @lru_cache(maxsize=None)
 def _oracle_phi(n):
     return tuple(int(c) for c in oracle_cyclotomic(n))

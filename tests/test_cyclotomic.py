@@ -1,5 +1,6 @@
 import pickle
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsq.cyclotomic import (MAX_EXPONENT, CycNumber, _zeta_image,
+from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, CycNumber, _zeta_image,
                               cyc_embed_padic, cyc_mul, cyclotomic_poly,
                               default_primitive_root, dlog, embedding_root,
                               euler_phi, exact_json, parse_exact,
@@ -49,16 +50,21 @@ def test_mul_order_mismatch():
         cyc_mul(CycNumber.zeta(3), CycNumber.zeta(4))
 
 
+# orders of the Gauss-sum and L-value rows of the tables, up to 1332 =
+# lcm(37, 36), where phi = 432 is the largest
+_TABLE_ORDERS = (148, 333, 1332)
+
+
 def test_mul_against_oracle():
     rng = seeded(10)
-    for _ in range(100):
-        n = rng.randint(1, 24)
+    cases = [(rng.randint(1, 24), rng.choice((9, 10**30))) for _ in range(100)]
+    for n, top in cases + [(n, 10**30) for n in _TABLE_ORDERS]:
         d = euler_phi(n)
-        u = CycNumber(n, tuple(Fraction(rng.randint(-9, 9),
+        u = CycNumber(n, tuple(Fraction(rng.randint(-top, top),
                                         rng.randint(1, 5)) for _ in range(d)))
-        v = CycNumber(n, tuple(Fraction(rng.randint(-9, 9),
+        v = CycNumber(n, tuple(Fraction(rng.randint(-top, top),
                                         rng.randint(1, 5)) for _ in range(d)))
-        assert cyc_mul(u, v).coeffs == oracle_cyc_mul(u, v)
+        assert cyc_mul(u, v).coeffs == oracle_cyc_mul(u, v), n
 
 
 def test_promotion_preserves_value():
@@ -198,6 +204,21 @@ def test_exponent_notation_is_bounded():
         parse_rational("1e")
 
 
+def test_order_is_bounded_before_it_is_factored():
+    # euler_phi factored the order by trial division before the number of
+    # coefficients was checked: 10^18 + 3 is prime, so 10^9 steps
+    start = time.perf_counter()
+    for order in (10**18 + 3, MAX_ORDER + 1, 0, -7):
+        for decode in (CycNumber.from_json, parse_exact):
+            with pytest.raises(ValueError, match="need an order in"):
+                decode({"order": order, "coeffs": []})
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError,
+                       match=f"need {euler_phi(MAX_ORDER)} coefficients"):
+        CycNumber.from_json({"order": MAX_ORDER, "coeffs": []})
+    assert MAX_ORDER >= 1332
+
+
 def test_exponent_bound_ignores_the_interpreter_digit_limit():
     # the bound is MAX_EXPONENT, not sys.get_int_max_str_digits(): lifting
     # that limit must not let 1e8000000 through to Fraction
@@ -240,10 +261,15 @@ class TestZetaImageCache:
 # -- integer numerators over one denominator, against the Fraction oracle --
 
 _ORDERS = st.integers(1, 40)
-_FRACS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_FRACS = st.builds(Fraction, st.one_of(st.integers(-30, 30),
+                                       st.integers(-10**30, 10**30)),
+                   st.integers(1, 12))
 
 
 def _vector(draw, n):
+    """phi(n) coefficients, now and then all equal."""
+    if draw(st.integers(0, 4)) == 0:
+        return (draw(_FRACS),) * euler_phi(n)
     return tuple(draw(st.lists(_FRACS, min_size=euler_phi(n),
                                max_size=euler_phi(n))))
 
@@ -296,6 +322,39 @@ class TestAgainstFractionOracle:
         _same(a * f, oa * f)
         _same(a + k, oa + k)
         _same(a + f, oa + f)
+
+    @pytest.mark.parametrize("n", (3, 5, 12, 37) + _TABLE_ORDERS)
+    def test_products_at_the_read_back_bound(self, n):
+        # numerators of one sign: the middle coefficient of the product,
+        # before folding, is phi * max|a_i| * max|b_j|, the largest that
+        # the residue mod m must read back, positive or negative
+        phi = euler_phi(n)
+        pairs = [(10**30, 7), (-10**30, -7),
+                 (Fraction(10**30 + 1, 3), Fraction(-5, 4))]
+        for x, y in pairs if phi <= 72 else pairs[:1]:
+            u, v = (x,) * phi, (y,) * phi
+            _same(CycNumber(n, u) * CycNumber(n, v),
+                  FractionCycNumber(n, u) * FractionCycNumber(n, v))
+
+    @given(_pairs(), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_powers(self, pair, e):
+        (a, _), (oa, _) = pair
+        want = FractionCycNumber.from_rational(1, oa.order)
+        for _ in range(e):
+            want = want * oa
+        _same(a ** e, want)
+
+    def test_powers_at_a_table_order(self):
+        rng = seeded(12)
+        u = tuple(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 5))
+                  for _ in range(euler_phi(148)))
+        a, want = CycNumber(148, u), FractionCycNumber(148, u)
+        for e in range(1, 6):
+            _same(a ** e, want)
+            want = want * FractionCycNumber(148, u)
+        with pytest.raises(ValueError):
+            a ** -1
 
     @given(_pairs(), st.sampled_from([1, 2, 3]), st.integers(1, 40))
     @settings(max_examples=80, deadline=None)

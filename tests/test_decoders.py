@@ -217,20 +217,21 @@ FLAG_VALUES = {
     "--primitive-root": ["0", "1", "4", "5", "x"],
     "--format": ["xml", "", "JSON"],
 }
-FORM_FLAGS = ("--p", "--precision", "--trunc", "--format")
+FORM_FLAGS = ("--p", "--precision", "--trunc")
 COMMAND_FLAGS = {
     "euler": ("-q",) + FORM_FLAGS,
     "lift": ("-q", "--t", "--primitive-root") + FORM_FLAGS,
-    "sigma": ("--s0", "--t", "--primitive-root") + FORM_FLAGS,
-    "report": ("--s0", "--t", "--primitive-root") + FORM_FLAGS,
-    "prep": ("--format",),
-    "specialize": ("-n", "--format"),
-    "congruence": ("--format",),
+    "sigma": ("--s0", "--t", "--primitive-root", "--format") + FORM_FLAGS,
+    "report": ("--s0", "--t", "--primitive-root", "--format") + FORM_FLAGS,
+    "prep": (),
+    "specialize": ("-n",),
+    "congruence": (),
 }
 # a value each flag accepts where it is read
 VALID = {"-q": "2", "--s0": "2,3", "-n": "1", "--t": "0", "--p": "7",
          "--precision": "3", "--trunc": "8", "--primitive-root": "2",
-         "--psi": "@psi", "--lfun": "@lam", "--cache-dir": "@store"}
+         "--format": "json", "--psi": "@psi", "--lfun": "@lam",
+         "--cache-dir": "@store"}
 
 
 def _reads(command) -> set:
@@ -284,8 +285,8 @@ def argv_cases(draw):
     """A command line with one value or one argument gone wrong."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = list(COMMANDS[command])
-    how = draw(st.sampled_from(("flag", "foreign", "drop", "unknown",
-                                "file")))
+    how = draw(st.sampled_from(("flag",) * bool(COMMAND_FLAGS[command])
+                               + ("foreign", "drop", "unknown", "file")))
     if how == "flag":
         flag = draw(st.sampled_from(COMMAND_FLAGS[command]))
         value = draw(st.sampled_from(FLAG_VALUES[flag]))
@@ -401,16 +402,39 @@ def test_each_command_takes_exactly_the_flags_it_reads():
 # every command took these flags and ignored those it does not read
 UNREAD = [(command, flag) for command in COMMANDS
           for flag in ("--p", "--precision", "--trunc", "--primitive-root",
-                       "--cache-dir") if flag not in _reads(command)]
+                       "--cache-dir", "--format")
+          if flag not in _reads(command)]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD,
                          ids=[f"{c}{f}" for c, f in UNREAD])
 def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
-    assert len(UNREAD) == 17
+    assert len(UNREAD) == 22
     assert _run(tmp_path, Case(COMMANDS[command]))[0] == 0
     assert _run(tmp_path, Case(COMMANDS[command] + (flag, VALID[flag]))) \
         == (2, "")
+
+
+# argparse handed a subcommand's leftover arguments back to the
+# top-level parser, whose usage line names no flag of the subcommand
+@pytest.mark.parametrize("argv, leftover", [
+    (["prep", "L.json", "--precision", "0"], "--precision 0"),
+    (["specialize", "L.json", "-n", "1", "--p", "4"], "--p 4"),
+    (["euler", "F.json", "-q", "2", "--primitive-root", "4"],
+     "--primitive-root 4"),
+    (["congruence", "F.json", "G.json", "--format", "json"], "--format json"),
+    (["prep", "L.json", "M.json"], "M.json")],
+    ids=["prep-precision", "specialize-p", "euler-primitive-root",
+         "congruence-format", "prep-extra"])
+def test_a_refused_argument_shows_the_usage_of_its_command(capsys, argv,
+                                                           leftover):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: symsq {argv[0]} [-h]"), err
+    assert err.endswith(f"symsq {argv[0]}: error: unrecognized arguments: "
+                        f"{leftover}\n"), err
 
 
 def _sigma(*edits, options=()):
@@ -424,7 +448,9 @@ def _sigma(*edits, options=()):
 # at precision 20000, and was still running after 8 s at trunc 10^6;
 # prep ran on at precision 10^5, and for 13 s to exit 0 at p = 1000003
 # with precision 100 and lambda = 500.  Before the weight had a bound,
-# sigma took 6.6 s to exit 0 at weight 3*10^6.
+# sigma took 6.6 s to exit 0 at weight 3*10^6.  A cyclotomic value of
+# prime order 10^18 + 3 was factored by trial division before its
+# coefficient count was checked.
 STALLS = {
     "ap-exponent": _sigma(("form", ("set", ("ap", "2"), "1e8000000"))),
     "record-character": _sigma(("form", ("set", ("character", "modulus"),
@@ -432,6 +458,8 @@ STALLS = {
     "level": _sigma(("form", ("set", ("level",), 10**15 + 91))),
     "weight": _sigma(("form", ("set", ("weight",), 10**7))),
     "psi": _sigma(("psi", ("set", ("modulus",), 10**15 + 159))),
+    "cyc-order": _sigma(("form", ("set", ("bad_primes", "11"), {
+        "poly": ["1", {"order": 10**18 + 3, "coeffs": []}]}))),
     "precision": _sigma(("form", ("set", ("precision",), 20000))),
     "trunc": _sigma(("form", ("set", ("trunc",), 10**6))),
     "precision-option": _sigma(options=("--precision", "20000")),

@@ -598,6 +598,21 @@ class TestCLI:
         assert capsys.readouterr().out == separate
         assert cli._build_parser() is cli._build_parser()
 
+    def test_output_writes_the_bytes_of_stdout(self, tmp_path):
+        # emit_report's file branch had no test
+        form_path = str(write_form(tmp_path))
+        report = ["report", form_path, "--s0", "2,3"]
+        path = tmp_path / "out.txt"
+        printed = []
+        for argv in (report, report + ["--format", "text"],
+                     ["euler", form_path, "-q", "2"]):
+            want = self.run_cli(*argv)
+            got = self.run_cli(*argv, "--output", str(path))
+            assert (got.returncode, got.stdout) == (want.returncode, "")
+            assert path.read_bytes() == want.stdout.encode()
+            printed.append(want.stdout)
+        assert printed[0].startswith("{") and "sigma_total" in printed[1]
+
     def test_json_report_never_renders_text(self, tmp_path, monkeypatch,
                                             capsys):
         from symsq.harness import InvariantReport

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -444,6 +445,15 @@ class TestSerialization:
                     dict(base, ring="cyc", coeffs=[{"order": 4}])):
             with pytest.raises(SchemaError):
                 QExpansion.from_json(rec)
+
+    def test_cyclotomic_order_is_bounded(self):
+        # a cyc coefficient's order was factored by trial division first
+        rec = dict(make([0, 1]).to_json(), ring="cyc",
+                   coeffs=["0", {"order": 10**18 + 3, "coeffs": []}])
+        start = time.perf_counter()
+        with pytest.raises(SchemaError, match="need an order in"):
+            QExpansion.from_json(rec)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("edit", [
         {"p": 7.5}, {"precision": 3.9}, {"level": True},
