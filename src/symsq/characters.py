@@ -180,7 +180,10 @@ class DirichletCharacter:
         return self.restrict_to(c)
 
     def restrict_to(self, c: int) -> "DirichletCharacter":
-        """Character mod c with the same values; requires factoring through c."""
+        """Character mod c with the same values on units; raises
+        ValueError unless c divides the modulus and chi factors through c."""
+        if not self.factors_through(c):
+            raise ValueError(f"{self!r} does not factor through {c}")
         m = self.modulus
         exps = []
         n = self.order
@@ -189,7 +192,6 @@ class DirichletCharacter:
             while gcd(a, m) != 1:
                 a += c
             e = self.value_exponent(a)
-            assert (e * d) % n == 0, "character does not factor through"
             exps.append(e * d // n)
         return DirichletCharacter(c, tuple(exps))
 

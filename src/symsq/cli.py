@@ -146,7 +146,7 @@ def main(argv=None) -> int:
                    "value": str(value.residue)}
         else:                               # congruence
             f, g = _load_element(args.first), _load_element(args.second)
-            out = congruence_transfer_check(f, g, f.p)
+            out = congruence_transfer_check(f, g)
         # only sigma and report have a text form; a dict is always JSON
         return emit_report(out, getattr(args, "format", "json"), args.output)
     except (SymsqError, ValueError, OSError) as exc:

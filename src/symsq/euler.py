@@ -90,44 +90,31 @@ class EulerFactor:
         return len(self.coeffs) - 1
 
 
-def symsq_factor(s: SatakeData, chi_q=1) -> EulerFactor:
-    """Symmetric-square Euler polynomial at q, twisted by the value chi_q.
-
-    Pass chi_q = 1 to get the untwisted polynomial expected by the
-    Lambda-lift, which applies its own tame twist.
-    """
-    if _is_zero(chi_q) or s.ramification_type == "depleted":
+def symsq_factor(s: SatakeData) -> EulerFactor:
+    """Untwisted symmetric-square Euler polynomial at q: the Lambda-lift
+    applies its own tame twist."""
+    if s.ramification_type == "depleted":
         return EulerFactor(s.q, (1,))
-    c = chi_q
     if s.ramification_type == "ordinary":
-        return EulerFactor(s.q, (1, -(c * s.a_q * s.a_q)))
+        return EulerFactor(s.q, (1, -(s.a_q * s.a_q)))
     b = s.eps_q * s.q**(s.k - 1)
     e1 = s.a_q * s.a_q - b
-    return EulerFactor(s.q, (1, -(c * e1), c * c * b * e1,
-                             -(c * c * c * b * b * b)))
+    return EulerFactor(s.q, (1, -e1, b * e1, -(b * b * b)))
 
 
 def symsq_dirichlet_coeff_check(s: SatakeData,
-                                character: DirichletCharacter | None = None
-                                ) -> bool:
-    """Cross-check: the degree-1 coefficient must equal a(q^2).
-
-    When a nebentype character is supplied, a(q^2) comes from the
-    independent Hecke recursion in qexp; otherwise from the recursion
-    formula a(q)^2 - eps(q) q^(k-1) evaluated in place.
-    """
+                                character: DirichletCharacter) -> bool:
+    """Cross-check: the degree-1 coefficient must equal a(q^2), taken
+    from the independent Hecke recursion in qexp with the nebentype
+    `character`."""
     if s.ramification_type != "unramified":
         raise InvalidSatake("the coefficient check applies to unramified q")
-    e1 = -symsq_factor(s, 1).coeffs[1]
-    if character is not None:
-        from .qexp import expansion_from_eigenvalues
-        ap = {ell: 0 for ell in range(2, s.q**2 + 1) if is_prime(ell)}
-        ap[s.q] = s.a_q
-        f = expansion_from_eigenvalues(s.k, 1, character, ap, s.q**2)
-        a_q2 = f.coefficient(s.q * s.q)
-    else:
-        a_q2 = s.a_q * s.a_q - s.eps_q * s.q**(s.k - 1)
-    return _is_zero(e1 - a_q2)
+    e1 = -symsq_factor(s).coeffs[1]
+    from .qexp import expansion_from_eigenvalues
+    ap = {ell: 0 for ell in range(2, s.q**2 + 1) if is_prime(ell)}
+    ap[s.q] = s.a_q
+    f = expansion_from_eigenvalues(s.k, 1, character, ap, s.q**2)
+    return _is_zero(e1 - f.coefficient(s.q * s.q))
 
 
 def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
@@ -290,7 +277,7 @@ def df_complex(satake: list[SatakeData], chi: DirichletCharacter,
     for data in sorted(satake, key=lambda d: d.q):
         if data.q > qmax:
             continue
-        factor = symsq_factor(data, 1)
+        factor = symsq_factor(data)
         value = evaluate_factor_complex(factor, chi(data.q), data.q**(-s))
         if abs(1 - value) >= 1:
             raise DivergenceGuard(

@@ -62,7 +62,7 @@ class FormRecord:
         entry = self.bad_primes.get(q)
         if entry and "poly" in entry:
             return EulerFactor(q, entry["poly"])
-        return symsq_factor(self.satake(q), 1)
+        return symsq_factor(self.satake(q))
 
 
 def read_json(path: str | Path):
@@ -371,15 +371,13 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     return report
 
 
-def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement,
-                              p: int) -> dict:
+def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
     """Mod-p congruence up to unit, and the lambda transfer when mu = 0.
 
     Returns a JSON-ready verdict; 'no_conclusion' means the congruence
-    holds but mu > 0, so the transfer theorem does not apply.
+    holds but mu > 0, so the transfer theorem does not apply.  Elements
+    over different primes raise ValueError (from congruent_mod_p).
     """
-    if f.p != p or g.p != p:
-        raise ValueError("elements do not live over the requested prime")
     verdict = congruent_mod_p(f, g, allow_unit_scalar=True)
     out: dict = {"congruent": verdict.congruent, "unit": verdict.unit}
     if not verdict.congruent:

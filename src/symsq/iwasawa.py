@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .characters import DirichletCharacter
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
 from .padic import (PAdicInt, _poly_mul_trunc, int_valuation, inv, is_prime,
@@ -239,18 +238,17 @@ def product_invariants(f: IwasawaElement,
 TRUNCATION_GUARD = 4
 
 
-def weierstrass_prep(f: IwasawaElement,
-                     guard: int = TRUNCATION_GUARD) -> WeierstrassData:
+def weierstrass_prep(f: IwasawaElement) -> WeierstrassData:
     """Weierstrass preparation at working precision.
 
-    Refuses when lambda is within `guard` of the truncation, where a
-    longer distinguished polynomial would be indistinguishable.
+    Refuses when lambda is within TRUNCATION_GUARD of the truncation,
+    where a longer distinguished polynomial would be indistinguishable.
     """
     p, d = f.p, f.trunc
     mu, lam = invariants(f)
-    if lam > d - guard:
-        raise TruncationTooShort(
-            f"lambda = {lam} is within {guard} of the truncation {d}")
+    if lam > d - TRUNCATION_GUARD:
+        raise TruncationTooShort(f"lambda = {lam} is within "
+                                 f"{TRUNCATION_GUARD} of the truncation {d}")
     nprec = f.prec - mu        # >= 1: coefficients lie in [0, p^prec)
     reduced = [c // p**mu for c in f.coeffs]
 
@@ -400,15 +398,12 @@ def frobenius_exponent(q: int, p: int, prec: int) -> PAdicInt:
     return log_qw.exact_div_p(1) * _inv_log_gamma(p, prec)
 
 
-def specialize(f: IwasawaElement, n: int,
-               eta_w: DirichletCharacter | None = None) -> PAdicInt:
+def specialize(f: IwasawaElement, n: int) -> PAdicInt:
     """Evaluate at the weight-n cyclotomic point T = (1+p)^(1-n) - 1.
 
-    Only the trivial wild character is supported; nontrivial eta_w needs
-    p-power roots of unity outside Z_p.
+    The wild character at the point is trivial; a nontrivial one needs
+    p-power roots of unity outside Z_p and is out of scope.
     """
-    if eta_w is not None and not eta_w.is_trivial():
-        raise ValueError("nontrivial wild characters are out of scope")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if f.trunc + 1 < f.prec:

@@ -144,13 +144,6 @@ class PAdicInt:
                 f"cannot raise precision {self.prec} -> {prec}")
         return PAdicInt(self.p, prec, self.residue)
 
-    def congruent(self, other: "PAdicInt | int", modexp: int) -> bool:
-        """Congruence modulo p^modexp (must be within both precisions)."""
-        other = self._coerce(other)
-        if modexp > min(self.prec, other.prec):
-            raise PrecisionLoss("congruence test beyond working precision")
-        return (self.residue - other.residue) % self.p**modexp == 0
-
     # -- ring structure -----------------------------------------------
 
     def _coerce(self, other) -> "PAdicInt":

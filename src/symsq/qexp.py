@@ -97,7 +97,7 @@ class QExpansion:
 
     # -- serialization ----------------------------------------------------
 
-    def to_json(self, label: str | None = None) -> dict:
+    def to_json(self) -> dict:
         rec = {
             "weight": str(self.weight),
             "level": self.level,
@@ -105,8 +105,6 @@ class QExpansion:
             "coeffs": [str(c.residue) if isinstance(c, PAdicInt)
                        else exact_json(c) for c in self.coeffs],
         }
-        if label is not None:
-            rec["label"] = label
         if self.ring == "padic":
             tags = [c.prec for c in self.coeffs]
             rec["p"] = self.coeffs[0].p
@@ -366,13 +364,13 @@ def theta(chi: DirichletCharacter, trunc: int) -> QExpansion:
 
 def expansion_from_eigenvalues(weight: int, level: int,
                                character: DirichletCharacter,
-                               ap: dict[int, object], trunc: int,
-                               ring: str = "int") -> QExpansion:
+                               ap: dict[int, object], trunc: int) -> QExpansion:
     """Extend prime eigenvalues to a normalized eigen-expansion.
 
     Uses a(1) = 1, multiplicativity, and the prime-power recursion
     a(q^(j+1)) = a(q) a(q^j) - eps(q) q^(k-1) a(q^(j-1)); the nebentype
     vanishes at level primes, which turns the recursion into a(q)^j.
+    The ring is "cyc" when a coefficient is a CycNumber, else "int".
     """
     coeffs = [0] * (trunc + 1)
     if trunc >= 1:
@@ -395,15 +393,12 @@ def expansion_from_eigenvalues(weight: int, level: int,
         eps = eps_cache[q]
         coeffs[n] = ap[q] * coeffs[q**(e - 1)] \
             - eps * q**(weight - 1) * coeffs[q**(e - 2)]
-    if ring == "int" and any(isinstance(c, CycNumber) for c in coeffs):
-        ring = "cyc"
+    ring = "cyc" if any(isinstance(c, CycNumber) for c in coeffs) else "int"
     return QExpansion(weight, level, character, tuple(coeffs), ring)
 
 
-def coeffs_agree(f: QExpansion, g: QExpansion, upto: int | None = None) -> bool:
+def coeffs_agree(f: QExpansion, g: QExpansion) -> bool:
     """Coefficientwise equality on the common truncation."""
     d = min(f.trunc, g.trunc)
-    if upto is not None:
-        d = min(d, upto)
     return all(_coeff_is_zero(a - b)
                for a, b in zip(f.coeffs[:d + 1], g.coeffs[:d + 1]))

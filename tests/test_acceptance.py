@@ -70,7 +70,7 @@ def _local_factor_corpus():
             psi = rng.choice(psis[p])
             t = rng.choice([0, 2, 4])
             data = SatakeData(q, "unramified", a, eps, k)
-            factor = symsq_factor(data, 1)
+            factor = symsq_factor(data)
             lifted = euler_to_lambda(factor, psi, t, p, 5, 16)
             corpus.append((p, q, k, a, psi, t, factor, lifted))
     return corpus
@@ -124,7 +124,7 @@ def test_criterion_04_invariant_additivity():
                 a += 1
             data = SatakeData(q, "unramified", a, rng.choice([1, -1]),
                               rng.choice([2, 4, 6]))
-            lifts.append(euler_to_lambda(symsq_factor(data, 1),
+            lifts.append(euler_to_lambda(symsq_factor(data),
                                          trivial_character(1), 0, p, n, d))
         sigma = 0
         for lifted in lifts:
@@ -157,15 +157,15 @@ def test_criterion_05_congruence_transfer():
             a2 = a1 + p * rng.randint(-4, 4)
             data1 = SatakeData(q, "unramified", a1, eps, k)
             data2 = SatakeData(q, "unramified", a2 if a2 else a1 + p, eps, k)
-            lifts1.append(euler_to_lambda(symsq_factor(data1, 1),
+            lifts1.append(euler_to_lambda(symsq_factor(data1),
                                           psi, t, p, n, d))
-            lifts2.append(euler_to_lambda(symsq_factor(data2, 1),
+            lifts2.append(euler_to_lambda(symsq_factor(data2),
                                           psi, t, p, n, d))
         one = IwasawaElement.one(p, n, d)
         f = assemble_imprimitive(one, lifts1)
         g = assemble_imprimitive(one, lifts2)
         assert congruent_mod_p(f, g).congruent, trial
-        out = congruence_transfer_check(f, g, p)
+        out = congruence_transfer_check(f, g)
         assert out["congruent"]
         assert out["mu_f"] == 0
         assert out["conclusion"] == "transfer_verified", (trial, out)
@@ -288,7 +288,7 @@ def test_criterion_10_complex_sanity():
         k = rng.choice([2, 3, 4])
         a = rng.randint(-10, 10)
         eps = rng.choice([1, -1])
-        mine = symsq_factor(SatakeData(q, "unramified", a, eps, k), 1)
+        mine = symsq_factor(SatakeData(q, "unramified", a, eps, k))
         alpha, beta = np.roots([1, -a, eps * q**(k - 1)])
         roots = [alpha * beta, alpha**2, beta**2]
         e1 = sum(roots)

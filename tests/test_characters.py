@@ -92,6 +92,27 @@ class TestConductor:
                     if gcd(a, m) == 1:
                         assert prim(a) == chi(a)
 
+    def test_restrict_to_keeps_values_or_refuses(self):
+        chi = DirichletCharacter(12, (1, 1))      # primitive mod 12
+        assert chi.conductor == 12
+        # 4 divides 12 but chi does not factor through it; 5 and 7 do
+        # not divide 12; 24 is a multiple, which is lift_to's job
+        for c in (4, 5, 7, 24):
+            with pytest.raises(ValueError):
+                chi.restrict_to(c)
+        for m in (12, 24, 45):
+            for chi in characters_mod(m):
+                for d in (d for d in range(1, m + 1) if m % d == 0):
+                    if not chi.factors_through(d):
+                        with pytest.raises(ValueError):
+                            chi.restrict_to(d)
+                        continue
+                    small = chi.restrict_to(d)
+                    assert small.modulus == d
+                    for a in range(1, m):
+                        if gcd(a, m) == 1:
+                            assert small(a) == chi(a), (chi, d, a)
+
 
 class TestTameWildSplit:
     def test_teichmuller_is_pure_tame(self):

@@ -53,18 +53,18 @@ class TestSatakeValidation:
 class TestSymsqFactor:
     def test_zero_eigenvalue(self):
         # alpha^2 = beta^2 = -b, alpha beta = b
-        f = symsq_factor(SatakeData(2, "unramified", 0, 1, 2), 1)
+        f = symsq_factor(SatakeData(2, "unramified", 0, 1, 2))
         assert f.coeffs == (1, 2, -4, -8)
 
     def test_worked_example(self):
-        f = symsq_factor(SatakeData(2, "unramified", -2, 1, 2), 1)
+        f = symsq_factor(SatakeData(2, "unramified", -2, 1, 2))
         assert f.coeffs == (1, -2, 4, -8)
 
     def test_depleted(self):
         assert symsq_factor(SatakeData(3, "depleted", 0, 0, 4)).coeffs == (1,)
 
     def test_ordinary_degree_one(self):
-        f = symsq_factor(SatakeData(3, "ordinary", 2, 0, 2), 1)
+        f = symsq_factor(SatakeData(3, "ordinary", 2, 0, 2))
         assert f.coeffs == (1, -4)
 
     def test_constant_term_validation(self):
@@ -79,7 +79,7 @@ class TestSymsqFactor:
             a = rng.randint(-10, 10)
             eps = rng.choice([1, -1])
             data = SatakeData(q, "unramified", a, eps, k)
-            mine = symsq_factor(data, 1)
+            mine = symsq_factor(data)
             b = eps * q**(k - 1)
             alpha, beta = np.roots([1, -a, b])
             roots = [alpha * beta, alpha**2, beta**2]
@@ -106,8 +106,24 @@ class TestSymsqFactor:
             k = rng.choice([2, 4, 6])
             a = rng.randint(-8, 8)
             data = SatakeData(q, "unramified", a, 1, k)
-            assert symsq_dirichlet_coeff_check(data)
             assert symsq_dirichlet_coeff_check(data, trivial_character(1))
+
+    def test_coefficient_check_with_a_quartic_nebentype(self):
+        chi = next(c for c in characters_mod(13) if c.order == 4)
+        rng = seeded(62)
+        for _ in range(12):
+            q = rng.choice([2, 3, 5, 7])
+            k = rng.choice([2, 3, 4])
+            a = rng.randint(-8, 8) + rng.randint(-3, 3) * CycNumber.zeta(4)
+            eps = chi(q)
+            assert symsq_dirichlet_coeff_check(
+                SatakeData(q, "unramified", a, eps, k), chi)
+            # a nebentype value other than chi(q) gives another a(q^2)
+            for wrong in (eps * CycNumber.zeta(4), -eps, 1):
+                if wrong == eps:
+                    continue
+                assert not symsq_dirichlet_coeff_check(
+                    SatakeData(q, "unramified", a, wrong, k), chi)
 
 
 def _rationals(p):
@@ -193,7 +209,7 @@ class TestLambdaLift:
             t = rng.choice([0, 2, 4])
             n_prec, d = 5, 16
             data = SatakeData(q, "unramified", a, 1, k)
-            factor = symsq_factor(data, 1)
+            factor = symsq_factor(data)
             lifted = euler_to_lambda(factor, psi, t, p, n_prec, d)
             eta1_q = teichmuller(q, p, n_prec)
             from symsq.iwasawa import specialize
@@ -211,7 +227,7 @@ class TestLambdaLift:
         from symsq.iwasawa import specialize
         p, n_prec, d = 5, 5, 16
         data = SatakeData(2, "unramified", 1, CycNumber.zeta(4), 2)
-        factor = symsq_factor(data, 1)
+        factor = symsq_factor(data)
         x = inv(PAdicInt(p, n_prec, 2))
         for root in (None, 2, 3):
             lifted = euler_to_lambda(factor, trivial_character(1), 0, p,
@@ -226,7 +242,7 @@ class TestLambdaLift:
             p = rng.choice([5, 7])
             q = rng.choice([ell for ell in (2, 3, 11, 13) if ell != p])
             data = SatakeData(q, "unramified", rng.randint(1, 20), 1, 4)
-            lifted = euler_to_lambda(symsq_factor(data, 1),
+            lifted = euler_to_lambda(symsq_factor(data),
                                      trivial_character(1), 0, p, 5, 16)
             mu, _ = invariants(lifted)
             assert mu == 0
@@ -235,7 +251,7 @@ class TestLambdaLift:
         # psi(q) = 0 collapses the factor to 1
         psi = next(c for c in characters_mod(4) if c.is_even())
         data = SatakeData(2, "unramified", 1, 1, 2)
-        lifted = euler_to_lambda(symsq_factor(data, 1), psi, 0, 5, 4, 10)
+        lifted = euler_to_lambda(symsq_factor(data), psi, 0, 5, 4, 10)
         assert lifted == IwasawaElement.one(5, 4, 10)
 
     def test_lift_at_p_rejected(self):
@@ -262,7 +278,7 @@ class TestSigma:
 
     def test_unit_constant_term(self):
         lifted = euler_to_lambda(symsq_factor(
-            SatakeData(2, "unramified", 1, 1, 4), 1),
+            SatakeData(2, "unramified", 1, 1, 4)),
             trivial_character(1), 0, 5, 5, 14)
         mu, lam = invariants(lifted)
         assert mu == 0 and lam >= 0
@@ -277,7 +293,7 @@ class TestSigma:
                    if c.order == 4 and
                    (cyc_embed_padic(c(q), p, 1) * inv(PAdicInt(p, 1, q))
                     ).residue == 1)
-        factor = symsq_factor(SatakeData(q, "ordinary", 1, 0, 2), 1)
+        factor = symsq_factor(SatakeData(q, "ordinary", 1, 0, 2))
         with pytest.warns(RuntimeWarning):
             lam = sigma_q(factor, psi, 0, p, 2, 4)
         assert isinstance(lam, int)
@@ -364,8 +380,8 @@ class TestAssemble:
                 if a2 == 0:
                     a2 = a + p
                 k = rng.choice([2, 4])
-                f1 = symsq_factor(SatakeData(q, "unramified", a, 1, k), 1)
-                f2 = symsq_factor(SatakeData(q, "unramified", a2, 1, k), 1)
+                f1 = symsq_factor(SatakeData(q, "unramified", a, 1, k))
+                f2 = symsq_factor(SatakeData(q, "unramified", a2, 1, k))
                 lifts1.append(euler_to_lambda(f1, trivial_character(1),
                                               0, p, 4, 12))
                 lifts2.append(euler_to_lambda(f2, trivial_character(1),

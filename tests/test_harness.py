@@ -379,7 +379,7 @@ class TestCongruenceTransfer:
     def test_plain_congruent_pair(self):
         f = elem(5, 3, 5, 1, trunc=8)         # T + 5
         g = elem(5, 3, 10, 1, trunc=8)        # T + 10
-        out = congruence_transfer_check(f, g, 5)
+        out = congruence_transfer_check(f, g)
         assert out["congruent"]
         assert out["mu_f"] == 0 and out["lambda_f"] == 1
         assert out["conclusion"] == "transfer_verified"
@@ -387,7 +387,7 @@ class TestCongruenceTransfer:
     def test_positive_mu_no_conclusion(self):
         f = elem(5, 3, 0, 5, trunc=8)         # 5T
         g = elem(5, 3, 25, 5, trunc=8)        # 5T + 25
-        out = congruence_transfer_check(f, g, 5)
+        out = congruence_transfer_check(f, g)
         assert out["congruent"]
         assert out["mu_f"] == 1
         assert out["conclusion"] == "no_conclusion"
@@ -395,16 +395,23 @@ class TestCongruenceTransfer:
     def test_unit_scalar(self):
         f = elem(5, 3, 0, 1, trunc=8)
         g = elem(5, 3, 0, 2, trunc=8)
-        out = congruence_transfer_check(f, g, 5)
+        out = congruence_transfer_check(f, g)
         assert out["congruent"] and out["unit"] == 3   # 1 = 3 * 2 mod 5
         assert out["conclusion"] == "transfer_verified"
 
     def test_counterexample_emitted(self):
         f = elem(5, 3, 0, 1, trunc=8)
         g = elem(5, 3, 0, 0, 1, trunc=8)
-        out = congruence_transfer_check(f, g, 5)
+        out = congruence_transfer_check(f, g)
         assert out["conclusion"] == "not_congruent"
         assert out["counterexample"]["index"] == 1
+
+    def test_mixed_primes_are_refused(self):
+        f = elem(5, 3, 0, 1, trunc=8)
+        g = elem(7, 3, 0, 1, trunc=8)
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="mixed primes"):
+                congruence_transfer_check(a, b)
 
 
 class TestEmit:
@@ -475,6 +482,17 @@ class TestCLI:
         c = tmp_path / "c.json"
         c.write_text(json.dumps(elem(5, 3, 0, 0, 1, trunc=6).to_json()))
         assert self.run_cli("congruence", str(a), str(c)).returncode == 1
+
+    def test_congruence_refuses_elements_over_different_primes(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps(elem(5, 3, 0, 1, trunc=6).to_json()))
+        b.write_text(json.dumps(elem(7, 3, 0, 1, trunc=6).to_json()))
+        for args in ((a, b), (b, a)):
+            out = self.run_cli("congruence", *map(str, args))
+            assert out.returncode == 2
+            assert out.stdout == ""
+            assert "mixed primes" in out.stderr
 
     def test_input_error_exit_code(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -261,8 +261,8 @@ class TestWeierstrass:
         f = elem(5, 3, *([5] * 8 + [1, 5, 5]))   # lambda = 8, trunc = 10
         with pytest.raises(TruncationTooShort):
             weierstrass_prep(f)
-        w = weierstrass_prep(f, guard=2)
-        assert w.lam == 8
+        w = weierstrass_prep(elem(5, 3, *([5] * 8 + [1, 5, 5]), trunc=12))
+        assert w.lam == 8                     # the same element at D = 12
 
     def test_reconstruction_random(self):
         rng = seeded(50)
@@ -438,12 +438,6 @@ class TestSpecialize:
     def test_truncation_too_short(self):
         with pytest.raises(PrecisionLoss):
             specialize(elem(5, 6, 1, 1, trunc=3), 2)
-
-    def test_wild_character_out_of_scope(self):
-        from symsq.characters import characters_mod
-        eta_w = next(c for c in characters_mod(25) if c.order == 5)
-        with pytest.raises(ValueError):
-            specialize(elem(5, 2, 1, 1, trunc=4), 1, eta_w)
 
 
 class TestCongruence:

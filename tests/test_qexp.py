@@ -395,10 +395,10 @@ class TestSerialization:
     def test_int_roundtrip(self):
         f = make([0, 1, -3, Fraction(7, 2)], weight=4, level=6,
                  char=trivial_character(6))
-        rec = f.to_json(label="demo")
+        rec = f.to_json()
         back = QExpansion.from_json(rec)
         assert back == f
-        assert back.to_json(label="demo") == rec
+        assert back.to_json() == rec
 
     def test_padic_roundtrip(self):
         f = QExpansion(2, 5, trivial_character(1),
