@@ -11,17 +11,16 @@ form records, reports, and CLI plumbing.
 from .characters import (DirichletCharacter, gauss_sum, gen_bernoulli, l_neg,
                          tame_wild_split, teichmuller_character,
                          trivial_character)
-from .cyclotomic import CycNumber, cyc_embed_padic, cyc_mul
+from .cyclotomic import CycNumber, cyc_embed_padic
 from .errors import SymsqError
 from .euler import (EulerFactor, SatakeData, assemble_imprimitive, df_complex,
-                    ep_factor, euler_to_lambda, sigma_q, symsq_factor)
+                    ep_factor, euler_to_lambda, symsq_factor)
 from .harness import (FormRecord, InvariantReport, congruence_transfer_check,
                       emit_report, invariant_report, load_form)
 from .iwasawa import (IwasawaElement, WeierstrassData, congruent_mod_p,
                       frobenius_exponent, one_plus_T_pow, specialize,
                       weierstrass_prep)
-from .padic import (PAdicInt, hensel_unit_root, inv, padic_log1p, teichmuller,
-                    val)
+from .padic import PAdicInt, hensel_unit_root, inv, padic_log1p, teichmuller
 from .qexp import (QExpansion, deplete, hecke_T, hecke_U, hecke_V,
                    p_stabilize, tau, theta)
 
@@ -30,13 +29,13 @@ __all__ = [
     "InvariantReport", "IwasawaElement", "PAdicInt", "QExpansion",
     "SatakeData", "SymsqError", "WeierstrassData", "assemble_imprimitive",
     "congruence_transfer_check", "congruent_mod_p", "cyc_embed_padic",
-    "cyc_mul", "deplete", "df_complex", "emit_report", "ep_factor",
-    "euler_to_lambda", "frobenius_exponent", "gauss_sum", "gen_bernoulli",
-    "hecke_T", "hecke_U", "hecke_V", "hensel_unit_root", "inv",
-    "invariant_report", "l_neg", "load_form", "one_plus_T_pow",
-    "p_stabilize", "padic_log1p", "sigma_q", "specialize", "symsq_factor",
-    "tame_wild_split", "tau", "teichmuller", "teichmuller_character",
-    "theta", "trivial_character", "val", "weierstrass_prep",
+    "deplete", "df_complex", "emit_report", "ep_factor", "euler_to_lambda",
+    "frobenius_exponent", "gauss_sum", "gen_bernoulli", "hecke_T", "hecke_U",
+    "hecke_V", "hensel_unit_root", "inv", "invariant_report", "l_neg",
+    "load_form", "one_plus_T_pow", "p_stabilize", "padic_log1p",
+    "specialize", "symsq_factor", "tame_wild_split", "tau", "teichmuller",
+    "teichmuller_character", "theta", "trivial_character",
+    "weierstrass_prep",
 ]
 
 __version__ = "0.1.0"

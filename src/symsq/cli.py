@@ -137,6 +137,7 @@ def main(argv=None) -> int:
         elif args.command == "prep":
             w = weierstrass_prep(_load_element(args.element))
             out = {"mu": w.mu, "lambda": w.lam, "precision": w.prec,
+                   "determined_precision": w.determined_precision,
                    "distinguished": [str(c) for c in w.distinguished],
                    "unit": w.unit.to_json()}
         elif args.command == "specialize":

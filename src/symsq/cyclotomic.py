@@ -9,9 +9,7 @@ Rationals are exact throughout; Bernoulli denominators are the whole
 point.
 
 Arithmetic through the dunder operators promotes both operands to the
-lcm of their orders.  The spec-level cyc_mul is strict and raises
-OrderMismatch instead, so callers that are supposed to promote do so
-explicitly.
+lcm of their orders.
 """
 
 from __future__ import annotations
@@ -349,16 +347,6 @@ def _add(a: CycNumber, b: CycNumber, sign: int) -> CycNumber:
     den = lcm(a.den, b.den)
     sa, sb = den // a.den, sign * (den // b.den)
     return _cyc(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
-
-
-# -- spec operations -------------------------------------------------------
-
-
-def cyc_mul(u: CycNumber, v: CycNumber) -> CycNumber:
-    """Product in Q(zeta_n); operands must already share the order."""
-    if u.order != v.order:
-        raise OrderMismatch(f"orders {u.order} and {v.order} differ")
-    return u * v
 
 
 def default_primitive_root(p: int) -> int:

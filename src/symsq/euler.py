@@ -16,15 +16,14 @@ of weight n evaluates the factor at (psi_{t+n-1}, q^(-n)) exactly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter
-from .cyclotomic import CycNumber, cyc_embed_padic, exact_json, parse_exact
+from .cyclotomic import CycNumber, cyc_embed_padic
 from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
 from .iwasawa import (IwasawaElement, binomial_sum, factorial_valuation,
-                      frobenius_exponent, invariants)
+                      frobenius_exponent)
 from .padic import PAdicInt, from_rational, inv, is_prime, teichmuller
 
 RAMIFICATION_TYPES = ("unramified", "ordinary", "depleted")
@@ -54,16 +53,6 @@ class SatakeData:
         if self.ramification_type == "unramified" and _is_zero(self.eps_q):
             raise InvalidSatake(
                 "unramified primes need eps(q) != 0 so that alpha*beta != 0")
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "type": self.ramification_type,
-                "aq": exact_json(self.a_q), "eps": exact_json(self.eps_q),
-                "k": self.k}
-
-    @staticmethod
-    def from_json(rec: dict) -> "SatakeData":
-        return SatakeData(int(rec["q"]), rec["type"], parse_exact(rec["aq"]),
-                          parse_exact(rec["eps"]), int(rec["k"]))
 
 
 def _is_zero(x) -> bool:
@@ -159,24 +148,6 @@ def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,
     exponent = frobenius_exponent(q, p, prec + factorial_valuation(trunc, p))
     return substitute_frobenius(factor, scalar, exponent, trunc, prec,
                                 primitive_root)
-
-
-def sigma_q(factor: EulerFactor, psi: DirichletCharacter, t: int,
-            p: int, prec: int, trunc: int,
-            primitive_root: int | None = None) -> int:
-    """lambda-invariant of the Lambda-lift; warns if mu > 0 shows up.
-
-    A positive mu at working precision contradicts the constant-term-1
-    shape and signals precision exhaustion, not a real invariant.
-    """
-    lifted = euler_to_lambda(factor, psi, t, p, prec, trunc, primitive_root)
-    mu, lam = invariants(lifted)
-    if mu > 0:
-        warnings.warn(
-            f"mu = {mu} > 0 for the lift at q = {factor.q}; treat the "
-            f"sigma value as unreliable at precision {prec}",
-            RuntimeWarning, stacklevel=2)
-    return lam
 
 
 def ep_factor(n: int, psi: DirichletCharacter, alpha_p: PAdicInt,

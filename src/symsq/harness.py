@@ -378,7 +378,7 @@ def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
     holds but mu > 0, so the transfer theorem does not apply.  Elements
     over different primes raise ValueError (from congruent_mod_p).
     """
-    verdict = congruent_mod_p(f, g, allow_unit_scalar=True)
+    verdict = congruent_mod_p(f, g)
     out: dict = {"congruent": verdict.congruent, "unit": verdict.unit}
     if not verdict.congruent:
         out["conclusion"] = "not_congruent"

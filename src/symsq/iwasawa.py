@@ -30,11 +30,11 @@ from .padic import (PAdicInt, _poly_mul_trunc, int_valuation, inv, is_prime,
                     padic_log1p)
 
 # The largest precision N, truncation D, modulus p^N, level and weight
-# that a decoder accepts, in form and q-expansion records, overrides,
-# Lambda-element files and cache entries.  The work of a lift or a
-# preparation grows with D and p^N (at p = 13 a preparation at the
-# bounds takes under 2 s), trial division of a level below MAX_LEVEL
-# takes at most 10^6 steps, and a local factor holds q^(3(k-1)).
+# that a decoder accepts, in form records, overrides, Lambda-element
+# files and cache entries.  The work of a lift or a preparation grows
+# with D and p^N (at p = 13 a preparation at the bounds takes under
+# 2 s), trial division of a level below MAX_LEVEL takes at most 10^6
+# steps, and a local factor holds q^(3(k-1)).
 MAX_PRECISION = 100
 MAX_TRUNC = 1000
 MAX_PADIC_MODULUS = 13**MAX_PRECISION
@@ -187,7 +187,8 @@ class WeierstrassData:
     """p^mu * distinguished * unit reconstructs the prepared element.
 
     The distinguished polynomial and the unit carry precision
-    prec = (input precision) - mu.
+    prec = (input precision) - mu: they factor the truncated polynomial
+    exactly to that many digits.
     """
 
     p: int
@@ -196,6 +197,20 @@ class WeierstrassData:
     lam: int
     distinguished: tuple[int, ...]
     unit: IwasawaElement
+
+    @property
+    def determined_precision(self) -> int:
+        """The digits of the distinguished polynomial that the input, a
+        series known mod T^(D+1), determines: min(prec, (D+1) // lam).
+
+        P = T^lam + p r with deg r < lam, so T^lam = -p r mod P and
+        T^(D+1) lies in (P, p^j), j = (D+1) // lam.  A series with the
+        same mu that agrees with the input mod T^(D+1) is then P' U' = 0
+        mod (P, p^j), and Weierstrass division gives P' = P mod p^j.
+        """
+        if self.lam == 0:
+            return self.prec
+        return min(self.prec, (self.unit.trunc + 1) // self.lam)
 
 
 def invariants(f: IwasawaElement) -> tuple[int, int]:
@@ -433,9 +448,9 @@ class CongruenceVerdict:
         return self.congruent
 
 
-def congruent_mod_p(f: IwasawaElement, g: IwasawaElement,
-                    allow_unit_scalar: bool = False) -> CongruenceVerdict:
-    """Coefficientwise congruence mod p, optionally up to a scalar unit.
+def congruent_mod_p(f: IwasawaElement,
+                    g: IwasawaElement) -> CongruenceVerdict:
+    """Coefficientwise congruence mod p up to a scalar unit.
 
     The scalar is read off the first coefficient of g that is a unit
     mod p; if g vanishes mod p entirely, the scalar is taken to be 1.
@@ -445,23 +460,22 @@ def congruent_mod_p(f: IwasawaElement, g: IwasawaElement,
     p = f.p
     d = min(f.trunc, g.trunc)
     u = 1
-    if allow_unit_scalar:
-        for i, (a, b) in enumerate(zip(f.coeffs[:d + 1], g.coeffs[:d + 1])):
-            if b % p != 0:
-                u = a * pow(b % p, -1, p) % p
-                if u == 0:
-                    # F vanishes mod p where G does not; the witness is
-                    # the first coefficient keeping F away from 0 mod p,
-                    # or this index if F is zero mod p throughout
-                    for j in range(d + 1):
-                        if f.coeffs[j] % p != 0:
-                            return CongruenceVerdict(
-                                False, None, j,
-                                (f.coeffs[j] % p, g.coeffs[j] % p))
-                    u = 1
-                break
+    for i, (a, b) in enumerate(zip(f.coeffs[:d + 1], g.coeffs[:d + 1])):
+        if b % p != 0:
+            u = a * pow(b % p, -1, p) % p
+            if u == 0:
+                # F vanishes mod p where G does not; the witness is the
+                # first coefficient keeping F away from 0 mod p, or this
+                # index if F is zero mod p throughout
+                for j in range(d + 1):
+                    if f.coeffs[j] % p != 0:
+                        return CongruenceVerdict(
+                            False, None, j,
+                            (f.coeffs[j] % p, g.coeffs[j] % p))
+                u = 1
+            break
     for i in range(d + 1):
         fa, ga = f.coeffs[i] % p, g.coeffs[i] % p
         if (fa - u * ga) % p != 0:
             return CongruenceVerdict(False, None, i, (fa, ga))
-    return CongruenceVerdict(True, u if allow_unit_scalar else None)
+    return CongruenceVerdict(True, u)

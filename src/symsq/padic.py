@@ -42,7 +42,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_TEST = 3317044064679887385961981
 
 
-@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; n >= MAX_PRIME_TEST is a ValueError."""
     if n < 2:
@@ -53,6 +52,8 @@ def is_prime(n: int) -> bool:
     for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
+    if n < 43 * 43:             # a composite below 43^2 has a factor <= 41
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -193,11 +194,6 @@ class PAdicInt:
             return inv(self) ** (-e)
         return _padic(self.p, self.prec, pow(self.residue, e, self.modulus))
 
-    def __truediv__(self, other):
-        """Division by a unit.  For p-power division use exact_div_p."""
-        other = self._coerce(other)
-        return self * inv(other)
-
     def exact_div_p(self, k: int) -> "PAdicInt":
         """Divide by p^k; the residue must actually be divisible by p^k."""
         if k == 0:
@@ -253,10 +249,6 @@ def from_rational(x, p: int, prec: int) -> PAdicInt:
 
 
 # -- the spec operations -----------------------------------------------
-
-
-def val(x: PAdicInt) -> int | None:
-    return x.val()
 
 
 def inv(x: PAdicInt) -> PAdicInt:

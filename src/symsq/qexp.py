@@ -8,11 +8,9 @@ V_q are exact values, not unknowns.
 
 Coefficients live in one of three rings, tagged on the expansion:
 "int" (exact integers or Fractions), "cyc" (CycNumber), or "padic"
-(PAdicInt, each with its own precision tag; to_json writes one
-"precision" when the tags agree and the list of tags when they do not,
-so from_json inverts it).  A "padic" expansion made with an
-explicit primitive root carries it, and every later embedding of a
-nebentype value into Z_p uses it; None means the default root.
+(PAdicInt, each with its own precision tag).  A "padic" expansion made
+with an explicit primitive root carries it, and every later embedding
+of a nebentype value into Z_p uses it; None means the default root.
 
 p_stabilize works on integer residues: it lifts every coefficient once
 (an exact value through the one embedding of cyclotomic, a PAdicInt
@@ -31,11 +29,8 @@ from math import gcd, lcm
 
 from .characters import DirichletCharacter
 from .cyclotomic import (CycNumber, _residue_embedding, cyc_embed_padic,
-                         embedding_root, exact_json, parse_exact,
-                         parse_rational)
-from .errors import (BadMode, BadPrime, NotEmbeddable, OddCharacter,
-                     SchemaError)
-from .iwasawa import MAX_LEVEL, MAX_WEIGHT, padic_problems
+                         embedding_root)
+from .errors import BadMode, BadPrime, OddCharacter, SchemaError
 from .padic import PAdicInt, _padic, factorize, hensel_unit_root, inv
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
@@ -94,72 +89,6 @@ class QExpansion:
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return _combine(self, other, lambda a, b: a - b)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        rec = {
-            "weight": str(self.weight),
-            "level": self.level,
-            "character": self.character.to_json(),
-            "coeffs": [str(c.residue) if isinstance(c, PAdicInt)
-                       else exact_json(c) for c in self.coeffs],
-        }
-        if self.ring == "padic":
-            tags = [c.prec for c in self.coeffs]
-            rec["p"] = self.coeffs[0].p
-            rec["precision"] = tags[0] if len(set(tags)) == 1 else tags
-        if self.primitive_root is not None:
-            rec["primitive_root"] = self.primitive_root
-        if self.ring == "cyc":
-            rec["ring"] = "cyc"
-        return rec
-
-    @staticmethod
-    def from_json(rec: dict) -> "QExpansion":
-        """Inverse of to_json; the weight, the level and a padic p and
-        precision tags follow the bounds of a form record."""
-        try:
-            weight, level = parse_rational(rec["weight"]), rec["level"]
-            if abs(weight) > MAX_WEIGHT:
-                raise ValueError(f"weight {weight} is past {MAX_WEIGHT}")
-            if type(level) is not int or not 1 <= level <= MAX_LEVEL:
-                raise ValueError(f"level must be an integer in "
-                                 f"[1, {MAX_LEVEL}], got {level!r}")
-            character = DirichletCharacter.from_json(rec["character"])
-            raw = rec["coeffs"]
-            if type(raw) is not list:
-                raise ValueError(f"coeffs must be a list, got {raw!r}")
-            root = None
-            if rec.get("ring") == "cyc":
-                coeffs = tuple(parse_exact(c) for c in raw)
-                ring = "cyc"
-            elif "p" in rec:
-                p, tags = rec["p"], rec["precision"]
-                if type(tags) is not list:
-                    tags = [tags] * len(raw)
-                elif len(tags) != len(raw) or any(type(n) is not int
-                                                  for n in tags):
-                    raise ValueError("a precision list needs one int tag "
-                                     "per coefficient")
-                problems = (padic_problems(p, min(tags))
-                            or padic_problems(p, max(tags)))
-                if problems:
-                    raise ValueError("; ".join(problems))
-                coeffs = tuple(PAdicInt(p, n, int(c))
-                               for n, c in zip(tags, raw))
-                ring = "padic"
-                if "primitive_root" in rec:
-                    root = rec["primitive_root"]
-                    if type(root) is not int:
-                        raise ValueError(f"non-int primitive_root {root!r}")
-                    root = embedding_root(p, root)
-            else:
-                coeffs = tuple(parse_rational(c) for c in raw)
-                ring = "int"
-        except (KeyError, TypeError, ValueError, NotEmbeddable) as exc:
-            raise SchemaError(f"bad form record: {exc}") from exc
-        return QExpansion(weight, level, character, coeffs, ring, root)
 
 
 def _coeff_is_zero(c) -> bool:

@@ -289,6 +289,16 @@ def full_inverse_weierstrass_prep(f: IwasawaElement,
                            IwasawaElement(p, nprec, tuple(ucoeffs)))
 
 
+def extend_past_truncation(f: IwasawaElement, extra: int,
+                           rng: random.Random) -> IwasawaElement:
+    """f with `extra` more coefficients, random multiples of p^mu(f): a
+    series with the same mu that f, known mod T^(D+1), cannot tell apart
+    from the one it was cut from."""
+    step = f.p**min(int_valuation(c, f.p) for c in f.coeffs if c)
+    return IwasawaElement(f.p, f.prec, f.coeffs + tuple(
+        step * rng.randrange(f.modulus) for _ in range(extra)))
+
+
 # -- Frobenius exponents the long way ----------------------------------------
 
 

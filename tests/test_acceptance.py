@@ -164,7 +164,8 @@ def test_criterion_05_congruence_transfer():
         one = IwasawaElement.one(p, n, d)
         f = assemble_imprimitive(one, lifts1)
         g = assemble_imprimitive(one, lifts2)
-        assert congruent_mod_p(f, g).congruent, trial
+        verdict = congruent_mod_p(f, g)
+        assert verdict.congruent and verdict.unit == 1, trial
         out = congruence_transfer_check(f, g)
         assert out["congruent"]
         assert out["mu_f"] == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, CycNumber, _zeta_image,
-                              cyc_embed_padic, cyc_mul, cyclotomic_poly,
+                              cyc_embed_padic, cyclotomic_poly,
                               default_primitive_root, dlog, embedding_root,
                               euler_phi, exact_json, parse_exact,
                               parse_rational)
@@ -38,16 +38,21 @@ def test_phi12_known_value():
 
 def test_mul_examples():
     z3 = CycNumber.zeta(3)
-    assert cyc_mul(z3, z3).coeffs == (Fraction(-1), Fraction(-1))
+    assert (z3 * z3).coeffs == (Fraction(-1), Fraction(-1))
     z4 = CycNumber.zeta(4)
-    assert cyc_mul(z4, z4).coeffs == (Fraction(-1), Fraction(0))
+    assert (z4 * z4).coeffs == (Fraction(-1), Fraction(0))
     u = CycNumber(3, (Fraction(1), Fraction(2)))   # 1 + 2 zeta_3
-    assert cyc_mul(u, u) == -3
+    assert u * u == -3
 
 
 def test_mul_order_mismatch():
+    # a product promotes both operands to the lcm of their orders; an
+    # explicit promotion to an order that is not a multiple is refused
+    z3, z4 = CycNumber.zeta(3), CycNumber.zeta(4)
+    assert (z3 * z4).order == 12
+    assert z3 * z4 == CycNumber.zeta(12)**7
     with pytest.raises(OrderMismatch):
-        cyc_mul(CycNumber.zeta(3), CycNumber.zeta(4))
+        z3.promote(4)
 
 
 # orders of the Gauss-sum and L-value rows of the tables, up to 1332 =
@@ -64,7 +69,7 @@ def test_mul_against_oracle():
                                         rng.randint(1, 5)) for _ in range(d)))
         v = CycNumber(n, tuple(Fraction(rng.randint(-top, top),
                                         rng.randint(1, 5)) for _ in range(d)))
-        assert cyc_mul(u, v).coeffs == oracle_cyc_mul(u, v), n
+        assert (u * v).coeffs == oracle_cyc_mul(u, v), n
 
 
 def test_promotion_preserves_value():

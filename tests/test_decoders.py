@@ -29,7 +29,6 @@ from symsq.characters import trivial_character
 from symsq.errors import SchemaError
 from symsq.harness import load_form
 from symsq.iwasawa import MAX_WEIGHT, IwasawaElement, padic_problems
-from symsq.qexp import QExpansion
 
 from conftest import PRIMES_TO_200, random_eigen_map, seeded
 
@@ -484,18 +483,14 @@ def test_huge_values_are_refused_at_once(tmp_path, case):
     (4, 3), (7.5, 3), (True, 3), (10**30, 3), (5, 3.9), (5, 0), (5, 101),
     (5, True), (17, 100), (1000003, 19)])
 def test_one_padic_rule_for_every_decoder(tmp_path, p, precision):
-    # each decoder spelled out its own p and precision checks, and the
-    # q-expansion decoder had none
+    # each decoder spelled out its own p and precision checks
     rule = "; ".join(padic_problems(p, precision))
     assert rule
+    edit = {"p": p, "precision": precision}
     path = tmp_path / "form.json"
-    path.write_text(json.dumps(FORM | {"p": p, "precision": precision}))
-    qexp = {"weight": "2", "level": 1,
-            "character": trivial_character(1).to_json(),
-            "coeffs": ["0", "1"], "p": p, "precision": precision}
+    path.write_text(json.dumps(FORM | edit))
     for decode in (lambda: load_form(path),
-                   lambda: IwasawaElement.from_json(LAMBDA | qexp),
-                   lambda: QExpansion.from_json(qexp)):
+                   lambda: IwasawaElement.from_json(LAMBDA | edit)):
         with pytest.raises(SchemaError, match=re.escape(rule)):
             decode()
 

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from symsq.characters import characters_mod, trivial_character
+from symsq.cyclotomic import cyc_embed_padic
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
 from symsq import cli, harness
@@ -472,6 +473,39 @@ class TestCLI:
         out = self.run_cli("specialize", str(path), "-n", "1")
         assert out.returncode == 0
         assert json.loads(out.stdout)["value"] == "25"
+
+    def test_prep_states_the_determined_precision(self, tmp_path):
+        # P * U factors the truncated polynomial to "precision" digits;
+        # as a power series, P is known to "determined_precision" digits
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps(
+            elem(5, 6, 5, 5, 5, 5, 5, *([1] * 8)).to_json()))
+        out = self.run_cli("prep", str(path))
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert (payload["lambda"], payload["precision"],
+                payload["determined_precision"]) == (5, 6, 2)
+
+    def test_positive_mu_fails_the_report(self, tmp_path):
+        # the lift at q = 43 has mu > 0 at precision 2 (see test_euler's
+        # test_positive_mu_shows_in_the_lift): the report exits 1
+        p, q = 5, 43
+        psi = next(c for c in characters_mod(16)
+                   if c.order == 4 and
+                   (cyc_embed_padic(c(q), p, 1) * pow(q, -1, p)).residue == 1)
+        psi_path = tmp_path / "psi.json"
+        psi_path.write_text(json.dumps(psi.to_json()))
+        form_path = write_form(
+            tmp_path, level=q, character=trivial_character(1).to_json(),
+            precision=2, trunc=4,
+            bad_primes={str(q): {"type": "ordinary", "aq": "1"}})
+        out = self.run_cli("report", str(form_path), "--s0", str(q),
+                           "--psi", str(psi_path))
+        assert out.returncode == 1, out.stderr
+        report = json.loads(out.stdout)
+        assert report["sigma_table"][0]["mu"] > 0
+        assert {"name": f"mu = 0 for the local factor at q={q}",
+                "ok": False} in report["assertions"]
 
     def test_congruence_exit_codes(self, tmp_path):
         a = tmp_path / "a.json"

@@ -17,7 +17,8 @@ from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
                            reconstruct, specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
-from conftest import (PRIMES_TO_200, full_inverse_weierstrass_prep,
+from conftest import (PRIMES_TO_200, extend_past_truncation,
+                      full_inverse_weierstrass_prep,
                       recurrence_series_inverse_mod_p,
                       schoolbook_mul_trunc, seeded,
                       teichmuller_frobenius_exponent)
@@ -248,6 +249,7 @@ class TestWeierstrass:
         assert (w.mu, w.lam) == (1, 0)
         assert w.distinguished == (1,)
         assert w.prec == 3
+        assert w.determined_precision == 3    # lambda = 0: P = 1 exactly
 
     def test_unit_at_one(self):
         w = weierstrass_prep(elem(5, 4, 5, 1, trunc=6))
@@ -282,6 +284,33 @@ class TestWeierstrass:
             assert w.distinguished[-1] == 1
             assert all(c % p == 0 for c in w.distinguished[:-1])
             assert w.unit.coeffs[0] % p != 0
+
+    def test_distinguished_is_determined_to_its_stated_precision(self):
+        # raise-and-compare: a series that agrees with f mod T^(D+1)
+        # (f extended past D) has a distinguished polynomial that agrees
+        # with f's mod p^determined_precision, not always mod p^prec
+        rng = seeded(56)
+        over_claimed = 0
+        for _ in range(300):
+            p = rng.choice([5, 7, 11])
+            n, d = rng.randint(1, 8), rng.randint(TRUNCATION_GUARD, 40)
+            mu = rng.randint(0, min(2, n - 1))
+            lam = rng.randint(0, d - TRUNCATION_GUARD)
+            coeffs = [rng.randrange(p**n) for _ in range(d + 1)]
+            coeffs[:lam] = [c * p for c in coeffs[:lam]]
+            coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
+            f = IwasawaElement(p, n, tuple(c * p**mu for c in coeffs))
+            w = weierstrass_prep(f)
+            for _ in range(2):
+                g = extend_past_truncation(f, rng.randint(1, 40), rng)
+                v = weierstrass_prep(g)
+                assert (v.mu, v.lam) == (w.mu, w.lam)
+                diffs = [a - b for a, b in zip(w.distinguished,
+                                               v.distinguished)]
+                assert all(c % p**w.determined_precision == 0
+                           for c in diffs)
+                over_claimed += any(c % p**w.prec for c in diffs)
+        assert over_claimed
 
     def test_invariant_additivity(self):
         rng = seeded(51)
@@ -444,25 +473,26 @@ class TestCongruence:
     def test_examples(self):
         f = elem(5, 3, 0, 1, trunc=4)               # T
         g = elem(5, 3, 0, 1, 5, trunc=4)            # T + 5T^2
-        assert congruent_mod_p(f, g).congruent
+        v = congruent_mod_p(f, g)
+        assert v.congruent and v.unit == 1
 
         f2 = elem(5, 3, 0, 2, trunc=4)              # 2T
-        v = congruent_mod_p(f2, f, allow_unit_scalar=True)
+        v = congruent_mod_p(f2, f)
         assert v.congruent and v.unit == 2
 
         t_sq = elem(5, 3, 0, 0, 1, trunc=4)         # T^2
-        v2 = congruent_mod_p(f, t_sq, allow_unit_scalar=True)
+        v2 = congruent_mod_p(f, t_sq)
         assert not v2.congruent
 
     def test_unit_must_be_unit(self):
         zero_at = elem(5, 3, 0, 5, trunc=4)         # == 0 mod 5
         t = elem(5, 3, 0, 1, trunc=4)
-        assert not congruent_mod_p(zero_at, t, allow_unit_scalar=True).congruent
+        assert not congruent_mod_p(zero_at, t).congruent
 
     def test_zero_target(self):
         a = elem(5, 3, 5, 25, trunc=4)
         b = elem(5, 3, 0, 0, trunc=4)
-        assert congruent_mod_p(a, b, allow_unit_scalar=True).congruent
+        assert congruent_mod_p(a, b).congruent
 
     def test_transfer_generative(self):
         # F == u G mod p with mu(F) = 0 forces mu(G) = 0, lambda equal
@@ -478,7 +508,7 @@ class TestCongruence:
                         for c in g_coeffs]
             f = IwasawaElement(p, n, tuple(f_coeffs))
             g = IwasawaElement(p, n, tuple(g_coeffs))
-            assert congruent_mod_p(f, g, allow_unit_scalar=True).congruent
+            assert congruent_mod_p(f, g).congruent
             mf, lf = invariants(f)
             mg, lg = invariants(g)
             if mf == 0:

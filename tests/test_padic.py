@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 from symsq.errors import NotAUnit, NotOrdinary, PrecisionLoss
 from symsq.padic import (MAX_PRIME_TEST, PAdicInt, factorize, from_rational,
                          hensel_unit_root, inv, is_prime, padic_log1p,
-                         teichmuller, val)
+                         teichmuller)
 
 from conftest import pow_per_term_log1p, seeded
 
 
 class TestVal:
     def test_examples(self):
-        assert val(PAdicInt(5, 3, 50)) == 2
-        assert val(PAdicInt(5, 3, 1)) == 0
-        assert val(PAdicInt(5, 3, 0)) is None
+        assert PAdicInt(5, 3, 50).val() == 2
+        assert PAdicInt(5, 3, 1).val() == 0
+        assert PAdicInt(5, 3, 0).val() is None
 
     def test_additive_when_determined(self):
         rng = seeded(1)
