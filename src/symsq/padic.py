@@ -20,9 +20,11 @@ Q(zeta_n) alike, are multiplied by one kernel, `_poly_mul_trunc`, by
 Kronecker substitution: both are packed into big integers with one
 fixed-width slot per coefficient, multiplied once, and unpacked (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-JSC 2009).  A slot that fits a machine word (8 bytes: the mod-p
-products, and mod p^k ones while they stay that narrow) is packed and
-unpacked through `array`; wider slots go through bytes.
+JSC 2009).  A slot is sized by the operands' largest coefficients, so a
+mod-p digit series times a wide one is nearly as narrow as the wide one.
+A slot that fits a machine word (8 bytes: the mod-p products, and mod
+p^k ones while they stay that narrow) is packed and unpacked through
+`array`; wider slots go through bytes.
 """
 
 from __future__ import annotations
@@ -361,8 +363,9 @@ def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
     Each series is reduced into [0, mod), stripped of trailing zeros and
     packed into one integer with a byte slot per coefficient; a slot
     holds any product coefficient, a sum of at most min(len a, len b)
-    terms below (mod-1)^2, so one big-integer multiply carries no digit
-    across slots and the first d+1 slots of the product are the answer.
+    terms of at most max(a) * max(b), so one big-integer multiply
+    carries no digit across slots and the first d+1 slots of the product
+    are the answer.
     A slot that fits a machine word is packed and unpacked by `array`,
     widened to the smallest item size that holds it.
     """
@@ -370,7 +373,7 @@ def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
     b = _strip([c % mod for c in b[:d + 1]])
     if not a or not b:
         return [0] * (d + 1)
-    width = ((min(len(a), len(b)) * (mod - 1)**2).bit_length() + 7) // 8
+    width = ((min(len(a), len(b)) * max(a) * max(b)).bit_length() + 7) // 8
     slots = len(a) + len(b) - 1
     n = min(d + 1, slots)
     code = _WORD_CODES.get(width)

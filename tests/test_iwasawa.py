@@ -80,6 +80,32 @@ class TestKernels:
                     assert padic._poly_mul_trunc(a, b, mod, d) == \
                         schoolbook_mul_trunc(a, b, mod, d)
 
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_mul_narrow_by_wide_at_every_slot_width(self, width):
+        # a mod-p digit series (coefficients below p, or all ones) times
+        # one below mod = p^k, as in each Hensel step: the slot holds
+        # min(len) * max(a) * max(b), which all-top times all-(mod - 1)
+        # reaches in the middle slots, and is mostly narrower than the
+        # slot that (mod - 1)^2 would need
+        rng = seeded(58)
+        cases = [(p, p**k, n, top) for p in (5, 7, 11, 13)
+                 for k in range(1, 21) for n in (1, 2, 5, 17, 40)
+                 for top in (p - 1, 1)
+                 if ((n * top * (p**k - 1)).bit_length() + 7) // 8 == width]
+        assert cases
+        assert any(((n * (mod - 1)**2).bit_length() + 7) // 8 > width
+                   for p, mod, n, top in cases)
+        for p, mod, n, top in cases:
+            narrow = [top] * n
+            wide = [mod - 1] * (n + 4)
+            noisy_narrow = [rng.randrange(top + 1) for _ in range(n - 1)]
+            noisy_wide = [rng.randrange(mod) for _ in range(n + 3)]
+            for a, b in ((narrow, wide), (wide, narrow),
+                         (noisy_narrow + [top], noisy_wide + [mod - 1])):
+                for d in (0, n - 1, len(a) + len(b)):
+                    assert padic._poly_mul_trunc(a, b, mod, d) == \
+                        schoolbook_mul_trunc(a, b, mod, d)
+
     def test_mul_sparse_elements(self):
         one = IwasawaElement.one(7, 10, 60)
         t_lam = IwasawaElement(7, 10, (0,) * 9 + (1,) + (0,) * 51)
@@ -229,6 +255,23 @@ def _prep_or_refusal(prep, f):
         return type(exc)
 
 
+def _with_invariants(rng, p, n, d, mu, lam):
+    """A random element mod (p^n, T^(d+1)) with the given mu < n and
+    lambda <= d."""
+    coeffs = [rng.randrange(p**(n - mu)) for _ in range(d + 1)]
+    coeffs[:lam] = [c * p for c in coeffs[:lam]]
+    coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
+    return IwasawaElement(p, n, tuple(c * p**mu for c in coeffs))
+
+
+def _matches_oracle_and_reconstructs(f):
+    w = weierstrass_prep(f)
+    assert (w.mu, w.lam) == invariants(f)
+    assert w == full_inverse_weierstrass_prep(f)
+    assert reconstruct(w, f.trunc) == f
+    return w
+
+
 class TestWeierstrass:
     @given(prep_cases())
     @settings(max_examples=120, deadline=None)
@@ -284,6 +327,61 @@ class TestWeierstrass:
             assert w.distinguished[-1] == 1
             assert all(c % p == 0 for c in w.distinguished[:-1])
             assert w.unit.coeffs[0] % p != 0
+
+    # the carried error starts as E_1 = (f - T^lam ubar) / p; its edges
+    # are one digit (no Hensel step), lambda = 0 (no dP, so the error
+    # moves on by P dU alone) and lambda at the guard (the shortest dU,
+    # TRUNCATION_GUARD + 1 terms)
+
+    def test_one_digit_runs_no_hensel_step(self):
+        rng = seeded(59)
+        for p in (5, 7, 11, 13):
+            for n, d, lam in ((1, 20, 7), (4, 30, 0), (6, 40, 12)):
+                f = _with_invariants(rng, p, n, d, n - 1, lam)
+                w = _matches_oracle_and_reconstructs(f)
+                assert w.prec == 1
+                assert w.distinguished == (0,) * lam + (1,)
+
+    def test_lambda_zero(self):
+        rng = seeded(60)
+        for p in (5, 7, 11, 13):
+            for n, d, mu in ((1, 8, 0), (6, 40, 0), (12, 60, 2), (30, 120, 1)):
+                w = _matches_oracle_and_reconstructs(
+                    _with_invariants(rng, p, n, d, mu, 0))
+                assert w.distinguished == (1,)
+
+    def test_lambda_at_the_guard(self):
+        rng = seeded(61)
+        for p in (5, 7, 11, 13):
+            for n, d, mu in ((2, TRUNCATION_GUARD, 0), (6, 40, 1),
+                             (20, 120, 0)):
+                lam = d - TRUNCATION_GUARD
+                w = _matches_oracle_and_reconstructs(
+                    _with_invariants(rng, p, n, d, mu, lam))
+                assert w.lam == lam
+
+    def test_at_the_decoder_bounds(self):
+        # the oracle takes most of a second here, so only the exact
+        # reconstruction is checked
+        f = _with_invariants(seeded(62), 13, MAX_PRECISION, MAX_TRUNC, 1, 250)
+        assert f.modulus == MAX_PADIC_MODULUS
+        w = weierstrass_prep(f)
+        assert (w.mu, w.lam, w.prec) == (1, 250, MAX_PRECISION - 1)
+        assert reconstruct(w, MAX_TRUNC) == f
+
+    def test_unit_ends_in_lambda_padding_zeros(self):
+        # deg(P U) <= D fixes the unit's last lam coefficients at zero;
+        # as power-series coefficients they are not determined even mod p
+        rng = seeded(63)
+        for _ in range(60):
+            p = rng.choice([5, 7, 11, 13])
+            n, d = rng.randint(1, 10), rng.randint(TRUNCATION_GUARD + 1, 50)
+            lam = rng.randint(1, d - TRUNCATION_GUARD)
+            f = _with_invariants(rng, p, n, d, rng.randint(0, n - 1), lam)
+            w = weierstrass_prep(f)
+            assert w.unit.trunc == d
+            assert w.unit.coeffs[-lam:] == (0,) * lam
+            assert reconstruct(w, d) == f
 
     def test_distinguished_is_determined_to_its_stated_precision(self):
         # raise-and-compare: a series that agrees with f mod T^(D+1)
