@@ -72,8 +72,6 @@ def _dlog_table(m: int) -> dict[int, tuple[int, ...]]:
     """a -> exponent tuple over the canonical generators, for units a."""
     structure = unit_group_structure(m)
     table = {1 % m: (0,) * len(structure)}
-    if m == 1:
-        return {0: ()} | table
     exps = [0] * len(structure)
     a = 1
     # iterate the product group in odometer order; each generator has
@@ -184,29 +182,28 @@ class DirichletCharacter:
         ValueError unless c divides the modulus and chi factors through c."""
         if not self.factors_through(c):
             raise ValueError(f"{self!r} does not factor through {c}")
-        m = self.modulus
-        exps = []
-        n = self.order
-        for g, d in unit_group_structure(c):
-            a = g
-            while gcd(a, m) != 1:
-                a += c
-            e = self.value_exponent(a)
-            exps.append(e * d // n)
-        return DirichletCharacter(c, tuple(exps))
+        return self._transfer(c)
 
     def lift_to(self, big: int) -> "DirichletCharacter":
         """The character mod big (a multiple of the modulus) inducing the
         same values on units."""
         if big % self.modulus != 0:
             raise ValueError(f"{self.modulus} does not divide {big}")
+        return self._transfer(big)
+
+    def _transfer(self, c: int) -> "DirichletCharacter":
+        """The character mod c taking chi's value at each canonical
+        generator mod c, read at a lift of it (a step of c at a time)
+        that is a unit mod the modulus."""
+        m, n = self.modulus, self.order
         exps = []
-        n = self.order
-        for g, d in unit_group_structure(big):
+        for g, d in unit_group_structure(c):
+            while gcd(g, m) != 1:
+                g += c
             e = self.value_exponent(g)
-            assert (e * d) % n == 0
+            assert e * d % n == 0
             exps.append(e * d // n)
-        return DirichletCharacter(big, tuple(exps))
+        return DirichletCharacter(c, tuple(exps))
 
     # -- group operations ---------------------------------------------------
 
@@ -257,9 +254,8 @@ class DirichletCharacter:
 @lru_cache(maxsize=None)
 def _conductor(chi: DirichletCharacter) -> int:
     for d in sorted(_divisors(chi.modulus)):
-        if chi.factors_through(d):
+        if chi.factors_through(d):     # at the latest d = modulus
             return d
-    return chi.modulus
 
 
 def _divisors(n: int) -> list[int]:
@@ -290,20 +286,10 @@ def teichmuller_character(p: int, primitive_root: int | None = None
 
 
 def characters_mod(m: int):
-    """All characters of modulus m, in odometer order of exponents."""
-    structure = unit_group_structure(m)
-    exps = [0] * len(structure)
-    while True:
-        yield DirichletCharacter(m, tuple(exps))
-        i = 0
-        while i < len(structure):
-            exps[i] += 1
-            if exps[i] < structure[i][1]:
-                break
-            exps[i] = 0
-            i += 1
-        else:
-            return
+    """All characters of modulus m, in odometer order of exponents (the
+    first varies fastest): the order in which _dlog_table walks them."""
+    for exps in _dlog_table(m).values():
+        yield DirichletCharacter(m, exps)
 
 
 def is_residually_trivial(chi: DirichletCharacter, p: int) -> bool:

@@ -349,6 +349,14 @@ def _add(a: CycNumber, b: CycNumber, sign: int) -> CycNumber:
     return _cyc(a.order, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
 
+def _is_zero(x) -> bool:
+    """x == 0 for an exact or p-adic scalar; a CycNumber compared with
+    == builds a Fraction, so it and PAdicInt answer from their data."""
+    if isinstance(x, (CycNumber, PAdicInt)):
+        return x.is_zero()
+    return x == 0
+
+
 def default_primitive_root(p: int) -> int:
     """Smallest primitive root mod p."""
     for g in range(2, p):

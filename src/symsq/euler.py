@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import DirichletCharacter
-from .cyclotomic import CycNumber, cyc_embed_padic
+from .cyclotomic import CycNumber, _is_zero, cyc_embed_padic
 from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
 from .iwasawa import (IwasawaElement, binomial_sum, factorial_valuation,
                       frobenius_exponent)
-from .padic import PAdicInt, from_rational, inv, is_prime, teichmuller
+from .padic import PAdicInt, inv, is_prime, teichmuller
 
 RAMIFICATION_TYPES = ("unramified", "ordinary", "depleted")
 
@@ -53,12 +53,6 @@ class SatakeData:
         if self.ramification_type == "unramified" and _is_zero(self.eps_q):
             raise InvalidSatake(
                 "unramified primes need eps(q) != 0 so that alpha*beta != 0")
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, CycNumber):
-        return x.is_zero()
-    return x == 0
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,6 @@ def ep_factor(n: int, psi: DirichletCharacter, alpha_p: PAdicInt,
     wild conductor exponent.  Unramified: the three-term product; any
     surviving negative power of p raises NotIntegral.
     """
-    if not isinstance(alpha_p, PAdicInt):
-        alpha_p = from_rational(alpha_p, p, prec)
     if alpha_p.val() != 0:
         raise NotOrdinary(f"alpha_p = {alpha_p!r} is not a unit")
     psi_p = psi(p)
@@ -178,8 +170,6 @@ def ep_factor(n: int, psi: DirichletCharacter, alpha_p: PAdicInt,
         return base**r
     if beta_p is None:
         raise ValueError("unramified case needs beta_p")
-    if not isinstance(beta_p, PAdicInt):
-        beta_p = from_rational(beta_p, p, prec)
     term1 = PAdicInt(p, prec, 1) - PAdicInt(p, prec, p)**(n - 1) * inv(w) * a2inv
     if k - 1 - n < 0:
         raise NotIntegral(f"p^{k - 1 - n} is not integral")
@@ -255,12 +245,3 @@ def df_complex(satake: list[SatakeData], chi: DirichletCharacter,
                 f"factor at q = {data.q} left the convergence region")
         product /= value
     return product
-
-
-def df_convergence_report(satake: list[SatakeData], chi: DirichletCharacter,
-                          s: float, qmax: int) -> dict:
-    """Value at qmax, at 2*qmax, and the relative change between them."""
-    v1 = df_complex(satake, chi, s, qmax)
-    v2 = df_complex(satake, chi, s, 2 * qmax)
-    rel = abs(v2 - v1) / abs(v2) if v2 != 0 else float("inf")
-    return {"qmax": qmax, "value": v1, "value_double": v2, "rel_change": rel}

@@ -214,6 +214,19 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _check_twist(p: int, psi: DirichletCharacter, t: int,
+                 primitive_root: int | None) -> None:
+    """Refuse, whatever primes are lifted, a primitive root that is not
+    one mod p, an odd tame exponent t, and a psi whose order does not
+    divide p - 1 (the rule load_form applies to the nebentype)."""
+    embedding_root(p, primitive_root)
+    if t % 2 != 0:
+        raise ValueError(f"the tame exponent t must be even, got {t}")
+    if (p - 1) % psi.order != 0:
+        raise NotEmbeddable(
+            f"psi order {psi.order} does not divide p - 1 = {p - 1}")
+
+
 def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
                 primitive_root: int | None = None,
                 cache_dir: str | Path | None = None, *,
@@ -223,8 +236,9 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     An entry that does not decode, or was lifted at another p, precision
     or truncation, is a miss; entries are written whole, then renamed,
     and a write that fails is skipped.
-    A primitive root that is not one mod p is refused before any lift."""
-    embedding_root(form.p, primitive_root)
+    An odd t, a psi whose order does not divide p - 1 and a primitive
+    root that is not one mod p are refused before any lift."""
+    _check_twist(form.p, psi, t, primitive_root)
     factor = factor or form.euler_factor(q)
     if cache_dir is not None:
         path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
@@ -311,6 +325,7 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     provenance records the primitive root reduced mod p, or None.
     """
     s0 = sorted(set(s0))
+    _check_twist(form.p, psi, t, primitive_root)
     root = (None if primitive_root is None
             else embedding_root(form.p, primitive_root))
     if form.p in s0:
@@ -386,14 +401,8 @@ def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
             "index": verdict.mismatch_index,
             "coefficients_mod_p": list(verdict.mismatch)}
         return out
-    try:
-        mu_f, lam_f = invariants(f)
-    except InsufficientPrecision:
-        mu_f, lam_f = None, None
-    try:
-        mu_g, lam_g = invariants(g)
-    except InsufficientPrecision:
-        mu_g, lam_g = None, None
+    mu_f, lam_f = _invariants_or_none(f)
+    mu_g, lam_g = _invariants_or_none(g)
     out.update({"mu_f": mu_f, "lambda_f": lam_f,
                 "mu_g": mu_g, "lambda_g": lam_g})
     if mu_f != 0:
@@ -402,6 +411,14 @@ def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
     ok = (mu_g == 0) and (lam_f == lam_g)
     out["conclusion"] = "transfer_verified" if ok else "transfer_failed"
     return out
+
+
+def _invariants_or_none(f: IwasawaElement) -> tuple:
+    """(mu, lambda) of f, or (None, None) when f vanishes mod p^prec."""
+    try:
+        return invariants(f)
+    except InsufficientPrecision:
+        return None, None
 
 
 def emit_report(report, fmt: str, path: str | Path | None = None) -> int:

@@ -85,12 +85,6 @@ class IwasawaElement:
     def modulus(self) -> int:
         return self.p**self.prec
 
-    def coefficient(self, i: int) -> PAdicInt:
-        return PAdicInt(self.p, self.prec, self.coeffs[i])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def reduce(self, prec: int) -> "IwasawaElement":
         if prec > self.prec:
             raise PrecisionLoss(f"cannot raise precision {self.prec} -> {prec}")
@@ -101,41 +95,14 @@ class IwasawaElement:
             raise PrecisionLoss(f"cannot extend truncation {self.trunc}")
         return IwasawaElement(self.p, self.prec, self.coeffs[:trunc + 1])
 
-    def _check(self, other: "IwasawaElement"):
+    def __mul__(self, other: "IwasawaElement") -> "IwasawaElement":
         if self.p != other.p:
             raise ValueError(f"mixed primes {self.p} and {other.p}")
-
-    def __add__(self, other: "IwasawaElement") -> "IwasawaElement":
-        self._check(other)
-        n = min(self.prec, other.prec)
-        d = min(self.trunc, other.trunc)
-        return IwasawaElement(self.p, n, tuple(
-            a + b for a, b in zip(self.coeffs[:d + 1], other.coeffs[:d + 1])))
-
-    def __neg__(self) -> "IwasawaElement":
-        return IwasawaElement(self.p, self.prec, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IwasawaElement") -> "IwasawaElement":
-        return self + (-other)
-
-    def __mul__(self, other) -> "IwasawaElement":
-        if isinstance(other, int):
-            return IwasawaElement(self.p, self.prec,
-                                  tuple(other * c for c in self.coeffs))
-        if isinstance(other, PAdicInt):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            n = min(self.prec, other.prec)
-            return IwasawaElement(self.p, n, tuple(
-                other.residue * c for c in self.coeffs))
-        self._check(other)
         n = min(self.prec, other.prec)
         d = min(self.trunc, other.trunc)
         m = self.p**n
         out = _poly_mul_trunc(self.coeffs, other.coeffs, m, d)
         return _series(self.p, n, tuple(out))
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])

@@ -28,8 +28,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import DirichletCharacter
-from .cyclotomic import (CycNumber, _residue_embedding, cyc_embed_padic,
-                         embedding_root)
+from .cyclotomic import (CycNumber, _is_zero, _residue_embedding,
+                         cyc_embed_padic, embedding_root)
 from .errors import BadMode, BadPrime, OddCharacter, SchemaError
 from .padic import PAdicInt, _padic, factorize, hensel_unit_root, inv
 
@@ -65,7 +65,7 @@ class QExpansion:
         return self.coeffs[n]
 
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+        return all(_is_zero(c) for c in self.coeffs)
 
     def truncate(self, new_trunc: int) -> "QExpansion":
         if new_trunc > self.trunc:
@@ -89,14 +89,6 @@ class QExpansion:
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
         return _combine(self, other, lambda a, b: a - b)
-
-
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, PAdicInt):
-        return c.is_zero()
-    if isinstance(c, CycNumber):
-        return c.is_zero()
-    return c == 0
 
 
 def _zero_like(c):
@@ -130,10 +122,13 @@ def _eps_scalar(f: QExpansion, q: int):
     if f.ring == "padic":
         c0 = f.coeffs[0]
         return cyc_embed_padic(v, c0.p, c0.prec, f.primitive_root)
-    if v.is_rational():
-        r = v.as_rational()
-        return int(r) if r.denominator == 1 else r
-    return v  # forces the result into the cyc ring downstream
+    return _int_if_rational(v)  # else it forces the cyc ring downstream
+
+
+def _int_if_rational(v: CycNumber):
+    """A character value as an int when it is rational (0 or +-1), else
+    the CycNumber itself."""
+    return int(v.as_rational()) if v.is_rational() else v
 
 
 # -- Hecke operators ---------------------------------------------------------
@@ -316,9 +311,7 @@ def expansion_from_eigenvalues(weight: int, level: int,
             coeffs[n] = ap[q]
             continue
         if q not in eps_cache:
-            v = character(q)
-            eps_cache[q] = (int(v.as_rational()) if v.is_rational()
-                            and v.as_rational().denominator == 1 else v)
+            eps_cache[q] = _int_if_rational(character(q))
         eps = eps_cache[q]
         coeffs[n] = ap[q] * coeffs[q**(e - 1)] \
             - eps * q**(weight - 1) * coeffs[q**(e - 2)]
@@ -329,5 +322,5 @@ def expansion_from_eigenvalues(weight: int, level: int,
 def coeffs_agree(f: QExpansion, g: QExpansion) -> bool:
     """Coefficientwise equality on the common truncation."""
     d = min(f.trunc, g.trunc)
-    return all(_coeff_is_zero(a - b)
+    return all(_is_zero(a - b)
                for a, b in zip(f.coeffs[:d + 1], g.coeffs[:d + 1]))

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -8,7 +8,7 @@ from symsq.characters import (MAX_MODULUS, DirichletCharacter, _dlog_table,
                               is_residually_trivial, l_neg, tame_wild_split,
                               teichmuller_character, trivial_character,
                               unit_group_structure)
-from symsq.cyclotomic import CycNumber, cyc_embed_padic
+from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
 from symsq.errors import SchemaError
 from symsq.padic import teichmuller
 
@@ -53,6 +53,21 @@ class TestEvaluation:
         assert chi(2) == 1 and chi(-1) == 1 and chi.is_even()
         assert chi(3 * 99989).is_zero()
         assert _dlog_table.cache_info().currsize == before
+
+    def test_characters_mod_order_is_pinned(self):
+        # the bench corpora pick characters by position in this list
+        for m in range(1, 201):
+            exps = [chi.exponents for chi in characters_mod(m)]
+            assert exps == sorted(exps, key=lambda e: e[::-1]), m
+            assert len(set(exps)) == len(exps) == euler_phi(m), m
+
+    def test_dlog_table_inverts_the_generators(self):
+        for m in range(1, 201):
+            gens = [g for g, _ in unit_group_structure(m)]
+            table = _dlog_table(m)
+            assert sorted(table) == [a for a in range(m) if gcd(a, m) == 1]
+            for a, xs in table.items():
+                assert prod(pow(g, x, m) for g, x in zip(gens, xs)) % m == a
 
     def test_parity_is_sign_at_minus_one(self):
         for m in (3, 4, 5, 8, 12):

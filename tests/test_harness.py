@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -690,6 +691,36 @@ class TestCLI:
                 assert out.returncode == 2, (root, s0, out.stdout)
                 assert f"{root} is not a primitive root mod 5" in out.stderr
         assert not (tmp_path / "c").exists()
+
+    def test_twist_refused_before_any_lift(self, tmp_path):
+        # an odd t, or a psi of order 3 at p = 5, was refused only inside
+        # a lift, so an empty S0, or one where psi vanishes, exited 0
+        form_path = str(write_form(tmp_path))
+        psi = tmp_path / "psi3.json"
+        psi.write_text(json.dumps(next(
+            c for c in characters_mod(7) if c.order == 3).to_json()))
+        for twist, message in ((("--t", "1"), "t must be even, got 1"),
+                               (("--psi", str(psi)),
+                                "order 3 does not divide p - 1 = 4")):
+            for command in (("sigma", "--s0", ""), ("sigma", "--s0", "7"),
+                            ("report", "--s0", ""), ("lift", "-q", "7")):
+                out = self.run_cli(command[0], form_path, *command[1:],
+                                   *twist, f"--cache-dir={tmp_path / 'c'}")
+                assert out.returncode == 2, (command, twist, out.stdout)
+                assert message in out.stderr
+        assert not (tmp_path / "c").exists()
+
+    def test_stdout_is_the_same_bytes_in_every_process(self, tmp_path):
+        # set and dict order must not leak into the report: two hash seeds
+        form_path = write_order4_form(tmp_path)
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        outs = [subprocess.run(
+            [sys.executable, "-m", "symsq.cli", "report", str(form_path),
+             "--s0", "2,3,13", "--lfun", str(lfun)], capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}) for seed in "01"]
+        assert [out.returncode for out in outs] == [0, 0], outs[0].stderr
+        assert outs[0].stdout == outs[1].stdout
 
     def test_report_records_the_root_reduced_mod_p(self, tmp_path):
         form_path = write_order4_form(tmp_path)
