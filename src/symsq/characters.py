@@ -138,6 +138,22 @@ class DirichletCharacter:
             total += (n // o) * ((k // g0) * x % o)
         return total % n
 
+    def _exponent_row(self) -> list[int | None]:
+        """value_exponent(a) for a = 0, ..., modulus - 1, from one linear
+        form sum_i w_i x_i mod n over the discrete-log table, n the order:
+        chi(g_i) = zeta_d^k is zeta_n^w with w = n k / d, an integer since
+        d / gcd(d, k) divides n."""
+        m = self.modulus
+        if not any(self.exponents):     # trivial: no discrete log needed
+            return [0 if gcd(a, m) == 1 else None for a in range(m)]
+        n = self.order
+        weights = [n * k // d for k, (_, d)
+                   in zip(self.exponents, unit_group_structure(m))]
+        row: list[int | None] = [None] * m
+        for a, xs in _dlog_table(m).items():
+            row[a] = sum(w * x for w, x in zip(weights, xs)) % n
+        return row
+
     def __call__(self, a: int) -> CycNumber:
         e = self.value_exponent(a)
         n = self.order
@@ -350,8 +366,9 @@ def gauss_sum(chi: DirichletCharacter) -> CycNumber:
     n = chi.order
     order = lcm(c, n)
     raw = [0] * order
+    row = chi._exponent_row()
     for a in range(1, c):
-        e = chi.value_exponent(a)
+        e = row[a]
         if e is None:
             continue
         raw[(e * (order // n) + a * (order // c)) % order] += 1
@@ -398,8 +415,9 @@ def gen_bernoulli(chi: DirichletCharacter, m: int) -> CycNumber:
         poly.append(binom * b.numerator * (den // b.denominator) * c**j)
         binom = binom * (m - j) // (j + 1)
     buckets = [0] * n
+    row = chi._exponent_row()
     for a in range(1, c + 1):
-        e = chi.value_exponent(a)
+        e = row[a % c]
         if e is None:
             continue
         acc = 0

@@ -9,21 +9,19 @@ them in; that flag is not an input to the output, so a report is
 byte-identical with a cold cache, a warm cache or none.
 
 Each subcommand takes only the flags it reads (see _build_parser),
-written after it and in full; any other flag exits 2 (argparse).
+written after it and in full; any other flag exits 2 (argparse).  It
+also imports only the layers it runs: prep, specialize and congruence
+load iwasawa and padic, never the form and Euler-factor stack.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from functools import lru_cache
 
-from .characters import DirichletCharacter, trivial_character
-from .cyclotomic import exact_json
 from .errors import SymsqError
-from .harness import (congruence_transfer_check, emit_report, invariant_report,
-                      lift_factor, load_form, parse_prime, read_json)
-from .iwasawa import IwasawaElement, invariants, specialize, weierstrass_prep
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -90,64 +88,100 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_character(arg: str | None) -> DirichletCharacter:
-    if arg is None:
-        return trivial_character(1)
-    return DirichletCharacter.from_json(read_json(arg))
+def _run_form_command(args):
+    """euler, lift, sigma and report: the form and Euler-factor stack."""
+    from .characters import DirichletCharacter, trivial_character
+    from .cyclotomic import exact_json
+    from .harness import invariant_report, lift_factor, load_form, parse_prime
+    from .iwasawa import IwasawaElement, invariants, read_json
+
+    def load_character(path):
+        if path is None:
+            return trivial_character(1)
+        return DirichletCharacter.from_json(read_json(path))
+
+    def load():
+        return load_form(args.form, p=args.p, precision=args.precision,
+                         trunc=args.trunc)
+
+    if args.command == "euler":
+        q = parse_prime(args.q, "-q")
+        factor = load().euler_factor(q)
+        return {"q": q, "degree": factor.degree,
+                "coeffs": [exact_json(c) for c in factor.coeffs]}
+    if args.command == "lift":
+        q = parse_prime(args.q, "-q")
+        form = load()
+        psi = load_character(args.psi)
+        lifted = lift_factor(form, q, psi, args.t,
+                             args.primitive_root, args.cache_dir)
+        mu, lam = invariants(lifted)
+        return {"q": q, "t": args.t, "mu": mu, "lambda": lam,
+                "lift": lifted.to_json()}
+    form = load()                           # sigma or report
+    psi = load_character(args.psi)
+    s0 = [parse_prime(q, "S0") for q in args.s0.split(",") if q]
+    lfun = (IwasawaElement.from_json(read_json(args.lfun))
+            if args.command == "report" and args.lfun else None)
+    out = invariant_report(form, psi, args.t, s0, lfun,
+                           args.primitive_root, args.cache_dir)
+    if args.command == "report":
+        out.provenance.update({
+            "psi_source": args.psi or "<trivial>",
+            "lfun_source": args.lfun, "s0": sorted(set(s0))})
+    return out
 
 
-def _load_element(path: str) -> IwasawaElement:
-    return IwasawaElement.from_json(read_json(path))
+def _run_lambda_command(args) -> dict:
+    """prep, specialize and congruence: Lambda arithmetic only."""
+    from .iwasawa import (IwasawaElement, congruence_transfer_check,
+                          read_json, specialize, weierstrass_prep)
+
+    def load(path):
+        return IwasawaElement.from_json(read_json(path))
+
+    if args.command == "prep":
+        w = weierstrass_prep(load(args.element))
+        return {"mu": w.mu, "lambda": w.lam, "precision": w.prec,
+                "determined_precision": w.determined_precision,
+                "distinguished": [str(c) for c in w.distinguished],
+                "unit": w.unit.to_json()}
+    if args.command == "specialize":
+        f = load(args.element)
+        value = specialize(f, args.n)
+        return {"n": args.n, "p": f.p, "precision": value.prec,
+                "value": str(value.residue)}
+    f, g = load(args.first), load(args.second)      # congruence
+    return congruence_transfer_check(f, g)
 
 
-def _load_form(args):
-    return load_form(args.form, p=args.p, precision=args.precision,
-                     trunc=args.trunc)
+def emit_report(report, fmt: str, path: str | None = None) -> int:
+    """Serialize deterministically; exit code 0 on all-pass else 1."""
+    if isinstance(report, dict):
+        # a dict renders as the same JSON in either format
+        passed = report.get("conclusion") not in (
+            "transfer_failed", "not_congruent")
+        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    else:
+        passed = report.passed
+        rendered = (report.to_text() if fmt == "text" else
+                    json.dumps(report.to_json(), sort_keys=True, indent=2)
+                    + "\n")
+    if path is None:
+        print(rendered, end="")
+    else:
+        with open(path, "w") as f:
+            f.write(rendered)
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "euler":
-            q = parse_prime(args.q, "-q")
-            factor = _load_form(args).euler_factor(q)
-            out = {"q": q, "degree": factor.degree,
-                   "coeffs": [exact_json(c) for c in factor.coeffs]}
-        elif args.command == "lift":
-            q = parse_prime(args.q, "-q")
-            form = _load_form(args)
-            psi = _load_character(args.psi)
-            lifted = lift_factor(form, q, psi, args.t,
-                                 args.primitive_root, args.cache_dir)
-            mu, lam = invariants(lifted)
-            out = {"q": q, "t": args.t, "mu": mu, "lambda": lam,
-                   "lift": lifted.to_json()}
-        elif args.command in ("sigma", "report"):
-            form = _load_form(args)
-            psi = _load_character(args.psi)
-            s0 = [parse_prime(q, "S0") for q in args.s0.split(",") if q]
-            lfun = (_load_element(args.lfun)
-                    if args.command == "report" and args.lfun else None)
-            out = invariant_report(form, psi, args.t, s0, lfun,
-                                   args.primitive_root, args.cache_dir)
-            if args.command == "report":
-                out.provenance.update({
-                    "psi_source": args.psi or "<trivial>",
-                    "lfun_source": args.lfun, "s0": sorted(set(s0))})
-        elif args.command == "prep":
-            w = weierstrass_prep(_load_element(args.element))
-            out = {"mu": w.mu, "lambda": w.lam, "precision": w.prec,
-                   "determined_precision": w.determined_precision,
-                   "distinguished": [str(c) for c in w.distinguished],
-                   "unit": w.unit.to_json()}
-        elif args.command == "specialize":
-            f = _load_element(args.element)
-            value = specialize(f, args.n)
-            out = {"n": args.n, "p": f.p, "precision": value.prec,
-                   "value": str(value.residue)}
-        else:                               # congruence
-            f, g = _load_element(args.first), _load_element(args.second)
-            out = congruence_transfer_check(f, g)
+        if args.command in ("prep", "specialize", "congruence"):
+            out = _run_lambda_command(args)
+        else:
+            out = _run_form_command(args)
         # only sigma and report have a text form; a dict is always JSON
         return emit_report(out, getattr(args, "format", "json"), args.output)
     except (SymsqError, ValueError, OSError) as exc:

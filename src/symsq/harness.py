@@ -1,4 +1,4 @@
-"""Form records, invariant reports, and the congruence transfer check.
+"""Form records, the Lambda-lifts of their local factors, and reports.
 
 The analytic p-adic L-function itself is input data here: the harness
 verifies relations between supplied Lambda-elements and the local
@@ -18,12 +18,12 @@ from pathlib import Path
 from .characters import (DirichletCharacter, is_residually_trivial,
                          trivial_character)
 from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
-from .errors import (InsufficientPrecision, NotEmbeddable, NotOrdinary,
-                     SchemaError, TruncationTooShort)
+from .errors import (NotEmbeddable, NotOrdinary, SchemaError,
+                     TruncationTooShort)
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from .iwasawa import (MAX_LEVEL, MAX_TRUNC, MAX_WEIGHT, TRUNCATION_GUARD,
-                      IwasawaElement, congruent_mod_p, invariants,
-                      padic_problems, product_invariants)
+                      IwasawaElement, invariants, padic_problems,
+                      product_invariants, read_json)
 from .padic import factorize, is_prime
 
 
@@ -63,16 +63,6 @@ class FormRecord:
         if entry and "poly" in entry:
             return EulerFactor(q, entry["poly"])
         return symsq_factor(self.satake(q))
-
-
-def read_json(path: str | Path):
-    """The JSON value in a file.  Any failure to read it is a SchemaError;
-    ValueError covers bad JSON, bytes that are not text, long integers."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def parse_prime(text: str, what: str) -> int:
@@ -384,57 +374,3 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
             "name": "lambda_S0 = lambda + sum(sigma)",
             "ok": lam_s == lam_l + sigma_total})
     return report
-
-
-def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
-    """Mod-p congruence up to unit, and the lambda transfer when mu = 0.
-
-    Returns a JSON-ready verdict; 'no_conclusion' means the congruence
-    holds but mu > 0, so the transfer theorem does not apply.  Elements
-    over different primes raise ValueError (from congruent_mod_p).
-    """
-    verdict = congruent_mod_p(f, g)
-    out: dict = {"congruent": verdict.congruent, "unit": verdict.unit}
-    if not verdict.congruent:
-        out["conclusion"] = "not_congruent"
-        out["counterexample"] = {
-            "index": verdict.mismatch_index,
-            "coefficients_mod_p": list(verdict.mismatch)}
-        return out
-    mu_f, lam_f = _invariants_or_none(f)
-    mu_g, lam_g = _invariants_or_none(g)
-    out.update({"mu_f": mu_f, "lambda_f": lam_f,
-                "mu_g": mu_g, "lambda_g": lam_g})
-    if mu_f != 0:
-        out["conclusion"] = "no_conclusion"
-        return out
-    ok = (mu_g == 0) and (lam_f == lam_g)
-    out["conclusion"] = "transfer_verified" if ok else "transfer_failed"
-    return out
-
-
-def _invariants_or_none(f: IwasawaElement) -> tuple:
-    """(mu, lambda) of f, or (None, None) when f vanishes mod p^prec."""
-    try:
-        return invariants(f)
-    except InsufficientPrecision:
-        return None, None
-
-
-def emit_report(report, fmt: str, path: str | Path | None = None) -> int:
-    """Serialize deterministically; exit code 0 on all-pass else 1."""
-    if isinstance(report, InvariantReport):
-        passed = report.passed
-        rendered = (report.to_text() if fmt == "text" else
-                    json.dumps(report.to_json(), sort_keys=True, indent=2)
-                    + "\n")
-    else:
-        # a dict renders as the same JSON in either format
-        passed = report.get("conclusion") not in (
-            "transfer_failed", "not_congruent")
-        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        print(rendered, end="")
-    else:
-        Path(path).write_text(rendered)
-    return 0 if passed else 1

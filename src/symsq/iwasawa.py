@@ -18,13 +18,19 @@ Group-like elements (1+T)^e, e in Z_p, and sums of their multiples, the
 Lambda-lifts of Euler factors, come from a second kernel, `binomial_sum`,
 which walks each exponent's falling factorial once and multiplies no
 series (Washington, "Introduction to Cyclotomic Fields", ch. 7).
+
+The module also reads Lambda-element files and runs the congruence
+transfer check, so the prep, specialize and congruence commands need no
+other layer than padic.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from os import PathLike
 
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
@@ -61,6 +67,16 @@ def padic_problems(p, precision) -> list[str]:
         problems.append(f"p^precision = {p}^{precision} is past "
                         f"MAX_PADIC_MODULUS = 13^{MAX_PRECISION}")
     return problems
+
+
+def read_json(path: str | PathLike):
+    """The JSON value in a file.  Any failure to read it is a SchemaError;
+    ValueError covers bad JSON, bytes that are not text, long integers."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -456,3 +472,38 @@ def congruent_mod_p(f: IwasawaElement,
         if (fa - u * ga) % p != 0:
             return CongruenceVerdict(False, None, i, (fa, ga))
     return CongruenceVerdict(True, u)
+
+
+def congruence_transfer_check(f: IwasawaElement, g: IwasawaElement) -> dict:
+    """Mod-p congruence up to unit, and the lambda transfer when mu = 0.
+
+    Returns a JSON-ready verdict; 'no_conclusion' means the congruence
+    holds but mu > 0, so the transfer theorem does not apply.  Elements
+    over different primes raise ValueError (from congruent_mod_p).
+    """
+    verdict = congruent_mod_p(f, g)
+    out: dict = {"congruent": verdict.congruent, "unit": verdict.unit}
+    if not verdict.congruent:
+        out["conclusion"] = "not_congruent"
+        out["counterexample"] = {
+            "index": verdict.mismatch_index,
+            "coefficients_mod_p": list(verdict.mismatch)}
+        return out
+    mu_f, lam_f = _invariants_or_none(f)
+    mu_g, lam_g = _invariants_or_none(g)
+    out.update({"mu_f": mu_f, "lambda_f": lam_f,
+                "mu_g": mu_g, "lambda_g": lam_g})
+    if mu_f != 0:
+        out["conclusion"] = "no_conclusion"
+        return out
+    ok = (mu_g == 0) and (lam_f == lam_g)
+    out["conclusion"] = "transfer_verified" if ok else "transfer_failed"
+    return out
+
+
+def _invariants_or_none(f: IwasawaElement) -> tuple:
+    """(mu, lambda) of f, or (None, None) when f vanishes mod p^prec."""
+    try:
+        return invariants(f)
+    except InsufficientPrecision:
+        return None, None

@@ -15,9 +15,9 @@ from symsq.characters import trivial_character
 from symsq.cyclotomic import CycNumber, cyc_embed_padic
 from symsq.euler import (SatakeData, assemble_imprimitive, df_complex,
                          euler_to_lambda, evaluate_factor_padic, symsq_factor)
-from symsq.harness import congruence_transfer_check
-from symsq.iwasawa import (IwasawaElement, congruent_mod_p, invariants,
-                           reconstruct, specialize, weierstrass_prep)
+from symsq.iwasawa import (IwasawaElement, congruence_transfer_check,
+                           congruent_mod_p, invariants, reconstruct,
+                           specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 from symsq.qexp import (coeffs_agree, expansion_from_eigenvalues, hecke_U,
                         p_stabilize, tau)

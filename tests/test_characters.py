@@ -69,6 +69,13 @@ class TestEvaluation:
             for a, xs in table.items():
                 assert prod(pow(g, x, m) for g, x in zip(gens, xs)) % m == a
 
+    def test_exponent_row_is_value_exponent_at_every_residue(self):
+        # the row gauss_sum and gen_bernoulli read, None off the units
+        for m in range(1, 201):
+            for chi in characters_mod(m):
+                assert chi._exponent_row() == [chi.value_exponent(a)
+                                               for a in range(m)], chi
+
     def test_parity_is_sign_at_minus_one(self):
         for m in (3, 4, 5, 8, 12):
             for chi in characters_mod(m):

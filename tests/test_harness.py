@@ -11,11 +11,12 @@ from symsq.cyclotomic import cyc_embed_padic
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
 from symsq import cli, harness
-from symsq.harness import (FormRecord, cache_key, congruence_transfer_check,
-                           emit_report, invariant_report, lift_factor,
-                           load_form)
+from symsq.cli import emit_report
+from symsq.harness import (FormRecord, cache_key, invariant_report,
+                           lift_factor, load_form)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
-                           MAX_WEIGHT, IwasawaElement)
+                           MAX_WEIGHT, IwasawaElement,
+                           congruence_transfer_check)
 
 from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
                       smallest_primitive_root)
