@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import (CycNumber, _cyc, _reduce_ints, default_primitive_root,
                          dlog, euler_phi)
@@ -151,7 +152,7 @@ class DirichletCharacter:
                    in zip(self.exponents, unit_group_structure(m))]
         row: list[int | None] = [None] * m
         for a, xs in _dlog_table(m).items():
-            row[a] = sum(w * x for w, x in zip(weights, xs)) % n
+            row[a] = sum(map(mul, weights, xs)) % n
         return row
 
     def __call__(self, a: int) -> CycNumber:

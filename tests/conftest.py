@@ -59,10 +59,11 @@ def _mobius(n):
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return out
 
@@ -71,12 +72,12 @@ def _poly_divmod(num, den):
     num = list(num)
     dn = len(den) - 1
     lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dn, 1)
+    quot = [0] * max(len(num) - dn, 1)
     terms = [(j, d) for j, d in enumerate(den) if d]
     for i in range(len(num) - 1, dn - 1, -1):
         if num[i] == 0:
             continue
-        c = num[i] / lead
+        c = num[i] if lead == 1 else num[i] / lead     # ints stay ints
         quot[i - dn] = c
         for j, d in terms:
             num[i - dn + j] -= c * d
@@ -86,19 +87,20 @@ def _poly_divmod(num, den):
 
 
 def oracle_cyclotomic(n):
-    """Phi_n via the Moebius product formula, one long division at the end."""
+    """Phi_n via the Moebius product formula, one long division at the end,
+    on integers."""
     if n == 1:
-        return [Fraction(-1), Fraction(1)]
-    top = [Fraction(1)]
-    bottom = [Fraction(1)]
+        return [-1, 1]
+    top = [1]
+    bottom = [1]
     for d in range(1, n + 1):
         if n % d != 0:
             continue
         mu = _mobius(n // d)
         if mu == 0:
             continue
-        xd = [Fraction(0)] * (d + 1)
-        xd[0], xd[d] = Fraction(-1), Fraction(1)
+        xd = [0] * (d + 1)
+        xd[0], xd[d] = -1, 1
         if mu == 1:
             top = _poly_mul(top, xd)
         else:
@@ -504,7 +506,6 @@ def oracle_gen_bernoulli(chi, m):
     return total * Fraction(c)**(m - 1)
 
 
-@lru_cache(maxsize=None)
 @lru_cache(maxsize=None)
 def _oracle_phi(n):
     return tuple(int(c) for c in oracle_cyclotomic(n))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd, prod
 
@@ -8,7 +10,7 @@ from symsq.characters import (MAX_MODULUS, DirichletCharacter, _dlog_table,
                               is_residually_trivial, l_neg, tame_wild_split,
                               teichmuller_character, trivial_character,
                               unit_group_structure)
-from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
+from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi, exact_json
 from symsq.errors import SchemaError
 from symsq.padic import teichmuller
 
@@ -246,6 +248,23 @@ class TestAgainstOracles:
     def test_bernoulli_numbers(self):
         assert tuple(bernoulli_number(j) for j in range(31)) == \
             oracle_bernoulli_numbers(30)
+
+
+def test_table_bytes_are_pinned():
+    # exact_json of G(chi), G(chi)G(chi-bar) and L(1-m, chi) for m <= 10
+    # on the primitive characters of conductor <= 40, in characters_mod
+    # order, hashed; the digest was recorded when every reduction mod
+    # Phi_n went row by row
+    chis = primitive_characters(40)
+    assert len(chis) == 285
+    digest = hashlib.sha256()
+    for chi in chis:
+        g = gauss_sum(chi)
+        row = [exact_json(g), exact_json(g * gauss_sum(chi.conjugate())),
+               *(exact_json(l_neg(chi, m)) for m in range(1, 11))]
+        digest.update(json.dumps(row, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8c289fe30368bd7edd08a05261cc799ff105278c52903dba0df988b63a14a4c7")
 
 
 class TestAgainstSympy:

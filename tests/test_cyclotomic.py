@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, CycNumber, _zeta_image,
-                              cyc_embed_padic, cyclotomic_poly,
-                              default_primitive_root, dlog, embedding_root,
-                              euler_phi, exact_json, parse_exact,
-                              parse_rational)
+from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, _MOBIUS_STEPS,
+                              CycNumber, _cyclotomic_sparse, _mobius_factors,
+                              _reduce_ints, _zeta_image, cyc_embed_padic,
+                              cyclotomic_poly, default_primitive_root, dlog,
+                              embedding_root, euler_phi, exact_json,
+                              parse_exact, parse_rational)
 from symsq.errors import NotEmbeddable, OrderMismatch
 from symsq.padic import PAdicInt, from_rational, is_prime, teichmuller
 
-from conftest import (FractionCycNumber, oracle_cyc_mul, oracle_cyclotomic,
-                      seeded, smallest_primitive_root)
+from conftest import (FractionCycNumber, _oracle_phi, _poly_divmod,
+                      oracle_cyc_mul, oracle_cyclotomic, seeded,
+                      smallest_primitive_root)
 
 
 def test_cyclotomic_polynomials_match_oracle():
@@ -34,6 +36,45 @@ def test_cyclotomic_polynomials_match_sympy():
 
 def test_phi12_known_value():
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+# every order to 200, and table orders up to five distinct primes (2310):
+# both sides of the crossover to the Moebius product
+_REDUCE_ORDERS = tuple(range(1, 201)) + (420, 465, 930, 1332, 2310)
+
+
+def _mobius_passes(n):
+    """The kinds of pass the Moebius reduction at order n makes: the
+    quotient times Phi_n^-1 mod x^(n - phi), the remainder times Phi_n
+    mod x^phi."""
+    kinds = set()
+    phi = euler_phi(n)
+    for size, sign in ((n - phi, -1), (phi, 1)):
+        for d, mu in _mobius_factors(n):
+            kinds.add("d >= L" if d >= size else "times" if mu == sign
+                      else "d = 1" if d == 1 else "d^2 <= L" if d * d <= size
+                      else "d^2 > L")
+    return kinds
+
+
+def test_reduce_ints_matches_long_division():
+    above = [n for n in _REDUCE_ORDERS if (n - euler_phi(n))
+             * len(_cyclotomic_sparse(n)) > _MOBIUS_STEPS]
+    assert 0 < len(above) < len(_REDUCE_ORDERS)
+    assert set().union(*map(_mobius_passes, above)) == {
+        "times", "d = 1", "d^2 <= L", "d^2 > L", "d >= L"}
+    rng = seeded(13)
+    for n in _REDUCE_ORDERS:
+        phi = euler_phi(n)
+        dense = [rng.randint(-10**30, 10**30) for _ in range(n)]
+        gauss = [0] * n             # a Gauss sum: a few small counts
+        for _ in range(rng.randint(1, n // 8 + 1)):
+            gauss[rng.randrange(n)] += 1
+        low = dense[:phi] + [0] * (n - phi)
+        for raw in (dense, gauss, low):
+            _, rem = _poly_divmod(raw, _oracle_phi(n))
+            want = rem + [0] * (phi - len(rem))
+            assert _reduce_ints(list(raw), n) == want[:phi], n
 
 
 def test_mul_examples():
