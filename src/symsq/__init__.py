@@ -23,14 +23,13 @@ _EXPORTS = {
     "cli": ("emit_report",),
     "cyclotomic": ("CycNumber", "cyc_embed_padic"),
     "errors": ("SymsqError",),
-    "euler": ("EulerFactor", "SatakeData", "assemble_imprimitive",
-              "df_complex", "ep_factor", "euler_to_lambda", "symsq_factor"),
+    "euler": ("EulerFactor", "SatakeData", "df_complex", "ep_factor",
+              "euler_to_lambda", "symsq_factor"),
     "harness": ("FormRecord", "InvariantReport", "invariant_report",
                 "load_form"),
     "iwasawa": ("IwasawaElement", "WeierstrassData",
                 "congruence_transfer_check", "congruent_mod_p",
-                "frobenius_exponent", "one_plus_T_pow", "specialize",
-                "weierstrass_prep"),
+                "frobenius_exponent", "specialize", "weierstrass_prep"),
     "padic": ("PAdicInt", "hensel_unit_root", "inv", "padic_log1p",
               "teichmuller"),
     "qexp": ("QExpansion", "deplete", "hecke_T", "hecke_U", "hecke_V",

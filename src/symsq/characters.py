@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -120,6 +120,16 @@ class DirichletCharacter:
             n = lcm(n, d // gcd(d, k))
         return n
 
+    @cached_property
+    def _linear_form(self) -> tuple[int, tuple[int, ...]]:
+        """The order n and the weights w_i of the linear form
+        value_exponent(a) = sum_i w_i x_i mod n over the discrete logs x_i
+        of a: chi(g_i) = zeta_d^k is zeta_n^w with w = n k / d, an integer
+        since d / gcd(d, k) divides n."""
+        n = self.order
+        return n, tuple(n * k // d for k, (_, d) in zip(
+            self.exponents, unit_group_structure(self.modulus)))
+
     def value_exponent(self, a: int) -> int | None:
         """e with chi(a) = zeta_order^e, or None when gcd(a, m) > 1."""
         m = self.modulus
@@ -130,26 +140,16 @@ class DirichletCharacter:
             return None
         if not any(self.exponents):     # trivial: no discrete log needed
             return 0
-        xs = _dlog_table(m)[a]
-        n = self.order
-        total = 0
-        for k, x, (_, d) in zip(self.exponents, xs, unit_group_structure(m)):
-            g0 = gcd(k, d)
-            o = d // g0
-            total += (n // o) * ((k // g0) * x % o)
-        return total % n
+        n, weights = self._linear_form
+        return sum(map(mul, weights, _dlog_table(m)[a])) % n
 
     def _exponent_row(self) -> list[int | None]:
-        """value_exponent(a) for a = 0, ..., modulus - 1, from one linear
-        form sum_i w_i x_i mod n over the discrete-log table, n the order:
-        chi(g_i) = zeta_d^k is zeta_n^w with w = n k / d, an integer since
-        d / gcd(d, k) divides n."""
+        """value_exponent(a) for a = 0, ..., modulus - 1, from one pass of
+        the linear form over the discrete-log table."""
         m = self.modulus
         if not any(self.exponents):     # trivial: no discrete log needed
             return [0 if gcd(a, m) == 1 else None for a in range(m)]
-        n = self.order
-        weights = [n * k // d for k, (_, d)
-                   in zip(self.exponents, unit_group_structure(m))]
+        n, weights = self._linear_form
         row: list[int | None] = [None] * m
         for a, xs in _dlog_table(m).items():
             row[a] = sum(map(mul, weights, xs)) % n

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when every reported assertion passes, 1 when a checked
-relation fails, 2 on input errors.  All output is deterministic: JSON
+relation fails, 2 on input errors and refusals, with the error's class
+and message on stderr.  All output is deterministic: JSON
 is emitted with sorted keys and no timestamps, so identical inputs give
 byte-identical reports.  Lambda-lifts are computed in memory and
 nothing is written unless ``--cache-dir`` names a directory to keep
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
         # only sigma and report have a text form; a dict is always JSON
         return emit_report(out, getattr(args, "format", "json"), args.output)
     except (SymsqError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -182,19 +182,6 @@ def ep_factor(n: int, psi: DirichletCharacter, alpha_p: PAdicInt,
     return term1 * term2 * term3
 
 
-def assemble_imprimitive(lfun: IwasawaElement,
-                         factors: list[IwasawaElement]) -> IwasawaElement:
-    """Multiply local factors into the primitive element.
-
-    Each factor has mu = 0, so mu is preserved and lambda grows by the
-    sum of the sigma values.
-    """
-    out = lfun
-    for f in factors:
-        out = out * f
-    return out
-
-
 # -- complex-side evaluation -------------------------------------------------
 
 

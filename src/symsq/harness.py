@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -225,11 +226,16 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
 
     An entry that does not decode, or was lifted at another p, precision
     or truncation, is a miss; entries are written whole, then renamed,
-    and a write that fails is skipped.
+    and a write that fails is skipped and leaves no temporary file.
     An odd t, a psi whose order does not divide p - 1 and a primitive
-    root that is not one mod p are refused before any lift."""
+    root that is not one mod p are refused before any lift.
+    Every lift has mu = 0 and lambda = sigma_q = m p^v: m is the order of
+    psi_t(q) q^(-1) as a root of P_q mod p, and v = v_p(e(q)).  A lift,
+    fresh or cached, with no unit coefficient up to D has sigma_q > D and
+    is refused (TruncationTooShort) before it is cached."""
     _check_twist(form.p, psi, t, primitive_root)
     factor = factor or form.euler_factor(q)
+    lifted = None
     if cache_dir is not None:
         path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
                                             factor=factor) + ".json")
@@ -237,19 +243,26 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
             cached = IwasawaElement.from_json(read_json(path))
             if (cached.p, cached.prec, cached.trunc) == (
                     form.p, form.precision, form.trunc):
-                return cached
+                lifted = cached
         except SchemaError:
             pass
-    lifted = euler_to_lambda(factor, psi, t, form.p, form.precision,
-                             form.trunc, primitive_root)
-    if cache_dir is not None:
+    fresh = lifted is None
+    if fresh:
+        lifted = euler_to_lambda(factor, psi, t, form.p, form.precision,
+                                 form.trunc, primitive_root)
+    if not any(c % form.p for c in lifted.coeffs):
+        raise TruncationTooShort(
+            f"the lift at q={q} has no unit coefficient up to D = "
+            f"{form.trunc}: sigma_q = m p^v is past the truncation")
+    if cache_dir is not None and fresh:
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
             tmp.write_text(json.dumps(lifted.to_json(), sort_keys=True))
             os.replace(tmp, path)
-        except OSError:
-            pass            # an unwritable cache leaves the lift uncached
+        except OSError:     # an unwritable cache leaves the lift uncached
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)
     return lifted
 
 

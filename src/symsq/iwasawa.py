@@ -220,22 +220,22 @@ def invariants(f: IwasawaElement) -> tuple[int, int]:
 
 def product_invariants(f: IwasawaElement,
                        factors: list[IwasawaElement]) -> tuple[int, int]:
-    """(mu, lambda) of f * prod(factors): mu(f), and the first index
-    where f / p^mu(f) * prod(factors) survives mod p.  The full product
-    decides when that vanishes up to D, or a factor has less precision
-    than f (or another prime)."""
+    """(mu, lambda) of f * prod(factors), each factor a lift with mu = 0:
+    mu(f), and the first index where f / p^mu(f) * prod(factors) is a
+    unit mod p.  TruncationTooShort if there is none up to D."""
+    p = f.p
+    if any(g.p != p for g in factors):
+        raise ValueError(f"mixed primes: a factor is not over p = {p}")
     mu = invariants(f)[0]
     d = min([f.trunc] + [g.trunc for g in factors])
-    if all(g.p == f.p and g.prec >= f.prec for g in factors):
-        out = [c // f.p**mu for c in f.coeffs]
-        for g in factors:
-            out = _poly_mul_trunc(out, g.coeffs, f.p, d)
-        for i, c in enumerate(out):
-            if c % f.p:
-                return mu, i
+    out = [c // p**mu for c in f.coeffs]
     for g in factors:
-        f = f * g
-    return invariants(f)
+        out = _poly_mul_trunc(out, g.coeffs, p, d)
+    for i, c in enumerate(out):
+        if c % p:
+            return mu, i
+    raise TruncationTooShort(f"the product has no unit coefficient mod {p} "
+                             f"up to D = {d}")
 
 
 TRUNCATION_GUARD = 4
@@ -377,12 +377,6 @@ def binomial_sum(terms, trunc: int, prec: int) -> IwasawaElement:
         acc = [s + c for s, c in zip(acc, walk)]
     return _series(p, prec, tuple(s * u % out_mod
                                   for s, u in zip(acc, inv_units)))
-
-
-def one_plus_T_pow(e: PAdicInt, trunc: int, prec: int) -> IwasawaElement:
-    """(1+T)^e as a binomial series, coefficients correct mod p^prec; the
-    exponent needs prec + v_p(trunc!) digits (see `binomial_sum`)."""
-    return binomial_sum([(1, e)], trunc, prec)
 
 
 @lru_cache(maxsize=None)

@@ -464,6 +464,38 @@ def lucas_sigma(coeffs, psi_q, q, p, t, d, g):
     return next((i for i, v in enumerate(total) if v), None)
 
 
+def frobenius_valuation(q, p):
+    """v = v_p(q^(p-1) - 1) - 1, the p-adic valuation of e(q)."""
+    v = 0
+    while (q**(p - 1) - 1) % p**(v + 2) == 0:
+        v += 1
+    return v
+
+
+def closed_sigma(factor, psi, t, p, root):
+    """sigma_q = m p^v in closed form, with no series: mod p the lift is
+    P(s (1+T)^e), s = psi(q) q^(t-1) (teich(q) = q mod p), and
+    (1+T)^e - 1 has lambda p^v, v = v_p(e(q)); so m is the multiplicity
+    of s as a root of P mod p, found by synthetic division.  0 when
+    psi(q) = 0, where the lift is 1."""
+    q = factor.q
+    if psi(q).is_zero():
+        return 0
+    g = embedding_root(p, root)
+    s = embed_mod_p(psi(q), p, g) * pow(q, t - 1, p) % p
+    poly = [embed_mod_p(c, p, g) for c in factor.coeffs]
+    m = 0
+    while True:
+        acc, quotient = 0, []               # Horner: P(s) and P / (X - s)
+        for c in reversed(poly):
+            acc = (acc * s + c) % p
+            quotient.append(acc)
+        if acc:
+            return m * p**frobenius_valuation(q, p)
+        m += 1
+        poly = quotient[-2::-1]
+
+
 def smallest_primitive_root(p):
     return next(g for g in range(2, p)
                 if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)

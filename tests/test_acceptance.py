@@ -7,14 +7,15 @@ the two heavy exact criteria.
 """
 
 import time
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 import numpy as np
 
 from symsq.characters import trivial_character
 from symsq.cyclotomic import CycNumber, cyc_embed_padic
-from symsq.euler import (SatakeData, assemble_imprimitive, df_complex,
-                         euler_to_lambda, evaluate_factor_padic, symsq_factor)
+from symsq.euler import (SatakeData, df_complex, euler_to_lambda,
+                         evaluate_factor_padic, symsq_factor)
 from symsq.iwasawa import (IwasawaElement, congruence_transfer_check,
                            congruent_mod_p, invariants, reconstruct,
                            specialize, weierstrass_prep)
@@ -132,7 +133,7 @@ def test_criterion_04_invariant_additivity():
             assert mu_q == 0
             sigma += lam_q
         mu_l, lam_l = invariants(lfun)
-        out = assemble_imprimitive(lfun, lifts)
+        out = reduce(mul, lifts, lfun)
         mu_o, lam_o = invariants(out)
         assert mu_o == mu_l, (trial, mu_o, mu_l)
         assert lam_o == lam_l + sigma, (trial, lam_o, lam_l, sigma)
@@ -162,8 +163,8 @@ def test_criterion_05_congruence_transfer():
             lifts2.append(euler_to_lambda(symsq_factor(data2),
                                           psi, t, p, n, d))
         one = IwasawaElement.one(p, n, d)
-        f = assemble_imprimitive(one, lifts1)
-        g = assemble_imprimitive(one, lifts2)
+        f = reduce(mul, lifts1, one)
+        g = reduce(mul, lifts2, one)
         verdict = congruent_mod_p(f, g)
         assert verdict.congruent and verdict.unit == 1, trial
         out = congruence_transfer_check(f, g)

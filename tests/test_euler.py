@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,8 +12,7 @@ from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
 from symsq.errors import (DivergenceGuard, InvalidSatake, NotIntegral,
                           NotOrdinary, PrecisionLoss)
-from symsq.euler import (EulerFactor, SatakeData, assemble_imprimitive,
-                         df_complex, ep_factor,
+from symsq.euler import (EulerFactor, SatakeData, df_complex, ep_factor,
                          euler_to_lambda, evaluate_factor_complex,
                          evaluate_factor_padic, substitute_frobenius, symsq_dirichlet_coeff_check,
                          symsq_factor)
@@ -281,8 +282,9 @@ class TestSigma:
         # 43^4 == 1 mod 25, so e(43) has positive valuation at p = 5 and
         # every binomial C(e, k) with k <= 4 vanishes mod 5.  With a
         # twist making the substituted point hit the root of 1 - X mod 5,
-        # the whole lift vanishes mod 5 at precision 1: mu > 0 shows up
-        # (test_harness checks that a report fails on it).
+        # the truncated lift vanishes mod 5: sigma_43 = 5 is past D = 4.
+        # euler_to_lambda returns it as it is; lift, sigma and report
+        # refuse it (test_harness's test_positive_mu_fails_the_report).
         p, q = 5, 43
         psi = next(c for c in characters_mod(16)
                    if c.order == 4 and
@@ -344,18 +346,14 @@ class TestAssemble:
     def test_basic_product(self):
         lfun = IwasawaElement(5, 4, (0, 1, 0, 0, 0, 0))       # T
         factor = IwasawaElement(5, 4, (0, -1, 0, 0, 0, 0))    # -T
-        out = assemble_imprimitive(lfun, [factor])
+        out = lfun * factor
         assert invariants(out) == (0, 2)
         assert out.coeffs[2] == 5**4 - 1
-
-    def test_empty_factors(self):
-        lfun = IwasawaElement(5, 4, (0, 1, 0, 0))
-        assert assemble_imprimitive(lfun, []) is lfun
 
     def test_lambda_zero_factor(self):
         lfun = IwasawaElement(5, 4, (0, 1, 0, 0, 0))
         unit = IwasawaElement(5, 4, (2, 1, 0, 0, 0))
-        out = assemble_imprimitive(lfun, [unit])
+        out = lfun * unit
         assert invariants(out)[1] == invariants(lfun)[1]
 
     def test_congruence_propagation(self):
@@ -380,8 +378,8 @@ class TestAssemble:
                 lifts2.append(euler_to_lambda(f2, trivial_character(1),
                                               0, p, 4, 12))
             one = IwasawaElement.one(p, 4, 12)
-            prod1 = assemble_imprimitive(one, lifts1)
-            prod2 = assemble_imprimitive(one, lifts2)
+            prod1 = reduce(mul, lifts1, one)
+            prod2 = reduce(mul, lifts2, one)
             verdict = congruent_mod_p(prod1, prod2)
             assert verdict.congruent and verdict.unit == 1
 

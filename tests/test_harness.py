@@ -1,24 +1,31 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsq.characters import characters_mod, trivial_character
-from symsq.cyclotomic import cyc_embed_padic
+from symsq.cyclotomic import cyc_embed_padic, embedding_root
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
 from symsq import cli, harness
 from symsq.cli import emit_report
+from symsq.euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from symsq.harness import (FormRecord, cache_key, invariant_report,
                            lift_factor, load_form)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
                            MAX_WEIGHT, IwasawaElement,
-                           congruence_transfer_check)
+                           congruence_transfer_check, invariants)
 
-from conftest import (PRIMES_TO_200, lucas_sigma, random_eigen_map, seeded,
+from conftest import (PRIMES_TO_200, characters_with_order_dividing,
+                      closed_sigma, embed_mod_p, frobenius_valuation,
+                      lucas_sigma, random_eigen_map, seeded,
                       smallest_primitive_root)
 
 
@@ -273,6 +280,26 @@ class TestInvariantReport:
                 json.loads(path.read_text())) == fresh
             assert [f.name for f in cache.iterdir()] == [path.name]
 
+    def test_failed_cache_write_leaves_no_temporary_file(self, tmp_path,
+                                                         monkeypatch):
+        # a directory where the entry belongs makes the rename fail; the
+        # <key>.<pid>.tmp file written before it used to stay behind
+        form = load_form(write_form(tmp_path))
+        psi = trivial_character(1)
+        cache = tmp_path / "cache"
+        blocker = cache / (cache_key(form, 2, psi, 0, None) + ".json")
+        blocker.mkdir(parents=True)
+        fresh = lift_factor(form, 2, psi, 0, None, None)
+        assert lift_factor(form, 2, psi, 0, None, cache) == fresh
+        assert list(cache.iterdir()) == [blocker]
+
+        # a temporary file that cannot be removed either is no error
+        def unlink(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        assert lift_factor(form, 2, psi, 0, None, cache) == fresh
+
     def test_factor_built_once_per_lift(self, tmp_path, monkeypatch):
         form = load_form(write_form(tmp_path))
         built = []
@@ -313,14 +340,6 @@ def _grid_form(rng, p, prec, trunc, kind):
                       prec, trunc, bad)
 
 
-def _frobenius_valuation(q, p):
-    """v = v_p(q^(p-1) - 1) - 1, the p-adic valuation of e(q)."""
-    v = 0
-    while (q**(p - 1) - 1) % p**(v + 2) == 0:
-        v += 1
-    return v
-
-
 class TestLucasSigmaOracle:
     def test_sigma_tables_on_the_report_grid(self):
         # sigma_q from (1+T)^e = prod (1+T^(p^i))^(e_i) mod p (Lucas), with
@@ -340,7 +359,7 @@ class TestLucasSigmaOracle:
                 t = rng.choice((0, 2, 4))
                 s0 = [q for q in [form.level] * (form.level > 1)
                       + sorted(form.ap)
-                      if q != p and 3 * p**_frobenius_valuation(q, p) <= trunc]
+                      if q != p and 3 * p**frobenius_valuation(q, p) <= trunc]
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     report = invariant_report(form, psi, t, s0)
@@ -351,9 +370,73 @@ class TestLucasSigmaOracle:
                     assert row["sigma"] == lucas_sigma(
                         factor.coeffs, psi(q), q, p, t, trunc, g), (p, q)
                     assert row["sigma"] <= \
-                        factor.degree * p**_frobenius_valuation(q, p)
+                        factor.degree * p**frobenius_valuation(q, p)
                     rows += 1
         assert rows > 150
+
+
+# primes q != p with v = v_p(q^(p-1) - 1) - 1 = 0, 1, 2, 3, by p
+Q_BY_V = {5: ((2, 3, 11), (7, 43, 101), (193, 251, 307), (443, 1249, 1693)),
+          7: ((2, 3, 5), (31, 67, 79), (19, 1373, 1697), (3449, 4801, 5849)),
+          11: ((2, 5, 7), (3, 233, 239), (2663, 3361, 5323),
+               (45989, 60527, 75991)),
+          13: ((2, 3, 5), (19, 23, 89), (5431, 6173, 9949),
+               (239, 5051, 137993))}
+
+
+@st.composite
+def sigma_cases(draw):
+    """(form, factor, psi, t, root) at p <= 13, with q of each v up to 3
+    and D up to MAX_TRUNC: a symsq factor of each type, or a poly
+    override made to vanish to order m at the point s = psi(q) q^(t-1)
+    mod p, with its coefficients moved by multiples of p."""
+    p = draw(st.sampled_from(sorted(Q_BY_V)))
+    v = draw(st.integers(0, 3))
+    q = draw(st.sampled_from(Q_BY_V[p][v]))
+    psi = draw(st.sampled_from(characters_with_order_dividing(p - 1, 16)))
+    t = draw(st.sampled_from([0, 2, 4]))
+    roots = [g for g in range(2, p)
+             if len({pow(g, i, p) for i in range(p)}) == p - 1]
+    root = draw(st.sampled_from([None] + roots))
+    kind = draw(st.sampled_from(["unramified", "ordinary", "depleted"]
+                                + ["poly"] * 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "poly":
+        s = embed_mod_p(psi(q), p, embedding_root(p, root)) \
+            * pow(q, t - 1, p) % p
+        coeffs = [1]
+        for _ in range(rng.randint(1, 3)):          # times 1 + x X
+            x = -pow(s, -1, p) if s and rng.random() < 0.7 else \
+                rng.randrange(p)
+            coeffs = [a + x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        factor = EulerFactor(q, (1, *(c + p * rng.randint(-3, 3)
+                                      for c in coeffs[1:])))
+    else:
+        a = 0 if kind == "depleted" else rng.choice(
+            [x for x in range(-30, 31) if x])
+        factor = symsq_factor(SatakeData(q, kind, a, rng.choice([1, -1]),
+                                         rng.choice([2, 4])))
+    form = FormRecord("closed-sigma", 2, 1, trivial_character(1), {}, p,
+                      rng.randint(1, 3), rng.randint(1, MAX_TRUNC))
+    return form, factor, psi, t, root
+
+
+class TestClosedSigma:
+    @given(sigma_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lambda_is_m_p_to_the_v(self, case):
+        # lambda of every lift is sigma_q = m p^v with mu = 0; past D the
+        # truncated lift has no unit coefficient and lift_factor refuses it
+        form, factor, psi, t, root = case
+        p, d = form.p, form.trunc
+        sigma = closed_sigma(factor, psi, t, p, root)
+        lifted = euler_to_lambda(factor, psi, t, p, form.precision, d, root)
+        if sigma <= d:
+            assert invariants(lifted) == (0, sigma)
+        else:
+            assert not any(c % p for c in lifted.coeffs)
+            with pytest.raises(TruncationTooShort):
+                lift_factor(form, factor.q, psi, t, root, factor=factor)
 
 
 class TestPrimitiveRoot:
@@ -489,8 +572,9 @@ class TestCLI:
                 payload["determined_precision"]) == (5, 6, 2)
 
     def test_positive_mu_fails_the_report(self, tmp_path):
-        # the lift at q = 43 has mu > 0 at precision 2 (see test_euler's
-        # test_positive_mu_shows_in_the_lift): the report exits 1
+        # sigma_43 = m p^v = 1 * 5^1 at p = 5 (see test_euler's
+        # test_positive_mu_shows_in_the_lift): at D = 4 the truncated lift
+        # has no unit coefficient, and used to read as mu = 1, lambda = 1
         p, q = 5, 43
         psi = next(c for c in characters_mod(16)
                    if c.order == 4 and
@@ -501,13 +585,35 @@ class TestCLI:
             tmp_path, level=q, character=trivial_character(1).to_json(),
             precision=2, trunc=4,
             bad_primes={str(q): {"type": "ordinary", "aq": "1"}})
-        out = self.run_cli("report", str(form_path), "--s0", str(q),
-                           "--psi", str(psi_path))
-        assert out.returncode == 1, out.stderr
-        report = json.loads(out.stdout)
-        assert report["sigma_table"][0]["mu"] > 0
-        assert {"name": f"mu = 0 for the local factor at q={q}",
-                "ok": False} in report["assertions"]
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(p, 2, 0, 1, trunc=10).to_json()))
+        form = (str(form_path), "--psi", str(psi_path))
+        cache = tmp_path / "cache"
+        for n in (1, 2):
+            for args in (("lift", *form, "-q", str(q)),
+                         ("sigma", *form, "--s0", str(q)),
+                         ("report", *form, "--s0", str(q),
+                          "--lfun", str(lfun))):
+                out = self.run_cli(*args, "--precision", str(n),
+                                   "--cache-dir", str(cache))
+                assert out.returncode == 2, (n, args, out.stdout)
+                assert out.stdout == ""
+                assert "TruncationTooShort" in out.stderr
+        assert not cache.exists()           # no refused lift is cached
+        sigma = ("sigma", *form, "--s0", str(q), "--trunc", "10",
+                 "--cache-dir", str(cache))
+        out = self.run_cli(*sigma, "--format", "text")
+        assert out.returncode == 0, out.stderr
+        assert f"q={q:<6} type=ordinary    sigma=5" in out.stdout
+        assert out.stdout.endswith("PASS\n")
+        # a cache entry with no unit coefficient up to D is not served
+        record = load_form(form_path, trunc=10)
+        entry = cache / (cache_key(record, q, psi, 0, None) + ".json")
+        assert [f.name for f in cache.iterdir()] == [entry.name]
+        entry.write_text(json.dumps(elem(p, 2, 5, trunc=10).to_json()))
+        out = self.run_cli(*sigma)
+        assert out.returncode == 2, out.stdout
+        assert "TruncationTooShort" in out.stderr
 
     def test_congruence_exit_codes(self, tmp_path):
         a = tmp_path / "a.json"

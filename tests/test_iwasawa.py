@@ -1,20 +1,21 @@
 import random
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq import iwasawa, padic
-from symsq.euler import assemble_imprimitive
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
                            TRUNCATION_GUARD, CongruenceVerdict,
-                           IwasawaElement, congruent_mod_p,
+                           IwasawaElement, binomial_sum, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
-                           invariants, one_plus_T_pow, product_invariants,
-                           reconstruct, specialize, weierstrass_prep)
+                           invariants, product_invariants, reconstruct,
+                           specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
 from conftest import (PRIMES_TO_200, extend_past_truncation,
@@ -132,11 +133,11 @@ class TestKernels:
             guard = n + factorial_valuation(d, p)
             for _ in range(4):
                 e = PAdicInt(p, guard, rng.randrange(p**guard))
-                base = one_plus_T_pow(e, d, n)
+                base = binomial_sum([(1, e)], d, n)
                 assert base.coeffs == tuple(comb(e.residue, k) % p**n
                                             for k in range(d + 1))
-                assert one_plus_T_pow(e * 2, d, n) == base * base
-                assert one_plus_T_pow(e * 3, d, n) == base * base * base
+                assert binomial_sum([(1, e * 2)], d, n) == base * base
+                assert binomial_sum([(1, e * 3)], d, n) == base * base * base
 
     def test_weierstrass_matches_schoolbook_kernels(self, monkeypatch):
         rng = seeded(56)
@@ -159,9 +160,9 @@ class TestKernels:
 
 @st.composite
 def product_cases(draw):
-    """(L, factors): mu(L) in {0, 1, 2}; each factor a unit-shaped lift,
-    one at lower precision or shorter truncation, or one that vanishes
-    mod p (so the product mod p can vanish up to D)."""
+    """(L, factors, kinds): mu(L) in {0, 1, 2}; each factor a unit-shaped
+    lift, one at lower precision or shorter truncation, or one that
+    vanishes mod p (so the product mod p vanishes up to D)."""
     p = draw(st.sampled_from([5, 7, 11, 13]))
     n = draw(st.integers(3, 8))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -177,45 +178,45 @@ def product_cases(draw):
     d = draw(st.integers(0, 30))
     mu = draw(st.sampled_from([0, 1, 2]))
     lfun = series(n, mu, d, draw(st.integers(0, d)))
+    kinds = draw(st.lists(st.sampled_from(
+        ["unit", "unit", "unit", "low", "short", "zero"]), max_size=5))
     factors = []
-    for kind in draw(st.lists(st.sampled_from(
-            ["unit", "unit", "unit", "low", "short", "zero"]), max_size=5)):
+    for kind in kinds:
         prec = rng.randint(1, n - 1) if kind == "low" else n + rng.randint(0, 2)
         trunc = rng.randint(0, d) if kind == "short" else d + rng.randint(0, 3)
         lam = trunc + 1 if kind == "zero" else rng.randint(0, 3)
         factors.append(series(prec, 0, trunc, lam))
-    return lfun, factors
+    return lfun, factors, kinds
 
 
 class TestProductInvariants:
     @given(product_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_full_product(self, case):
-        lfun, factors = case
-        try:
-            expect = invariants(assemble_imprimitive(lfun, factors))
-        except InsufficientPrecision:
-            expect = InsufficientPrecision
-        products = []
-        with pytest.MonkeyPatch.context() as mp:
-            mul = IwasawaElement.__mul__
-            mp.setattr(IwasawaElement, "__mul__",
-                       lambda a, b: products.append(1) or mul(a, b))
-            try:
-                got = product_invariants(lfun, factors)
-            except InsufficientPrecision:
-                got = InsufficientPrecision
-        assert got == expect
-        # the full product runs only for a lower-precision factor or a
-        # product that vanishes mod (p, T^(D+1))
+        lfun, factors, kinds = case
+        # the answer mod p, from the schoolbook product of L / p^mu
         p, mu = lfun.p, invariants(lfun)[0]
         d = min([lfun.trunc] + [g.trunc for g in factors])
         mod_p = [c // p**mu for c in lfun.coeffs]
         for g in factors:
             mod_p = schoolbook_mul_trunc(mod_p, g.coeffs, p, d)
-        fallback = any(g.prec < lfun.prec for g in factors) or \
-            not any(c % p for c in mod_p[:d + 1])
-        assert bool(products) == (fallback and bool(factors))
+        lam = next((i for i, c in enumerate(mod_p[:d + 1]) if c % p), None)
+        if "zero" in kinds:
+            assert lam is None
+        if lam is not None and "low" not in kinds:
+            # with every factor at L's precision, the full product agrees
+            assert invariants(reduce(mul, factors, lfun)) == (mu, lam)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IwasawaElement, "__mul__", None)
+            if lam is None:
+                with pytest.raises(TruncationTooShort):
+                    product_invariants(lfun, factors)
+            else:
+                assert product_invariants(lfun, factors) == (mu, lam)
+
+    def test_mixed_primes_are_refused(self):
+        with pytest.raises(ValueError, match="mixed primes"):
+            product_invariants(elem(5, 2, 1, 1), [elem(7, 2, 1, 1)])
 
     def test_positive_mu_stays_mod_p(self, monkeypatch):
         # mu(L) = 2: dividing L by p^2 first keeps the product mod p alive
@@ -439,7 +440,7 @@ class TestConstructor:
             with pytest.raises(ValueError):
                 IwasawaElement(5, prec, (1,))
         with pytest.raises(ValueError):
-            one_plus_T_pow(PAdicInt(5, 4, 3), 2, 0)
+            binomial_sum([(1, PAdicInt(5, 4, 3))], 2, 0)
 
     def test_products_match_the_public_constructor(self):
         a, b = elem(7, 3, 5, -8, 400), elem(7, 2, 48, 1, 3)
@@ -451,16 +452,16 @@ class TestConstructor:
 
 class TestOnePlusTPow:
     def test_small_exponents(self):
-        e1 = one_plus_T_pow(PAdicInt(5, 10, 1), 4, 3)
+        e1 = binomial_sum([(1, PAdicInt(5, 10, 1))], 4, 3)
         assert e1.coeffs == (1, 1, 0, 0, 0)
-        e2 = one_plus_T_pow(PAdicInt(5, 10, 2), 4, 3)
+        e2 = binomial_sum([(1, PAdicInt(5, 10, 2))], 4, 3)
         assert e2.coeffs == (1, 2, 1, 0, 0)
-        e5 = one_plus_T_pow(PAdicInt(5, 10, 5), 2, 2)
+        e5 = binomial_sum([(1, PAdicInt(5, 10, 5))], 2, 2)
         assert e5.coeffs == (1, 5, 10)
 
     def test_guard_precision_enforced(self):
         with pytest.raises(PrecisionLoss):
-            one_plus_T_pow(PAdicInt(5, 4, 3), 25, 4)   # v5(25!) = 6
+            binomial_sum([(1, PAdicInt(5, 4, 3))], 25, 4)   # v5(25!) = 6
 
     def test_group_law(self):
         rng = seeded(52)
@@ -470,14 +471,14 @@ class TestOnePlusTPow:
             guard = n + factorial_valuation(d, p)
             e1 = PAdicInt(p, guard, rng.randrange(p**guard))
             e2 = PAdicInt(p, guard, rng.randrange(p**guard))
-            a = one_plus_T_pow(e1, d, n)
-            b = one_plus_T_pow(e2, d, n)
-            both = one_plus_T_pow(e1 + e2, d, n)
+            a = binomial_sum([(1, e1)], d, n)
+            b = binomial_sum([(1, e2)], d, n)
+            both = binomial_sum([(1, e1 + e2)], d, n)
             assert a * b == both
 
     def test_integer_exponent_matches_binomial(self):
         from math import comb
-        e = one_plus_T_pow(PAdicInt(7, 12, 9), 9, 4)
+        e = binomial_sum([(1, PAdicInt(7, 12, 9))], 9, 4)
         for k in range(10):
             assert e.coeffs[k] == comb(9, k) % 7**4
 
@@ -490,7 +491,7 @@ class TestOnePlusTPow:
                 guard = n + factorial_valuation(d, p)
                 for _ in range(3):
                     e = rng.randrange(10**6)
-                    got = one_plus_T_pow(PAdicInt(p, guard, e), d, n)
+                    got = binomial_sum([(1, PAdicInt(p, guard, e))], d, n)
                     assert got.coeffs == tuple(comb(e, k) % p**n
                                                for k in range(d + 1))
 
@@ -518,7 +519,7 @@ class TestFrobeniusExponent:
         # evaluating (1+T)^e at T = p reproduces (1+p)^e
         p, n = 5, 4
         e = frobenius_exponent(3, p, n + factorial_valuation(n, p))
-        a = one_plus_T_pow(e, n, n)
+        a = binomial_sum([(1, e)], n, n)
         val = sum(c * p**k for k, c in enumerate(a.coeffs)) % p**n
         assert val == pow(1 + p, e.residue % p**(n - 1), p**n)
 
