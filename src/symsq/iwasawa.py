@@ -7,12 +7,17 @@ unit by Hensel-lifting the factorization T^lambda * (unit) from mod p,
 so the reconstruction p^mu * distinguished * unit == input holds
 exactly modulo (p^prec, T^(trunc+1)) by construction.
 
-The lift is linear, one p-adic digit per step.  It carries the error
+The lift is linear, one p-adic digit per step (von zur Gathen and
+Gerhard, "Modern Computer Algebra", 15.4).  It carries the error
 (f - P U) / p^m from step to step, solves its lowest digit mod p with an
 inverse of the unit of length lambda, not D, and moves it on by two
 products of a mod-p digit series with a wide one, never rebuilding P U.
+The error is kept mod p^(N - m), where the wide ones are partial digit
+sums P_j and U_j, j <= ceil(N/2), already below p^j: they go into padic's
+unreduced Kronecker core as they are, in slots sized by the bound
+min(len) * p^(j+1), and only the error's own update reduces.
 
-Every truncated product goes through padic's Kronecker kernel,
+Every other truncated product goes through padic's reducing kernel,
 `_poly_mul_trunc`, and series inverses mod p use Newton iteration on it.
 Group-like elements (1+T)^e, e in Z_p, and sums of their multiples, the
 Lambda-lifts of Euler factors, come from a second kernel, `binomial_sum`,
@@ -34,14 +39,15 @@ from os import PathLike
 
 from .errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                      TruncationTooShort)
-from .padic import (PAdicInt, _poly_mul_trunc, int_valuation, inv, is_prime,
-                    padic_log1p)
+from .padic import (PAdicInt, _poly_mul_trunc, _poly_mul_unreduced,
+                    int_valuation, inv, is_prime, padic_log1p)
 
 # The largest precision N, truncation D, modulus p^N, level and weight
 # that a decoder accepts, in form records, overrides, Lambda-element
 # files and cache entries.  The work of a lift or a preparation grows
-# with D and p^N (at p = 13 a preparation at the bounds takes about
-# 0.4 s on a 2-vCPU VM), trial division of a level below MAX_LEVEL
+# with D and p^N (at p = 13 a preparation at the bounds, lambda = 300,
+# takes 0.35 to 0.55 s on a shared 2-vCPU VM, most of it in the big-integer
+# products of the Hensel lift), trial division of a level below MAX_LEVEL
 # takes at most 10^6 steps, and a local factor holds q^(3(k-1)).
 MAX_PRECISION = 100
 MAX_TRUNC = 1000
@@ -261,21 +267,34 @@ def weierstrass_prep(f: IwasawaElement) -> WeierstrassData:
     # T^lam * dU + ubar * dP with deg dP < lam, so dP = E * ubar^(-1)
     # mod T^lam and dU = (E - dP U) / T^lam.  The new P U differs from
     # the old by p^m (dP U_old + P_new dU), so E moves on by those two
-    # products, each of a mod-p digit series and a wide one.  The digits
+    # products, each of a mod-p digit series and a wide one.  Mod
+    # p^(nprec - m) the wide ones are U_j and P_j, their first j digits,
+    # with j = min(m, nprec - m) and min(m + 1, nprec - m): below p^j
+    # already, so the products take them as they are, in slots sized by
+    # terms * p^(j+1), and only E's own update reduces.  The digits
     # accumulate below p^nprec, so nothing is reduced after.
     ubar = [c % p for c in reduced[lam:]]
     ubar_inv = _series_inverse_mod_p(ubar, p, lam - 1) if lam else []
     pcoeffs = [0] * lam + [1]
     ucoeffs = ubar
     err = [(c - u) // p for c, u in zip(reduced, [0] * lam + ubar)]
+    # P_j and U_j for 1 <= j <= half, the only ones the products read
+    ps, us = [None, pcoeffs], [None, ucoeffs]
+    half = (nprec + 1) // 2
+    terms = min(lam + 1, d + 1 - lam)   # most terms of a product coefficient
     for m in range(1, nprec):
         pm, rest = p**m, p**(nprec - m)
         delta_p = _poly_mul_trunc(err[:lam], ubar_inv, p, lam - 1)
-        fit = _poly_mul_trunc(delta_p, ucoeffs, rest, d)
+        j = min(m, nprec - m)
+        fit = _poly_mul_unreduced(delta_p, us[j], d, terms * p**(j + 1))
         delta_u = [(e - f) % p for e, f in zip(err[lam:], fit[lam:])]
         pcoeffs = [c + pm * x for c, x in zip(pcoeffs, delta_p)] + [1]
         ucoeffs = [c + pm * x for c, x in zip(ucoeffs, delta_u)]
-        moved = _poly_mul_trunc(pcoeffs, delta_u, rest, d)
+        if m < half:
+            ps.append(pcoeffs)
+            us.append(ucoeffs)
+        j = min(m + 1, nprec - m)
+        moved = _poly_mul_unreduced(ps[j], delta_u, d, terms * p**(j + 1))
         err = [(e - f - g) % rest // p
                for e, f, g in zip(err, fit, moved)]
     unit = _series(p, nprec, tuple(ucoeffs) + (0,) * lam)

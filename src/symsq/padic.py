@@ -16,15 +16,19 @@ operations take p and prec from operands that were checked already, so
 they are built by `_padic`, which only reduces the residue.
 
 Integer polynomials, Lambda's truncated series and the numerators of
-Q(zeta_n) alike, are multiplied by one kernel, `_poly_mul_trunc`, by
-Kronecker substitution: both are packed into big integers with one
+Q(zeta_n) alike, are multiplied by Kronecker substitution in one core,
+`_poly_mul_unreduced`: both are packed into big integers with one
 fixed-width slot per coefficient, multiplied once, and unpacked (Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-JSC 2009).  A slot is sized by the operands' largest coefficients, so a
-mod-p digit series times a wide one is nearly as narrow as the wide one.
-A slot that fits a machine word (8 bytes: the mod-p products, and mod
-p^k ones while they stay that narrow) is packed and unpacked through
-`array`; wider slots go through bytes.
+JSC 2009).  The core reduces nothing; its caller states a bound on the
+coefficients, which sizes the slot.  `_poly_mul_trunc` wraps it for
+products mod m: it reduces the operands, bounds the slot by their
+largest coefficients, so a mod-p digit series times a wide one is nearly
+as narrow as the wide one, and reduces the product.  The Hensel lift of
+Weierstrass preparation calls the core directly, on operands it knows
+to lie below p^j.  A slot that fits a machine word (8 bytes: the mod-p
+products, and mod p^k ones while they stay that narrow) is packed and
+unpacked through `array`; wider slots go through bytes.
 """
 
 from __future__ import annotations
@@ -360,27 +364,39 @@ _WORD_CODES = {
 def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
     """Coefficients 0..d of a*b mod `mod`, by Kronecker substitution.
 
-    Each series is reduced into [0, mod), stripped of trailing zeros and
-    packed into one integer with a byte slot per coefficient; a slot
-    holds any product coefficient, a sum of at most min(len a, len b)
-    terms of at most max(a) * max(b), so one big-integer multiply
-    carries no digit across slots and the first d+1 slots of the product
-    are the answer.
-    A slot that fits a machine word is packed and unpacked by `array`,
-    widened to the smallest item size that holds it.
+    Each series is reduced into [0, mod) and stripped of trailing zeros;
+    a product coefficient is a sum of at most min(len a, len b) terms of
+    at most max(a) * max(b), which bounds the slot of
+    `_poly_mul_unreduced`, and the coefficients it returns are reduced.
     """
     a = _strip([c % mod for c in a[:d + 1]])
     b = _strip([c % mod for c in b[:d + 1]])
     if not a or not b:
         return [0] * (d + 1)
-    width = ((min(len(a), len(b)) * max(a) * max(b)).bit_length() + 7) // 8
+    top = min(len(a), len(b)) * max(a) * max(b)
+    return [c % mod for c in _poly_mul_unreduced(a, b, d, top)]
+
+
+def _poly_mul_unreduced(a, b, d: int, top: int) -> list[int]:
+    """Coefficients 0..d of a*b, exact, when every coefficient of a, b and
+    a*b lies in [0, top].
+
+    Both series are packed into one integer each with a byte slot wide
+    enough for `top`, multiplied once, and the first d+1 slots of the
+    product read back: no slot carries into the next, so they are the
+    answer.  A slot that fits a machine word is packed and unpacked by
+    `array`, widened to the smallest item size that holds it.
+    """
+    if not a or not b:
+        return [0] * (d + 1)
+    width = (top.bit_length() + 7) // 8 or 1
     slots = len(a) + len(b) - 1
     n = min(d + 1, slots)
     code = _WORD_CODES.get(width)
     if code is None:
         raw = (_pack(a, width) * _pack(b, width)).to_bytes(
             slots * width, "little")
-        out = [int.from_bytes(raw[i:i + width], "little") % mod
+        out = [int.from_bytes(raw[i:i + width], "little")
                for i in range(0, n * width, width)]
     else:
         words = array(code)
@@ -389,8 +405,9 @@ def _poly_mul_trunc(a, b, mod: int, d: int) -> list[int]:
                * int.from_bytes(array(code, b).tobytes(), "little")
                ).to_bytes(slots * width, "little")
         words.frombytes(memoryview(raw)[:n * width])
-        out = [c % mod for c in words]
-    return out + [0] * (d + 1 - n)
+        out = words.tolist()
+    out += [0] * (d + 1 - n)
+    return out
 
 
 def _strip(c: list[int]) -> list[int]:

@@ -234,15 +234,20 @@ class FractionCycNumber:
 # -- schoolbook Lambda kernels ----------------------------------------------
 
 
-def schoolbook_mul_trunc(a, b, mod, d):
-    """Coefficients 0..d of a*b mod `mod`, one product per pair of terms."""
+def schoolbook_mul(a, b, d):
+    """Coefficients 0..d of a*b, exact, one product per pair of terms."""
     out = [0] * (d + 1)
     for i, x in enumerate(a[:d + 1]):
         if x == 0:
             continue
         for j in range(min(d - i, len(b) - 1) + 1):
             out[i + j] += x * b[j]
-    return [c % mod for c in out]
+    return out
+
+
+def schoolbook_mul_trunc(a, b, mod, d):
+    """Coefficients 0..d of a*b mod `mod`."""
+    return [c % mod for c in schoolbook_mul(a, b, d)]
 
 
 def recurrence_series_inverse_mod_p(u, p, d):

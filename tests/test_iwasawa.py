@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import reduce
 from math import comb
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsq import iwasawa, padic
+from symsq import cli, iwasawa, padic
 from symsq.errors import (InsufficientPrecision, PrecisionLoss, SchemaError,
                           TruncationTooShort)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
@@ -20,7 +22,7 @@ from symsq.padic import PAdicInt, inv, teichmuller
 
 from conftest import (PRIMES_TO_200, extend_past_truncation,
                       full_inverse_weierstrass_prep,
-                      recurrence_series_inverse_mod_p,
+                      recurrence_series_inverse_mod_p, schoolbook_mul,
                       schoolbook_mul_trunc, seeded,
                       teichmuller_frobenius_exponent)
 
@@ -107,6 +109,35 @@ class TestKernels:
                     assert padic._poly_mul_trunc(a, b, mod, d) == \
                         schoolbook_mul_trunc(a, b, mod, d)
 
+    @pytest.mark.parametrize("words", ["native", "bytes only"])
+    def test_unreduced_product_is_exact(self, monkeypatch, words):
+        # a digit series below p times one below p^k, as in the Hensel
+        # lift, with the slot taken from `top` alone: the lift's bound
+        # n * p^(k+1), and the largest product coefficient itself, which
+        # the middle slots reach; slots of 1 to 8 bytes go through array
+        # items and wider ones through bytes, or all through bytes
+        if words == "bytes only":
+            monkeypatch.setattr(padic, "_WORD_CODES", {})
+        rng = seeded(59)
+        widths = set()
+        for p, k in ((5, 1), (5, 9), (13, 2), (13, 8), (13, 20),
+                     (1000003, 1), (2**61 - 1, 1)):
+            for n in (1, 2, 5, 17):
+                digits, wide = [p - 1] * n, [p**k - 1] * (n + 4)
+                noisy = [rng.randrange(p**k) for _ in range(n + 3)] + \
+                    [p**k - 1]
+                for a, b in ((digits, wide), (wide, digits), (digits, noisy),
+                             ([], wide), (digits, []), ([], [])):
+                    last = len(a) + len(b) - 2      # the product's degree
+                    full = schoolbook_mul(a, b, max(last, 0))
+                    for top in (n * p**(k + 1), max(a + b + full)):
+                        widths.add((top.bit_length() + 7) // 8)
+                        for d in (0, max(last - 1, 0), max(last, 0),
+                                  last + 4):
+                            assert padic._poly_mul_unreduced(a, b, d, top) \
+                                == schoolbook_mul(a, b, d)
+        assert min(widths) <= 8 < max(widths)
+
     def test_mul_sparse_elements(self):
         one = IwasawaElement.one(7, 10, 60)
         t_lam = IwasawaElement(7, 10, (0,) * 9 + (1,) + (0,) * 51)
@@ -151,10 +182,23 @@ class TestKernels:
                     coeffs[i] = coeffs[i] * p % p**n
                 elements.append(IwasawaElement(p, n, tuple(coeffs)))
         fast = [weierstrass_prep(f) for f in elements]
-        # iwasawa calls padic's kernel through its own binding
+        with monkeypatch.context() as mp:     # as on a big-endian host
+            mp.setattr(padic, "_WORD_CODES", {})
+            assert [weierstrass_prep(f) for f in elements] == fast
+
+        def bounded(a, b, d, top):
+            out = schoolbook_mul(a, b, d)
+            assert max(a + b + out, default=0) <= top
+            return out
+
+        # iwasawa calls padic's kernels through its own bindings; every
+        # product of the lift goes through a schoolbook one, none
+        # through padic's Kronecker core
         monkeypatch.setattr(iwasawa, "_poly_mul_trunc", schoolbook_mul_trunc)
+        monkeypatch.setattr(iwasawa, "_poly_mul_unreduced", bounded)
         monkeypatch.setattr(iwasawa, "_series_inverse_mod_p",
                             recurrence_series_inverse_mod_p)
+        monkeypatch.setattr(padic, "_poly_mul_unreduced", None)
         assert [weierstrass_prep(f) for f in elements] == fast
 
 
@@ -229,12 +273,15 @@ class TestProductInvariants:
 @st.composite
 def prep_cases(draw):
     """Elements with mu in {0, 1, 2} and lambda from 0 to past D - guard,
-    or vanishing mod p^N, for p in {5, 7, 11, 13}, N <= 30, D <= 200."""
-    p = draw(st.sampled_from([5, 7, 11, 13]))
+    or vanishing mod p^N, for p in {5, 7, 11, 13} at N <= 30, and for
+    p = 1000003 at N <= 4 and p = 2^61 - 1 at N <= 2, whose one-digit
+    series meet slots wider than 8 bytes; D <= 200."""
+    p, top_n = draw(st.sampled_from([(5, 30), (7, 30), (11, 30), (13, 30),
+                                     (1000003, 4), (2**61 - 1, 2)]))
     mu = draw(st.sampled_from([0, 1, 2]))
     kind = draw(st.sampled_from(["prep"] * 6 + ["short", "zero"]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    n, d = rng.randint(1, 30), rng.randint(0, 200)
+    n, d = rng.randint(1, top_n), rng.randint(0, 200)
     if kind == "prep":
         lam = rng.randint(0, max(d - TRUNCATION_GUARD, 0))
     else:
@@ -369,6 +416,25 @@ class TestWeierstrass:
         w = weierstrass_prep(f)
         assert (w.mu, w.lam, w.prec) == (1, 250, MAX_PRECISION - 1)
         assert reconstruct(w, MAX_TRUNC) == f
+
+    def test_prep_bytes_are_pinned(self, tmp_path, capsys):
+        # symsq prep stdout on 50 seeded elements across p, N, D, mu and
+        # lambda, hashed; the digest was recorded while each Hensel
+        # product reduced its operands and output mod p^(N - m)
+        rng = seeded(64)
+        digest = hashlib.sha256()
+        path = tmp_path / "lam.json"
+        for i in range(50):
+            p = (5, 7, 11, 13, 1000003)[i % 5]
+            n = rng.randint(1, 4 if p > 13 else 40)
+            d = rng.randint(TRUNCATION_GUARD, 250)
+            f = _with_invariants(rng, p, n, d, rng.randrange(min(n, 3)),
+                                 rng.randint(0, d - TRUNCATION_GUARD))
+            path.write_text(json.dumps(f.to_json()))
+            assert cli.main(["prep", str(path)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "47c7b95103e35e5b390df8560df22058ae8775b7182bbcc166d5cde7978eae20")
 
     def test_unit_ends_in_lambda_padding_zeros(self):
         # deg(P U) <= D fixes the unit's last lam coefficients at zero;
