@@ -2,11 +2,12 @@
 
 Exit codes: 0 when every reported assertion passes, 1 when a checked
 relation fails, 2 on input errors and refusals, with the error's class
-and message on stderr.  All output is deterministic: JSON
+and message on stderr.  Every answer goes to stdout, and only there;
+redirect it to keep it in a file.  All output is deterministic: JSON
 is emitted with sorted keys and no timestamps, so identical inputs give
-byte-identical reports.  Lambda-lifts are computed in memory and
-nothing is written unless ``--cache-dir`` names a directory to keep
-them in; that flag is not an input to the output, so a report is
+byte-identical reports.  Lambda-lifts are computed in memory, and
+``--cache-dir``, naming a directory to keep them in, is the one flag
+that writes a file; it is not an input to the output, so a report is
 byte-identical with a cold cache, a warm cache or none.
 
 Each subcommand takes only the flags it reads (see _build_parser),
@@ -40,8 +41,6 @@ class _CommandParser(argparse.ArgumentParser):
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # parent parsers, one per group of flags that some subcommands share
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--output", help="write output to a file")
     form = argparse.ArgumentParser(add_help=False)
     form.add_argument("form", help="form record JSON file")
     form.add_argument("--p", type=int, help="override the working prime")
@@ -68,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             parser_class=_CommandParser)
 
     def command(name, summary, *parents):
-        return sub.add_parser(name, help=summary, parents=[*parents, out],
+        return sub.add_parser(name, help=summary, parents=parents,
                               allow_abbrev=False)
 
     command("euler", "print the local factor P_q", form).add_argument(
@@ -156,8 +155,8 @@ def _run_lambda_command(args) -> dict:
     return congruence_transfer_check(f, g)
 
 
-def emit_report(report, fmt: str, path: str | None = None) -> int:
-    """Serialize deterministically; exit code 0 on all-pass else 1."""
+def emit_report(report, fmt: str) -> int:
+    """Print deterministically to stdout; exit code 0 on all-pass else 1."""
     if isinstance(report, dict):
         # a dict renders as the same JSON in either format
         passed = report.get("conclusion") not in (
@@ -168,11 +167,7 @@ def emit_report(report, fmt: str, path: str | None = None) -> int:
         rendered = (report.to_text() if fmt == "text" else
                     json.dumps(report.to_json(), sort_keys=True, indent=2)
                     + "\n")
-    if path is None:
-        print(rendered, end="")
-    else:
-        with open(path, "w") as f:
-            f.write(rendered)
+    print(rendered, end="")
     return 0 if passed else 1
 
 
@@ -184,7 +179,7 @@ def main(argv=None) -> int:
         else:
             out = _run_form_command(args)
         # only sigma and report have a text form; a dict is always JSON
-        return emit_report(out, getattr(args, "format", "json"), args.output)
+        return emit_report(out, getattr(args, "format", "json"))
     except (SymsqError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

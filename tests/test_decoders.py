@@ -235,9 +235,9 @@ VALID = {"-q": "2", "--s0": "2,3", "-n": "1", "--t": "0", "--p": "7",
 
 def _reads(command) -> set:
     """The flags a command reads: COMMAND_FLAGS and the file flags.
-    Every command writes --output; those that lift (the readers of a
-    character) take --psi and --cache-dir, and report reads --lfun."""
-    files = {"--output"}
+    The commands that lift (the readers of a character) take --psi
+    and --cache-dir, and report reads --lfun."""
+    files = set()
     if command in READERS["psi"]:
         files |= {"--psi", "--cache-dir"}
     if command == "report":
@@ -302,8 +302,9 @@ def argv_cases(draw):
                     if a in ("-q", "--s0", "-n") or a.startswith("@")]
         i = draw(st.sampled_from(required))
         del argv[i:i + 1 + (not argv[i].startswith("@"))]
-    elif how == "unknown":
-        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    elif how == "unknown":                  # --output is retired too
+        i = draw(st.integers(0, len(argv)))
+        argv[i:i] = draw(st.sampled_from((["--bogus"], ["--output", "x"])))
     else:
         i = draw(st.sampled_from([i for i, a in enumerate(argv)
                                   if a.startswith("@")]))
@@ -414,17 +415,24 @@ def test_a_flag_the_command_does_not_read_exits_2(tmp_path, command, flag):
         == (2, "")
 
 
+# every command wrote to the file --output named; stdout is the one
+# output now, and --output is refused like any flag a command lacks
+OUTPUT = [([command, *(a.lstrip("@") for a in argv[1:]), "--output", "x"],
+           "--output x") for command, argv in COMMANDS.items()]
+
+
 # argparse handed a subcommand's leftover arguments back to the
 # top-level parser, whose usage line names no flag of the subcommand
-@pytest.mark.parametrize("argv, leftover", [
+@pytest.mark.parametrize("argv, leftover", OUTPUT + [
     (["prep", "L.json", "--precision", "0"], "--precision 0"),
     (["specialize", "L.json", "-n", "1", "--p", "4"], "--p 4"),
     (["euler", "F.json", "-q", "2", "--primitive-root", "4"],
      "--primitive-root 4"),
     (["congruence", "F.json", "G.json", "--format", "json"], "--format json"),
     (["prep", "L.json", "M.json"], "M.json")],
-    ids=["prep-precision", "specialize-p", "euler-primitive-root",
-         "congruence-format", "prep-extra"])
+    ids=[f"{command}-output" for command in COMMANDS] + [
+        "prep-precision", "specialize-p", "euler-primitive-root",
+        "congruence-format", "prep-extra"])
 def test_a_refused_argument_shows_the_usage_of_its_command(capsys, argv,
                                                            leftover):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from symsq.euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from symsq.harness import (FormRecord, cache_key, invariant_report,
                            lift_factor, load_form)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
-                           MAX_WEIGHT, IwasawaElement,
+                           MAX_WEIGHT, TRUNCATION_GUARD, IwasawaElement,
                            congruence_transfer_check, invariants)
 
 from conftest import (PRIMES_TO_200, characters_with_order_dividing,
@@ -234,6 +235,23 @@ class TestInvariantReport:
         assert report.lfun["lambda_imprimitive"] == expected
         assert report.passed
 
+    def test_the_one_assertion_is_lambda_additivity(self, tmp_path):
+        # mu = 0 per row and mu(L_S0) = mu(L) held by construction: a lift
+        # with no unit coefficient up to D is refused, and the product's
+        # mu is read off L; the report keeps each row's mu as data
+        form = load_form(write_form(tmp_path))
+        psi = trivial_character(1)
+        report = invariant_report(form, psi, 0, [2, 3, 11])
+        assert [a["name"] for a in report.assertions] == []
+        assert [row["mu"] for row in report.table] == [0, 0, 0]
+        assert report.passed
+        report = invariant_report(form, psi, 0, [2, 3, 11],
+                                  elem(5, 4, 0, 1, trunc=16))
+        assert [a["name"] for a in report.assertions] == [
+            "lambda_S0 = lambda + sum(sigma)"]
+        assert report.lfun["mu_imprimitive"] == 0
+        assert report.passed
+
     def test_refuses_lambda_past_truncation(self, tmp_path):
         # lambda(L) = 6 and sigma_19 = 49 put lambda_S0 past D - 4 = 56,
         # where the truncated product cannot show its unit coefficient
@@ -338,6 +356,62 @@ def _grid_form(rng, p, prec, trunc, kind):
     ap[p] = rng.choice([a for a in range(1, 2 * p) if a % p])
     return FormRecord(f"grid-{p}-{trunc}-{kind}", weight, level, chi, ap, p,
                       prec, trunc, bad)
+
+
+def _grid_commands(tmp_path):
+    """Argument lists on 32 seeded _grid_form records at p = 5, 7, 11, 13,
+    as {"euler/lift": [...], "sigma/report": [...]}: euler and lift at
+    one prime of S0, sigma and report --lfun in json and text.  One
+    record in two is twisted by a quadratic psi, one in two by an even
+    t, and S0 keeps the primes whose bound deg P * p^v fits below
+    D - TRUNCATION_GUARD - lambda(L)."""
+    rng = seeded(93)
+    quadratic = [c for m in (3, 4, 8) for c in characters_mod(m)
+                 if c.order == 2 and c.conductor == m]
+    runs = {"euler/lift": [], "sigma/report": []}
+    for i in range(32):
+        p = (5, 7, 11, 13)[i % 4]
+        prec, trunc = ((4, 16), (10, 60), (20, 120))[i % 3]
+        form = _grid_form(rng, p, prec, trunc, i % 3)
+        path = tmp_path / f"form{i}.json"
+        path.write_text(json.dumps({
+            "label": form.label, "weight": form.weight, "level": form.level,
+            "character": form.character.to_json(), "p": p,
+            "precision": prec, "trunc": trunc,
+            "ap": {str(q): str(a) for q, a in form.ap.items()},
+            "bad_primes": {str(q): {k: str(v) for k, v in e.items()}
+                           for q, e in form.bad_primes.items()}}))
+        twist = ["--t", str(rng.choice((2, 4)))] if i % 4 >= 2 else []
+        if i % 2:
+            psi = tmp_path / f"psi{i}.json"
+            psi.write_text(json.dumps(rng.choice(quadratic).to_json()))
+            twist += ["--psi", str(psi)]
+        lam = rng.randint(0, 6)
+        room = trunc - TRUNCATION_GUARD - lam
+        s0, size = [], rng.randint(1, 5)
+        primes = [q for q in [form.level] * (form.level > 1)
+                  + sorted(form.ap) if q != p]
+        for q in rng.sample(primes, len(primes)):
+            bound = (form.euler_factor(q).degree
+                     * p**frobenius_valuation(q, p))
+            if bound <= room and len(s0) < size:
+                s0.append(q)
+                room -= bound
+        lfun = tmp_path / f"L{i}.json"
+        coeffs = [rng.randrange(p**prec) for _ in range(trunc + 1)]
+        coeffs[:lam] = [c * p % p**prec for c in coeffs[:lam]]
+        coeffs[lam] += 1 - coeffs[lam] % p
+        lfun.write_text(json.dumps(elem(p, prec, *coeffs).to_json()))
+        q = str(rng.choice(s0))
+        runs["euler/lift"] += [["euler", str(path), "-q", q],
+                               ["lift", str(path), "-q", q, *twist]]
+        s0 = ["--s0", ",".join(map(str, s0)), *twist]
+        runs["sigma/report"] += [
+            [command, str(path), *s0, *lfun_args, "--format", fmt]
+            for command, lfun_args in (("sigma", []),
+                                       ("report", ["--lfun", str(lfun)]))
+            for fmt in ("json", "text")]
+    return runs
 
 
 class TestLucasSigmaOracle:
@@ -515,7 +589,7 @@ class TestEmit:
         rep = InvariantReport("x", 5, 4, 10, trivial_character(1).to_json(),
                               0, [], 0)
         rep.assertions.append({"name": "doomed", "ok": False})
-        assert emit_report(rep, "json", None) == 1
+        assert emit_report(rep, "json") == 1
 
     def test_text_format_ascending_primes(self, tmp_path, capsys):
         from symsq.harness import InvariantReport
@@ -758,20 +832,30 @@ class TestCLI:
         assert capsys.readouterr().out == separate
         assert cli._build_parser() is cli._build_parser()
 
-    def test_output_writes_the_bytes_of_stdout(self, tmp_path):
-        # emit_report's file branch had no test
-        form_path = str(write_form(tmp_path))
-        report = ["report", form_path, "--s0", "2,3"]
-        path = tmp_path / "out.txt"
-        printed = []
-        for argv in (report, report + ["--format", "text"],
-                     ["euler", form_path, "-q", "2"]):
-            want = self.run_cli(*argv)
-            got = self.run_cli(*argv, "--output", str(path))
-            assert (got.returncode, got.stdout) == (want.returncode, "")
-            assert path.read_bytes() == want.stdout.encode()
-            printed.append(want.stdout)
-        assert printed[0].startswith("{") and "sigma_total" in printed[1]
+    def _digest(self, tmp_path, runs):
+        digest = hashlib.sha256()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for argv in runs:
+                out = self.run_cli(*argv)
+                digest.update(f"{out.returncode}\n".encode())
+                digest.update(out.stdout.replace(str(tmp_path), "").encode())
+        return digest.hexdigest()
+
+    def test_euler_and_lift_bytes_are_pinned(self, tmp_path):
+        # stdout and exit codes on 32 seeded grid records, hashed; the
+        # digest was recorded while every command also took --output
+        runs = _grid_commands(tmp_path)["euler/lift"]
+        assert self._digest(tmp_path, runs) == (
+            "d312b3d1cc244c52bd3659cec336701fc2a243d52120714703f3aa36ab6657b0")
+
+    def test_sigma_and_report_bytes_are_pinned(self, tmp_path):
+        # as above, for sigma and report --lfun in json and text; the
+        # digest was recorded once the report no longer asserted mu = 0
+        # per row nor mu(L_S0) = mu(L)
+        runs = _grid_commands(tmp_path)["sigma/report"]
+        assert self._digest(tmp_path, runs) == (
+            "382449961c97fc008837d40195e1f6e3ab93b6fde6bd93f68a18311bd9a4341a")
 
     def test_json_report_never_renders_text(self, tmp_path, monkeypatch,
                                             capsys):

@@ -1,7 +1,10 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +59,23 @@ def test_lambda_commands_load_no_form_stack(tmp_path):
     for name in ("characters", "cyclotomic", "euler", "qexp", "harness"):
         assert f"'symsq.{name}'" not in loaded, loaded
     assert "'symsq.iwasawa'" in loaded
+
+
+def test_readme_flag_table_lists_every_flag():
+    # the sigma and report rows said "the flags of lift but -q"; every
+    # row now names each flag, and a flag change must update the table
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n| --- | --- |\n")[1]
+    rows = {}
+    for line in table[:table.index("\n\n")].splitlines():
+        commands, flags = line.strip("|").split("|")
+        for command in re.findall(r"`([a-z]+)`", commands):
+            assert command not in rows, command
+            rows[command] = set(re.findall(r"`(-[^`]+)`", flags))
+    sub = next(a for a in symsq.cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(rows) == sorted(sub.choices)
+    for command, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings
+                   if a.dest != "help"}
+        assert rows[command] == options, command
