@@ -111,31 +111,33 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
                  // euler_phi(n // gcd(n, k)) for k in range(euler_phi(n)))
 
 
-# Above this many steps of the row loop, (n - phi(n)) times the number
-# of nonzero terms of Phi_n below x^phi(n), _reduce_ints divides by the
-# Moebius product instead.  Timed on every reduction of a tables set-up
-# and pass (seed 7, 7,676 calls at orders 1 to 1332, best of 3 per call,
-# Python 3.11 on a 2-vCPU VM): with the crossover at 250, 500, 1,000 or
-# 1,500 steps they take 87-89 ms, against 97 ms with the product at
-# every order and 135 ms with the row loop at every order; the row loop
-# wins below about 1,000 steps, most of all on sparse vectors.
-_MOBIUS_STEPS = 1000
+# Above this many steps of the row loop, the input's nonzero entries
+# above x^phi(n) times the number of nonzero terms of Phi_n below
+# x^phi(n), _reduce_ints divides by the Moebius product instead.
+# Elimination fills in rows that this count cannot see, so the crossover
+# is low.  Timed on the 6,805 reductions of a tables set-up and pass
+# (seed 7, orders 1 to 1332), best of 7 per call with the rules
+# interleaved call by call, Python 3.11 on a shared 2-vCPU VM: 75-81 ms
+# at 150, 250 or 400 steps and 82-87 ms at 600, against 91-98 ms for
+# 1,000 steps counted as if every row were nonzero, and about 5% more
+# than that for this count at 1,000 steps.
+_MOBIUS_STEPS = 250
 
 
 def _reduce_ints(folded: list[int], n: int) -> list[int]:
     """The remainder mod Phi_n of an integer vector of length n, as
     phi(n) integers; folded is consumed.
 
-    While the row loop takes at most _MOBIUS_STEPS = 1,000 steps (n -
-    phi(n) rows, each over the terms of the sparse Phi_n) it eliminates
-    one row at a time; the timing that set the crossover is noted at
-    _MOBIUS_STEPS.  Past it the quotient comes from Phi_n being
+    While the row loop takes at most _MOBIUS_STEPS = 250 steps (the
+    nonzero rows above phi(n), each over the terms of the sparse Phi_n)
+    it eliminates one row at a time; the timing that set the crossover is
+    noted at _MOBIUS_STEPS.  Past it the quotient comes from Phi_n being
     palindromic (n > 1): rev(q) = rev(folded) / Phi_n mod x^(n - phi(n)),
     and the remainder is folded - q Phi_n mod x^phi(n), one _times_phi
     each."""
     deg = euler_phi(n)
     sparse = _cyclotomic_sparse(n)
-    if (n - deg) * len(sparse) <= _MOBIUS_STEPS:
+    if (n - deg - folded[deg:].count(0)) * len(sparse) <= _MOBIUS_STEPS:
         for i in range(n - 1, deg - 1, -1):
             c = folded[i]
             if c:

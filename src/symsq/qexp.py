@@ -18,6 +18,15 @@ by its residue), forms a(n) - beta a(n/p) mod p^prec and wraps each
 result in a PAdicInt once, with the precision tags of the composition
 g0 - V_p(g0).scale(beta).  Scaling a "padic" expansion by a PAdicInt
 is the same kind of residue loop.
+
+tau builds no operator's expansion either.  Coefficientwise its
+compositions h - V_q(U_q h) and h - V_q(T_q h) + eps(q) q^(k-1) V_q(V_q h)
+are tau_q h(n) = h(n) [q ∤ n] up to floor(D/q), so it makes those
+floor(D/q) + 1 slots in one pass.  Types and tags follow the
+composition: off the multiples of q a slot is h(n) as the composition's
+exact zeros leave it, and on them the composition's own operations run
+on its own operands, about D/q^2 of them.  T_q and tau take only a prime
+q (BadPrime), U_q and V_q any q >= 1 (ValueError).
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from .characters import DirichletCharacter
 from .cyclotomic import (CycNumber, _is_zero, _residue_embedding,
                          cyc_embed_padic, embedding_root)
 from .errors import BadMode, BadPrime, OddCharacter, SchemaError
-from .padic import PAdicInt, _padic, factorize, hensel_unit_root, inv
+from .padic import (PAdicInt, _padic, factorize, hensel_unit_root, inv,
+                    is_prime)
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
 
@@ -136,6 +146,8 @@ def _int_if_rational(v: CycNumber):
 
 def hecke_T(f: QExpansion, q: int) -> QExpansion:
     """T_q at a good prime: b(n) = a(qn) + eps(q) q^(k-1) a(n/q)."""
+    if type(q) is not int or not is_prime(q):
+        raise BadPrime(f"T_q needs a prime q, got {q!r}")
     if f.level % q == 0:
         raise BadPrime(f"{q} divides the level {f.level}; use hecke_U")
     if not isinstance(f.weight, int):
@@ -153,6 +165,8 @@ def hecke_T(f: QExpansion, q: int) -> QExpansion:
 
 def hecke_U(f: QExpansion, q: int) -> QExpansion:
     """U_q: b(n) = a(qn); truncation shrinks to floor(D/q)."""
+    if q < 1:
+        raise ValueError(f"need q >= 1, got {q}")
     d = f.trunc // q
     coeffs = tuple(f.coeffs[q * n] for n in range(d + 1))
     level = f.level if f.level % q == 0 else f.level * q
@@ -165,6 +179,8 @@ def hecke_V(f: QExpansion, q: int) -> QExpansion:
     Correct out to q*D, but the claim is capped at the input truncation
     to keep coefficient arrays from growing; the zeros are exact.
     """
+    if q < 1:
+        raise ValueError(f"need q >= 1, got {q}")
     zero = _zero_like(f.coeffs[0])
     coeffs = tuple(f.coeffs[n // q] if n % q == 0 else zero
                    for n in range(f.trunc + 1))
@@ -197,20 +213,74 @@ def tau(h: QExpansion, q: int, mode: str) -> QExpansion:
 
     ordinary   (q | level):  h - V_q(U_q h)
     unramified (q ∤ level):  h - V_q(T_q h) + eps(q) q^(k-1) V_q(V_q h)
+
+    Coefficientwise both are tau_q h(n) = h(n) [q ∤ n] up to floor(D/q),
+    made in one pass with the composition's coefficient types and tags
+    (see the module docstring); no operator's expansion is built.
     """
+    if type(q) is not int or not is_prime(q):
+        raise BadPrime(f"tau needs a prime q, got {q!r}")
+    a, d = h.coeffs, h.trunc // q
+    z0 = _zero_like(a[0])                      # V_q's zero, and T_q's
     if mode == "ordinary":
         if h.level % q != 0:
             raise BadMode(f"ordinary tau needs {q} | level {h.level}")
-        out = h - hecke_V(hecke_U(h, q), q)
-        return dataclasses.replace(out, level=h.level * q)
-    if mode == "unramified":
+        on = [x - x for x in a[:d + 1:q]]      # h(n) - V_q(U_q h)(n)
+        zeros, level, ring = (z0,), h.level * q, h.ring
+    elif mode == "unramified":
         if h.level % q == 0:
             raise BadMode(f"unramified tau needs {q} coprime to level {h.level}")
         eps = _eps_scalar(h, q)
-        out = h - hecke_V(hecke_T(h, q), q)
-        out = out + hecke_V(hecke_V(h, q), q).scale(eps * q**(h.weight - 1))
-        return dataclasses.replace(out, level=h.level * q * q)
-    raise BadMode(f"unknown mode {mode!r}")
+        if not isinstance(h.weight, int):
+            raise BadPrime(f"T_{q} needs an integer weight, got {h.weight}")
+        mult = eps * q**(h.weight - 1)
+        cz = mult * z0                         # the scaled V_q(V_q h) zero
+        # at n = qm: h(n) - T_q h(m) + (mult V_q V_q h)(n), where
+        # T_q h(m) = h(n) + mult h(m/q) if q | m, else h(n) + z0
+        xs = a[:d + 1:q]
+        ss = [mult * a[m // q] if m % q == 0 else cz for m in range(len(xs))]
+        ts = [x + (z0 if m % q else s)
+              for m, (x, s) in enumerate(zip(xs, ss))]
+        on = [(x - t) + s for x, t, s in zip(xs, ts, ss)]
+        zeros = (_zero_like(ts[0]), cz)        # V_q(T_q h)'s zero, and cz
+        level = h.level * q * q
+        ring = "cyc" if isinstance(mult, CycNumber) and h.ring == "int" \
+            else h.ring
+    else:
+        raise BadMode(f"unknown mode {mode!r}")
+    coeffs = [None] * (d + 1)
+    coeffs[::q] = on
+    for r in range(1, min(q, d + 1)):
+        coeffs[r::q] = _off_multiples(a[r:d + 1:q], zeros)
+    return QExpansion(h.weight, level, h.character, tuple(coeffs), ring,
+                      h.primitive_root)
+
+
+def _off_multiples(xs, zeros) -> list:
+    """Each x of xs minus zeros[0], plus zeros[1] if given: tau's slots off
+    the multiples of q, where the composition subtracts V_q's zero and
+    adds the scaled zero of V_q(V_q h).  An x that this cannot change is
+    kept as it is: an int, Fraction or CycNumber against int zeros, a
+    CycNumber of the zeros' order, a PAdicInt tagged at most as the zeros
+    are; an int or Fraction against CycNumber zeros of one order is that
+    CycNumber.  Anything else takes the composition's arithmetic."""
+    za, *cz = zeros
+    slow = (lambda x: (x - za) + cz[0]) if cz else (lambda x: x - za)
+    kinds = {type(z) for z in zeros}
+    if kinds == {int}:
+        return [x if type(x) in (int, Fraction, CycNumber)
+                else slow(x) for x in xs]
+    if kinds == {CycNumber} and len({z.order for z in zeros}) == 1:
+        n = za.order
+        return [x if type(x) is CycNumber and x.order == n
+                else CycNumber.from_rational(x, n)
+                if type(x) is int or type(x) is Fraction else slow(x)
+                for x in xs]
+    if kinds == {PAdicInt} and len({z.p for z in zeros}) == 1:
+        p, e = za.p, min(z.prec for z in zeros)
+        return [x if type(x) is PAdicInt and x.p == p and x.prec <= e
+                else slow(x) for x in xs]
+    return [slow(x) for x in xs]
 
 
 def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,

@@ -10,7 +10,9 @@ preparation through the full-length unit inverse runs on the library's
 series kernels; those are checked against the schoolbook ones.
 p-stabilization as the operator composition g0 - beta V_p(g0) runs on
 the library's V_p, embedding and PAdicInt arithmetic, each tested on its
-own, but not on p_stabilize's residue pass.
+own, but not on p_stabilize's residue pass; the level-raising map tau_q
+as its operator composition runs on the library's T_q, U_q, V_q and
+expansion arithmetic, but not on tau's one pass.
 
 The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
@@ -28,11 +30,11 @@ from symsq import iwasawa, padic
 from symsq.characters import characters_mod
 from symsq.cyclotomic import (CycNumber, cyc_embed_padic, embedding_root,
                               euler_phi)
-from symsq.errors import (BadPrime, InsufficientPrecision, PrecisionLoss,
-                          TruncationTooShort)
+from symsq.errors import (BadMode, BadPrime, InsufficientPrecision,
+                          PrecisionLoss, TruncationTooShort)
 from symsq.iwasawa import TRUNCATION_GUARD, IwasawaElement, WeierstrassData
 from symsq.padic import PAdicInt, hensel_unit_root, int_valuation, inv
-from symsq.qexp import hecke_V
+from symsq.qexp import _eps_scalar, hecke_T, hecke_U, hecke_V
 
 settings.register_profile("ci", derandomize=True)
 
@@ -400,6 +402,28 @@ def composed_p_stabilize(g0, a_p, eps_p, p, prec, primitive_root=None):
     shifted = hecke_V(lifted, p)
     scaled = replace(shifted, coeffs=tuple(beta * a for a in shifted.coeffs))
     return replace(lifted - scaled, level=g0.level * p)
+
+
+# -- the level-raising map as an operator composition ------------------------
+
+
+def composed_tau(h, q, mode):
+    """qexp.tau as the literal composition: h - V_q(U_q h) (ordinary), or
+    h - V_q(T_q h) + eps(q) q^(k-1) V_q(V_q h) (unramified), each operator
+    building its full expansion, zeros included."""
+    if mode == "ordinary":
+        if h.level % q != 0:
+            raise BadMode(f"ordinary tau needs {q} | level {h.level}")
+        out = h - hecke_V(hecke_U(h, q), q)
+        return replace(out, level=h.level * q)
+    if mode == "unramified":
+        if h.level % q == 0:
+            raise BadMode(f"unramified tau needs {q} coprime to level {h.level}")
+        eps = _eps_scalar(h, q)
+        out = h - hecke_V(hecke_T(h, q), q)
+        out = out + hecke_V(hecke_V(h, q), q).scale(eps * q**(h.weight - 1))
+        return replace(out, level=h.level * q * q)
+    raise BadMode(f"unknown mode {mode!r}")
 
 
 # -- sigma from Lucas's theorem ----------------------------------------------

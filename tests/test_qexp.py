@@ -1,18 +1,23 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symsq.characters import characters_mod, trivial_character
-from symsq.cyclotomic import CycNumber
+from symsq.cyclotomic import CycNumber, euler_phi
 from symsq.errors import (BadMode, BadPrime, NotEmbeddable, NotOrdinary,
                           OddCharacter)
 from symsq.padic import PAdicInt
+from symsq.padic import is_prime as _is_prime
 from symsq.qexp import (QExpansion, coeffs_agree, deplete,
                         expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
                         p_stabilize, tau, theta)
 
-from conftest import (PRIMES_TO_200, composed_p_stabilize, random_eigen_map,
-                      random_unit, seeded)
+from conftest import (PRIMES_TO_200, composed_p_stabilize, composed_tau,
+                      random_eigen_map, random_unit, seeded)
 
 
 def make(coeffs, weight=2, level=1, char=None, ring="int"):
@@ -154,6 +159,155 @@ class TestTau:
             tau(make([0, 1], level=4), 2, "unramified")
         with pytest.raises(BadMode):
             tau(make([0, 1], level=4), 2, "sideways")
+
+    def test_tau_and_t_refuse_a_q_that_is_not_prime(self):
+        h = make(range(30))                     # sum of n q^n, D = 29
+        for q in (4, 6, 9, 1, 0, -2, -3, 2.0, True):
+            for mode in ("ordinary", "unramified", "sideways"):
+                for level in (1, 12):
+                    with pytest.raises(BadPrime):
+                        tau(replace(h, level=level), q, mode)
+            with pytest.raises(BadPrime):
+                hecke_T(h, q)
+
+    def test_u_and_v_refuse_a_q_below_one(self):
+        h = make(range(30))
+        for q in (0, -1, -3):
+            for op in (hecke_U, hecke_V):
+                with pytest.raises(ValueError):
+                    op(h, q)
+        assert hecke_U(h, 1) == hecke_V(h, 1) == h
+        assert hecke_U(h, 4).coeffs == (0, 4, 8, 12, 16, 20, 24, 28)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_composition(self, data):
+        # the one pass against the operator composition, field by field,
+        # refusals included; U_q still kills what it returns
+        h, q, mode = data.draw(_tau_inputs())
+        try:
+            want = composed_tau(h, q, mode)
+        except Exception as exc:                # the same class, then
+            with pytest.raises(type(exc)):
+                tau(h, q, mode)
+            return
+        got = tau(h, q, mode)
+        assert [_fields(c) for c in got.coeffs] == \
+            [_fields(c) for c in want.coeffs]
+        assert (got.ring, got.level, got.trunc, got.primitive_root) == \
+            (want.ring, want.level, h.trunc // q, want.primitive_root)
+        assert got == want
+        if mode == "ordinary" or h.weight >= 1:   # else q^(k-1) is a float
+            assert hecke_U(got, q).is_zero()
+
+    def test_refuses_as_the_composition(self):
+        chi3 = _TAU_CHARACTERS[2]
+        padic = QExpansion(2, 7, chi3, (PAdicInt(5, 3, 1),) * 9, "padic")
+        cyc = QExpansion(0, 7, chi3, (CycNumber.zeta(3),) * 9, "cyc")
+        cases = [(padic, 2, "unramified", NotEmbeddable),  # ord 3 ∤ 5 - 1
+                 (replace(padic, weight=Fraction(3, 2), ring="int",
+                          coeffs=(1,) * 9), 2, "unramified", BadPrime),
+                 (cyc, 2, "unramified", TypeError),  # CycNumber * 2.0**-1
+                 (cyc, 2, "ordinary", BadMode), (cyc, 7, "unramified", BadMode),
+                 (cyc, 7, "ramified", BadMode)]
+        for h, q, mode, error in cases:
+            with pytest.raises(error):
+                composed_tau(h, q, mode)
+            with pytest.raises(error):
+                tau(h, q, mode)
+
+    def test_tau_bytes_are_pinned(self):
+        # repr of tau on a seeded grid shaped like the tables corpus
+        # (truncation 500, int and order-4 cyc rings, both modes, q <= 11),
+        # hashed; the digest was recorded on the operator composition
+        rng = seeded(47)
+        digest = hashlib.sha256()
+        order4 = [next(c for c in characters_mod(m) if c.order == 4)
+                  for m in (5, 13)]
+        for i in range(6):
+            k = rng.choice((2, 4))
+            coeffs = [rng.randint(-50, 50) for _ in range(501)]
+            for q in (2, 3, 5, 7, 11):
+                h = make(coeffs, k, q + 1)
+                digest.update(repr(tau(h, q, "unramified")).encode())
+                h = make(coeffs, k, q * (q + 1))
+                digest.update(repr(tau(h, q, "ordinary")).encode())
+            chi = order4[i % 2]
+            ap = {ell: rng.randint(-10, 10) for ell in PRIMES_TO_200}
+            ap.update({ell: rng.randint(-10, 10)
+                       for ell in range(200, 501) if _is_prime(ell)})
+            g0 = expansion_from_eigenvalues(k, chi.modulus, chi, ap, 500)
+            for q in (2, 3, 5, 7, 11):
+                if g0.level % q:
+                    digest.update(repr(tau(g0, q, "unramified")).encode())
+                g = g0 if g0.level % q == 0 else \
+                    replace(g0, level=g0.level * q)
+                digest.update(repr(tau(g, q, "ordinary")).encode())
+        assert digest.hexdigest() == (
+            "1992c318ae161120c1e2afa37655a233b55662e3e16fb5112d84fa9c1e14d010")
+
+
+def _fields(c):
+    """What two coefficients must share to count as the same: the type,
+    and a CycNumber's order, num and den or a PAdicInt's p, tag and
+    residue."""
+    if isinstance(c, CycNumber):
+        return CycNumber, c.order, c.num, c.den
+    if isinstance(c, PAdicInt):
+        return PAdicInt, c.p, c.prec, c.residue
+    return type(c), c
+
+
+# trivial, quadratic, order 3 and order 4; at p = 5 the order-3 character
+# does not embed, at p = 7 the order-4 one does not
+_TAU_CHARACTERS = (trivial_character(1),
+                   next(c for c in characters_mod(5) if c.order == 2),
+                   next(c for c in characters_mod(7) if c.order == 3),
+                   next(c for c in characters_mod(13) if c.order == 4))
+_ROOTS = {5: (None, 2, 3), 7: (None, 3, 5), 13: (None, 2, 6)}
+
+
+@st.composite
+def _tau_inputs(draw):
+    """(h, q, mode) over the int, cyc and padic rings: D up to 120,
+    integer and Fraction weights, and a level that fits the mode except
+    now and then, with an unknown mode now and then."""
+    ring = draw(st.sampled_from(("int", "cyc", "padic")))
+    q = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    mode = draw(st.sampled_from(("ordinary", "unramified")))
+    chi = draw(st.sampled_from(_TAU_CHARACTERS))
+    kind = draw(st.integers(0, 7))          # q^(k-1) is a float at k <= 0
+    weight = Fraction(draw(st.integers(-3, 13)), draw(st.sampled_from((2, 3)))) \
+        if kind == 0 else draw(st.integers(-1, 0) if kind == 1
+                               else st.integers(1, 6))
+    level = chi.modulus * draw(st.sampled_from((1, 2, 3, 4)))
+    while level % q == 0:
+        level //= q
+    if draw(st.integers(0, 9)):             # else the level misfits the mode
+        level *= q if mode == "ordinary" else 1
+    else:
+        level *= 1 if mode == "ordinary" else q
+        mode = draw(st.sampled_from((mode, "sideways")))
+    rng = seeded(draw(st.integers(0, 2**32)))   # coefficients, quickly
+    small = lambda: rng.randint(-60, 60)
+    frac = lambda: Fraction(small(), rng.choice((1, 2, 3, 10)))
+    root = None
+    if ring == "int":
+        kinds = (small, small, frac)
+    elif ring == "cyc":
+        # mostly the character's order, now and then another one
+        other = draw(st.sampled_from((1, 3, 4, 6)))
+        def cyc(order):
+            return lambda: CycNumber(order, [frac() for _ in
+                                             range(euler_phi(order))])
+        kinds = (small, frac, cyc(chi.order), cyc(chi.order), cyc(other))
+    else:
+        p = draw(st.sampled_from((5, 7, 13)))
+        root = draw(st.sampled_from(_ROOTS[p]))
+        kinds = (lambda: PAdicInt(p, rng.randint(1, 6), rng.randrange(p**6)),)
+    coeffs = [rng.choice(kinds)() for _ in range(draw(st.integers(1, 121)))]
+    h = QExpansion(weight, level, chi, tuple(coeffs), ring, root)
+    return h, q, mode
 
 
 class TestPStabilize:
