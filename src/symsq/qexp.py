@@ -261,9 +261,9 @@ def _off_multiples(xs, zeros) -> list:
     the multiples of q, where the composition subtracts V_q's zero and
     adds the scaled zero of V_q(V_q h).  An x that this cannot change is
     kept as it is: an int, Fraction or CycNumber against int zeros, a
-    CycNumber of the zeros' order, a PAdicInt tagged at most as the zeros
-    are; an int or Fraction against CycNumber zeros of one order is that
-    CycNumber.  Anything else takes the composition's arithmetic."""
+    CycNumber of the zeros' order; an int or Fraction against CycNumber
+    zeros of one order is that CycNumber.  Anything else takes the
+    composition's arithmetic."""
     za, *cz = zeros
     slow = (lambda x: (x - za) + cz[0]) if cz else (lambda x: x - za)
     kinds = {type(z) for z in zeros}
@@ -276,10 +276,6 @@ def _off_multiples(xs, zeros) -> list:
                 else CycNumber.from_rational(x, n)
                 if type(x) is int or type(x) is Fraction else slow(x)
                 for x in xs]
-    if kinds == {PAdicInt} and len({z.p for z in zeros}) == 1:
-        p, e = za.p, min(z.prec for z in zeros)
-        return [x if type(x) is PAdicInt and x.p == p and x.prec <= e
-                else slow(x) for x in xs]
     return [slow(x) for x in xs]
 
 
