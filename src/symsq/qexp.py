@@ -19,14 +19,10 @@ result in a PAdicInt once, with the precision tags of the composition
 g0 - V_p(g0).scale(beta).  Scaling a "padic" expansion by a PAdicInt
 is the same kind of residue loop.
 
-tau builds no operator's expansion either.  Coefficientwise its
-compositions h - V_q(U_q h) and h - V_q(T_q h) + eps(q) q^(k-1) V_q(V_q h)
-are tau_q h(n) = h(n) [q ∤ n] up to floor(D/q), so it makes those
-floor(D/q) + 1 slots in one pass.  Types and tags follow the
-composition: off the multiples of q a slot is h(n) as the composition's
-exact zeros leave it, and on them the composition's own operations run
-on its own operands, about D/q^2 of them.  T_q and tau take only a prime
-q (BadPrime), U_q and V_q any q >= 1 (ValueError).
+T_q, tau and deplete take only a prime q, and T_q, tau's unramified
+mode, p_stabilize and the eigenform recursion only an integer weight
+k >= 1, where q^(k-1) is exact (BadPrime); U_q and V_q take any q >= 1
+(ValueError).
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .characters import DirichletCharacter
 from .cyclotomic import (CycNumber, _is_zero, _residue_embedding,
@@ -141,17 +137,25 @@ def _int_if_rational(v: CycNumber):
     return int(v.as_rational()) if v.is_rational() else v
 
 
+def _need_prime(q, what: str) -> None:
+    if type(q) is not int or not is_prime(q):
+        raise BadPrime(f"{what} needs a prime q, got {q!r}")
+
+
+def _need_weight(k, what: str) -> None:
+    if not isinstance(k, int) or k < 1:     # else q^(k-1) is not exact
+        raise BadPrime(f"{what} needs an integer weight >= 1, got {k}")
+
+
 # -- Hecke operators ---------------------------------------------------------
 
 
 def hecke_T(f: QExpansion, q: int) -> QExpansion:
     """T_q at a good prime: b(n) = a(qn) + eps(q) q^(k-1) a(n/q)."""
-    if type(q) is not int or not is_prime(q):
-        raise BadPrime(f"T_q needs a prime q, got {q!r}")
+    _need_prime(q, "T_q")
     if f.level % q == 0:
         raise BadPrime(f"{q} divides the level {f.level}; use hecke_U")
-    if not isinstance(f.weight, int):
-        raise BadPrime(f"T_{q} needs an integer weight, got {f.weight}")
+    _need_weight(f.weight, f"T_{q}")
     eps = _eps_scalar(f, q)
     mult = eps * q**(f.weight - 1)
     d = f.trunc // q
@@ -193,12 +197,12 @@ def deplete(f: QExpansion, s0) -> QExpansion:
     Coefficientwise this is prod over q in s0 of (1 - V_q U_q), but
     computed directly it keeps the full truncation.
     """
-    s0 = sorted(set(s0))
+    s0 = set(s0)
+    for q in s0:
+        _need_prime(q, "deplete")
     if not s0:
         return f
-    modulus = 1
-    for q in s0:
-        modulus *= q
+    modulus = prod(s0)
     zero = _zero_like(f.coeffs[0])
     coeffs = tuple(a if gcd(n, modulus) == 1 else zero
                    for n, a in enumerate(f.coeffs))
@@ -214,69 +218,23 @@ def tau(h: QExpansion, q: int, mode: str) -> QExpansion:
     ordinary   (q | level):  h - V_q(U_q h)
     unramified (q ∤ level):  h - V_q(T_q h) + eps(q) q^(k-1) V_q(V_q h)
 
-    Coefficientwise both are tau_q h(n) = h(n) [q ∤ n] up to floor(D/q),
-    made in one pass with the composition's coefficient types and tags
-    (see the module docstring); no operator's expansion is built.
+    Coefficientwise both are tau_q h(n) = h(n) [q ∤ n] up to floor(D/q):
+    the depletion of h at q cut at floor(D/q), whose level rule gives the
+    level x q (ordinary) or x q^2 (unramified).  The refusals are the
+    compositions'.
     """
-    if type(q) is not int or not is_prime(q):
-        raise BadPrime(f"tau needs a prime q, got {q!r}")
-    a, d = h.coeffs, h.trunc // q
-    z0 = _zero_like(a[0])                      # V_q's zero, and T_q's
+    _need_prime(q, "tau")
     if mode == "ordinary":
         if h.level % q != 0:
             raise BadMode(f"ordinary tau needs {q} | level {h.level}")
-        on = [x - x for x in a[:d + 1:q]]      # h(n) - V_q(U_q h)(n)
-        zeros, level, ring = (z0,), h.level * q, h.ring
     elif mode == "unramified":
         if h.level % q == 0:
             raise BadMode(f"unramified tau needs {q} coprime to level {h.level}")
-        eps = _eps_scalar(h, q)
-        if not isinstance(h.weight, int):
-            raise BadPrime(f"T_{q} needs an integer weight, got {h.weight}")
-        mult = eps * q**(h.weight - 1)
-        cz = mult * z0                         # the scaled V_q(V_q h) zero
-        # at n = qm: h(n) - T_q h(m) + (mult V_q V_q h)(n), where
-        # T_q h(m) = h(n) + mult h(m/q) if q | m, else h(n) + z0
-        xs = a[:d + 1:q]
-        ss = [mult * a[m // q] if m % q == 0 else cz for m in range(len(xs))]
-        ts = [x + (z0 if m % q else s)
-              for m, (x, s) in enumerate(zip(xs, ss))]
-        on = [(x - t) + s for x, t, s in zip(xs, ts, ss)]
-        zeros = (_zero_like(ts[0]), cz)        # V_q(T_q h)'s zero, and cz
-        level = h.level * q * q
-        ring = "cyc" if isinstance(mult, CycNumber) and h.ring == "int" \
-            else h.ring
+        _eps_scalar(h, q)                      # the composition's NotEmbeddable
+        _need_weight(h.weight, f"T_{q}")
     else:
         raise BadMode(f"unknown mode {mode!r}")
-    coeffs = [None] * (d + 1)
-    coeffs[::q] = on
-    for r in range(1, min(q, d + 1)):
-        coeffs[r::q] = _off_multiples(a[r:d + 1:q], zeros)
-    return QExpansion(h.weight, level, h.character, tuple(coeffs), ring,
-                      h.primitive_root)
-
-
-def _off_multiples(xs, zeros) -> list:
-    """Each x of xs minus zeros[0], plus zeros[1] if given: tau's slots off
-    the multiples of q, where the composition subtracts V_q's zero and
-    adds the scaled zero of V_q(V_q h).  An x that this cannot change is
-    kept as it is: an int, Fraction or CycNumber against int zeros, a
-    CycNumber of the zeros' order; an int or Fraction against CycNumber
-    zeros of one order is that CycNumber.  Anything else takes the
-    composition's arithmetic."""
-    za, *cz = zeros
-    slow = (lambda x: (x - za) + cz[0]) if cz else (lambda x: x - za)
-    kinds = {type(z) for z in zeros}
-    if kinds == {int}:
-        return [x if type(x) in (int, Fraction, CycNumber)
-                else slow(x) for x in xs]
-    if kinds == {CycNumber} and len({z.order for z in zeros}) == 1:
-        n = za.order
-        return [x if type(x) is CycNumber and x.order == n
-                else CycNumber.from_rational(x, n)
-                if type(x) is int or type(x) is Fraction else slow(x)
-                for x in xs]
-    return [slow(x) for x in xs]
+    return deplete(h.truncate(h.trunc // q), (q,))
 
 
 def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,
@@ -295,8 +253,7 @@ def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,
     """
     if g0.level % p == 0:
         raise BadPrime(f"{p} already divides the level {g0.level}")
-    if not isinstance(g0.weight, int):
-        raise BadPrime(f"stabilization needs an integer weight, got {g0.weight}")
+    _need_weight(g0.weight, "stabilization")
     root = None if primitive_root is None else embedding_root(p, primitive_root)
     embed = _residue_embedding(p, prec, root)
     a_p, eps_p = (PAdicInt(p, e, r)
@@ -362,6 +319,7 @@ def expansion_from_eigenvalues(weight: int, level: int,
     vanishes at level primes, which turns the recursion into a(q)^j.
     The ring is "cyc" when a coefficient is a CycNumber, else "int".
     """
+    _need_weight(weight, "the eigenform recursion")
     coeffs = [0] * (trunc + 1)
     if trunc >= 1:
         coeffs[1] = 1

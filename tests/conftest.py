@@ -12,7 +12,7 @@ p-stabilization as the operator composition g0 - beta V_p(g0) runs on
 the library's V_p, embedding and PAdicInt arithmetic, each tested on its
 own, but not on p_stabilize's residue pass; the level-raising map tau_q
 as its operator composition runs on the library's T_q, U_q, V_q and
-expansion arithmetic, but not on tau's one pass.
+expansion arithmetic, and shares no code with deplete, which tau is.
 
 The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
@@ -389,8 +389,9 @@ def composed_p_stabilize(g0, a_p, eps_p, p, prec, primitive_root=None):
     residue loop of QExpansion.scale."""
     if g0.level % p == 0:
         raise BadPrime(f"{p} already divides the level {g0.level}")
-    if not isinstance(g0.weight, int):
-        raise BadPrime(f"stabilization needs an integer weight, got {g0.weight}")
+    if not isinstance(g0.weight, int) or g0.weight < 1:
+        raise BadPrime(f"stabilization needs an integer weight >= 1, "
+                       f"got {g0.weight}")
     root = None if primitive_root is None else embedding_root(p, primitive_root)
     a_p = _composed_to_padic(a_p, p, prec, root)
     eps_p = _composed_to_padic(eps_p, p, prec, root)
