@@ -4,11 +4,11 @@ Exit codes: 0 on an answer, 1 only from congruence, when its verdict
 is not_congruent or transfer_failed, 2 on input errors and refusals,
 with the error's class and message on stderr.  Every answer goes to
 stdout, and only there; redirect it to keep it in a file.  All output
-is deterministic: JSON is emitted with sorted keys and no timestamps,
-so identical inputs give byte-identical reports.  Lambda-lifts are computed in memory, and
-``--cache-dir``, naming a directory to keep them in, is the one flag
-that writes a file; it is not an input to the output, so a report is
-byte-identical with a cold cache, a warm cache or none.
+is deterministic: JSON has sorted keys and no timestamps, so identical
+inputs give byte-identical answers.  ``--cache-dir``, a directory to
+keep Lambda-lifts in, is the one flag that writes a file, and no answer
+depends on it: only lift reads an entry, and sigma and report, which
+read sigma_q off P_q mod p, only add the entries that are missing.
 
 Each subcommand takes only the flags it reads (see _build_parser),
 written after it and in full; any other flag exits 2 (argparse).  It

@@ -194,8 +194,11 @@ class CycNumber:
 
     @staticmethod
     def from_rational(x, order: int = 1) -> "CycNumber":
-        x = Fraction(x)
         num = [0] * euler_phi(order)
+        if type(x) is int:          # no Fraction: _align coerces every int
+            num[0] = x
+            return _cyc(order, num, 1)
+        x = Fraction(x)
         num[0] = x.numerator
         return _cyc(order, num, x.denominator)
 

@@ -18,14 +18,15 @@ from pathlib import Path
 
 from .characters import (DirichletCharacter, is_residually_trivial,
                          trivial_character)
-from .cyclotomic import embedding_root, exact_json, parse_exact, parse_rational
+from .cyclotomic import (_residue_embedding, embedding_root, exact_json,
+                         parse_exact, parse_rational)
 from .errors import (NotEmbeddable, NotOrdinary, SchemaError,
                      TruncationTooShort)
 from .euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
 from .iwasawa import (MAX_LEVEL, MAX_TRUNC, MAX_WEIGHT, TRUNCATION_GUARD,
                       IwasawaElement, invariants, padic_problems,
                       read_json)
-from .padic import factorize, is_prime
+from .padic import factorize, int_valuation, is_prime
 
 
 @dataclass
@@ -205,6 +206,13 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _entry(cache_dir: str | Path, form: FormRecord, q: int,
+           psi: DirichletCharacter, t: int, primitive_root: int | None,
+           factor: EulerFactor) -> Path:
+    return Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
+                                        factor=factor) + ".json")
+
+
 def _check_twist(p: int, psi: DirichletCharacter, t: int,
                  primitive_root: int | None) -> None:
     """Refuse, whatever primes are lifted, a primitive root that is not
@@ -218,27 +226,52 @@ def _check_twist(p: int, psi: DirichletCharacter, t: int,
             f"psi order {psi.order} does not divide p - 1 = {p - 1}")
 
 
+def _past_truncation(q: int, trunc: int) -> TruncationTooShort:
+    return TruncationTooShort(
+        f"the lift at q={q} has no unit coefficient up to D = {trunc}: "
+        f"sigma_q = m p^v is past the truncation")
+
+
+def _store(path: Path, lifted: IwasawaElement) -> None:
+    """Write a lift whole, then rename it into place.  The directory is
+    made only when the write finds none; a write that fails leaves the
+    lift uncached and no temporary file."""
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+    text = json.dumps(lifted.to_json(), sort_keys=True)
+    try:
+        try:
+            tmp.write_text(text)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:     # an unwritable cache leaves the lift uncached
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
 def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
                 primitive_root: int | None = None,
                 cache_dir: str | Path | None = None, *,
                 factor: EulerFactor | None = None) -> IwasawaElement:
     """Lambda-lift of the local factor at q, optionally content-cached.
 
-    An entry that does not decode, or was lifted at another p, precision
-    or truncation, is a miss; entries are written whole, then renamed,
-    and a write that fails is skipped and leaves no temporary file.
+    This is the one path that reads the cache.  An entry that does not
+    decode, or was lifted at another p, precision or truncation, is a
+    miss, and is rewritten; entries are written whole, then renamed, and
+    a write that fails is skipped and leaves no temporary file.
     An odd t, a psi whose order does not divide p - 1 and a primitive
     root that is not one mod p are refused before any lift.
-    Every lift has mu = 0 and lambda = sigma_q = m p^v: m is the order of
-    psi_t(q) q^(-1) as a root of P_q mod p, and v = v_p(e(q)).  A lift,
-    fresh or cached, with no unit coefficient up to D has sigma_q > D and
-    is refused (TruncationTooShort) before it is cached."""
+    Every lift has mu = 0 and lambda = sigma_q = m p^v: m is the
+    multiplicity of psi_t(q) q^(-1) as a root of P_q mod p, and v =
+    v_p(e(q)).  A lift, fresh or cached, with no unit coefficient up to
+    D has sigma_q > D and is refused (TruncationTooShort) before it is
+    cached."""
     _check_twist(form.p, psi, t, primitive_root)
     factor = factor or form.euler_factor(q)
     lifted = None
     if cache_dir is not None:
-        path = Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
-                                            factor=factor) + ".json")
+        path = _entry(cache_dir, form, q, psi, t, primitive_root, factor)
         try:
             cached = IwasawaElement.from_json(read_json(path))
             if (cached.p, cached.prec, cached.trunc) == (
@@ -251,19 +284,50 @@ def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
         lifted = euler_to_lambda(factor, psi, t, form.p, form.precision,
                                  form.trunc, primitive_root)
     if not any(c % form.p for c in lifted.coeffs):
-        raise TruncationTooShort(
-            f"the lift at q={q} has no unit coefficient up to D = "
-            f"{form.trunc}: sigma_q = m p^v is past the truncation")
+        raise _past_truncation(q, form.trunc)
     if cache_dir is not None and fresh:
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(lifted.to_json(), sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:     # an unwritable cache leaves the lift uncached
-            with suppress(OSError):
-                tmp.unlink(missing_ok=True)
+        _store(path, lifted)
     return lifted
+
+
+def _closed_sigma(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
+                  root: int | None, factor: EulerFactor) -> int:
+    """sigma_q = m p^v, the lambda of lift_factor's lift, read off P_q
+    mod p with no series.  Mod p the lift is P(s (1+T)^e) with s =
+    psi(q) q^(t-1) (teich(q) = q mod p), and (1+T)^e - 1 has lambda p^v,
+    v = v_p(e(q)) = v_p(q^(p-1) - 1) - 1; so m is the multiplicity of s
+    as a root of P mod p.  0 when psi(q) = 0, where the lift is 1.  It
+    refuses what the lift refuses: a coefficient that does not embed
+    (NotEmbeddable), and m p^v > D (TruncationTooShort)."""
+    p, trunc = form.p, form.trunc
+    psi_q = psi(q)
+    if psi_q.is_zero():
+        return 0
+    embed = _residue_embedding(p, 1, root)
+    s = embed(psi_q) * pow(q, t - 1, p) % p
+    poly = [embed(c) for c in factor.coeffs]
+    m = 0
+    while True:             # Horner: P(s), and the quotient by X - s
+        acc, quotient = 0, []
+        for c in reversed(poly):
+            acc = (acc * s + c) % p
+            quotient.append(acc)
+        if acc:
+            break
+        m += 1
+        poly = quotient[-2::-1]
+    if m == 0:
+        return 0
+    # k = floor(log_p D) + 2 digits of q^(p-1) - 1 show v when v < k - 1;
+    # when they all vanish, v >= k - 1 and m p^(k-1) > D refuses as m p^v
+    k = 2
+    while p**(k - 1) <= trunc:
+        k += 1
+    r = pow(q, p - 1, p**k) - 1
+    sigma = m * p**(int_valuation(r, p) - 1 if r else k - 1)
+    if sigma > trunc:
+        raise _past_truncation(q, trunc)
+    return sigma
 
 
 # -- invariant report ---------------------------------------------------------
@@ -320,6 +384,12 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     sum(sigma), since each lift has mu = 0 and F_p[[T]] is a domain
     (Greenberg-Vatsal).
 
+    Each row's sigma_q = m p^v is read off P_q mod p (_closed_sigma),
+    with no Lambda-lift, and is refused where lift_factor would refuse
+    the lift.  With cache_dir, the lift of a row whose entry is absent is
+    computed and stored; no entry is read, so a cache cannot change the
+    report.
+
     With L supplied, refuses (TruncationTooShort) when lambda + sum(sigma)
     is within the Weierstrass guard of the truncation, where a truncated
     product could not show its first unit coefficient.  The provenance
@@ -347,14 +417,18 @@ def invariant_report(form: FormRecord, psi: DirichletCharacter, t: int,
     table, sigma_total = [], 0
     for q in s0:
         factor = form.euler_factor(q)
-        lifted = lift_factor(form, q, psi, t, root, cache_dir,
-                             factor=factor)
-        mu_q, lam_q = invariants(lifted)
+        sigma = _closed_sigma(form, q, psi, t, root, factor)
+        if cache_dir is not None:       # add a missing entry; read none
+            path = _entry(cache_dir, form, q, psi, t, root, factor)
+            if not os.path.exists(path):
+                _store(path, euler_to_lambda(factor, psi, t, form.p,
+                                             form.precision, form.trunc,
+                                             root))
         rtype = (form.bad_primes[q].get("type", "override")
                  if form.level % q == 0 else "unramified")
-        table.append({"q": q, "type": rtype, "sigma": lam_q,
-                      "degree": factor.degree, "mu": mu_q})
-        sigma_total += lam_q
+        table.append({"q": q, "type": rtype, "sigma": sigma,
+                      "degree": factor.degree, "mu": 0})
+        sigma_total += sigma
 
     report = InvariantReport(
         form_label=form.label, p=form.p, precision=form.precision,

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from symsq.characters import (DirichletCharacter, characters_mod,
                               trivial_character)
-from symsq.cyclotomic import cyc_embed_padic, embedding_root
+from symsq.cyclotomic import CycNumber, cyc_embed_padic, embedding_root
 from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
-                          TruncationTooShort)
+                          SymsqError, TruncationTooShort)
 from symsq import cli, harness
 from symsq.cli import emit_report
 from symsq.euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
@@ -658,14 +659,51 @@ class TestClosedSigma:
         # truncated lift has no unit coefficient and lift_factor refuses it
         form, factor, psi, t, root = case
         p, d = form.p, form.trunc
+        # harness._closed_sigma, which the report reads, is checked
+        # against both the oracle and the lift
         sigma = closed_sigma(factor, psi, t, p, root)
         lifted = euler_to_lambda(factor, psi, t, p, form.precision, d, root)
         if sigma <= d:
             assert invariants(lifted) == (0, sigma)
+            assert harness._closed_sigma(form, factor.q, psi, t, root,
+                                         factor) == sigma
         else:
             assert not any(c % p for c in lifted.coeffs)
             with pytest.raises(TruncationTooShort):
                 lift_factor(form, factor.q, psi, t, root, factor=factor)
+            with pytest.raises(TruncationTooShort):
+                harness._closed_sigma(form, factor.q, psi, t, root, factor)
+
+    @pytest.mark.parametrize("refusal", ["p in a denominator",
+                                         "order not dividing p - 1",
+                                         "sigma past D"])
+    def test_refuses_what_the_lift_refuses(self, tmp_path, refusal):
+        # the class and message of lift_factor's refusal: a poly override
+        # that does not embed at p = 5, or sigma_19 = 49 > D = 40 at p = 7
+        if refusal == "sigma past D":
+            form, q = load_form(write_p7_form(tmp_path), trunc=40), 19
+        else:
+            coeff = (Fraction(1, 5) if refusal == "p in a denominator"
+                     else CycNumber.zeta(3))
+            form, q = FormRecord("override", 2, 11, trivial_character(1),
+                                 {5: 1}, 5, 4, 16,
+                                 {11: {"poly": (1, coeff)}}), 11
+        factor, psi = form.euler_factor(q), trivial_character(1)
+        with pytest.raises(SymsqError) as lifted:
+            lift_factor(form, q, psi, 0, factor=factor)
+        with pytest.raises(SymsqError) as closed:
+            harness._closed_sigma(form, q, psi, 0, None, factor)
+        assert type(closed.value) is type(lifted.value)
+        assert str(closed.value) == str(lifted.value)
+
+    def test_a_refused_row_leaves_no_cache_entry(self, tmp_path):
+        # sigma_19 = 49 > D = 40: the row before it is cached, 19 is not
+        form = load_form(write_p7_form(tmp_path), trunc=40)
+        psi, cache = trivial_character(1), tmp_path / "cache"
+        with pytest.raises(TruncationTooShort):
+            invariant_report(form, psi, 0, [2, 19], cache_dir=cache)
+        assert [f.name for f in cache.iterdir()] == [
+            cache_key(form, 2, psi, 0, None) + ".json"]
 
 
 class TestPrimitiveRoot:
@@ -828,14 +866,17 @@ class TestCLI:
         assert out.returncode == 0, out.stderr
         assert f"q={q:<6} type=ordinary    sigma=5" in out.stdout
         assert out.stdout.endswith("PASS\n")
-        # a cache entry with no unit coefficient up to D is not served
+        # a cache entry with no unit coefficient up to D is not served by
+        # lift, the one command that reads entries; sigma reads none
         record = load_form(form_path, trunc=10)
         entry = cache / (cache_key(record, q, psi, 0, None) + ".json")
         assert [f.name for f in cache.iterdir()] == [entry.name]
         entry.write_text(json.dumps(elem(p, 2, 5, trunc=10).to_json()))
-        out = self.run_cli(*sigma)
+        out = self.run_cli("lift", *form, "-q", str(q), "--trunc", "10",
+                           "--cache-dir", str(cache))
         assert out.returncode == 2, out.stdout
         assert "TruncationTooShort" in out.stderr
+        assert self.run_cli(*sigma).stdout == self.run_cli(*sigma[:-2]).stdout
 
     def test_congruence_exit_codes(self, tmp_path):
         a = tmp_path / "a.json"
@@ -889,8 +930,37 @@ class TestCLI:
         nocache = self.run_cli(*args)
         assert again.returncode == 0, again.stderr
         assert again.stdout == nocache.stdout
+        # lift, the one command that reads entries, rewrites them whole
+        for q in ("2", "3"):
+            lift = ("lift", str(form_path), "-q", q)
+            out = self.run_cli(*lift, "--cache-dir", str(cache))
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == self.run_cli(*lift).stdout
         for entry in cache.glob("*.json"):
             json.loads(entry.read_text())
+
+    @pytest.mark.parametrize("damage", ["wrong coefficients", "truncated"])
+    def test_sigma_and_report_read_no_cache_entry(self, tmp_path, damage):
+        # an entry that decodes to another lift (lambda 7, where every
+        # sigma here is at most 3) or does not decode changes nothing
+        form_path = write_form(tmp_path)
+        lfun = tmp_path / "L.json"
+        lfun.write_text(json.dumps(elem(5, 4, 0, 1, trunc=16).to_json()))
+        cache = tmp_path / "cache"
+        runs = [(command, str(form_path), "--s0", "2,3", "--format", fmt)
+                for command in ("sigma", "report") for fmt in ("json", "text")]
+        runs = [run + ("--lfun", str(lfun)) * (run[0] == "report")
+                for run in runs]
+        assert self.run_cli(*runs[0], "--cache-dir", str(cache)).returncode == 0
+        wrong = json.dumps(elem(5, 4, *[0] * 7, 1, trunc=16).to_json())
+        for entry in cache.glob("*.json"):
+            text = entry.read_text()
+            entry.write_text(wrong if damage == "wrong coefficients"
+                             else text[:len(text) // 2])
+        for run in runs:
+            cached = self.run_cli(*run, "--cache-dir", str(cache))
+            assert cached.returncode == 0, (run, cached.stderr)
+            assert cached.stdout == self.run_cli(*run).stdout, run
 
     def test_override_p_not_ordinary_is_refused(self, tmp_path):
         ap = json.loads(write_form(tmp_path).read_text())["ap"]
