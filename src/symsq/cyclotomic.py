@@ -357,7 +357,8 @@ class CycNumber:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        coeffs = self.num if self.den == 1 else self.coeffs
+        return {"order": self.order, "coeffs": [str(c) for c in coeffs]}
 
     @staticmethod
     def from_json(obj: dict) -> "CycNumber":
@@ -500,7 +501,12 @@ def parse_rational(s) -> int | Fraction:
     """An int or Fraction from its JSON form (a string or a number);
     ValueError for anything else, bools and zero denominators included,
     and for exponent notation past MAX_EXPONENT, refused before Fraction
-    expands it."""
+    expands it.  A JSON int, and a string of ASCII digits with at most a
+    leading '-', are read as ints without a Fraction."""
+    if type(s) is int:
+        return s
+    if type(s) is str and s.isascii() and s.removeprefix("-").isdigit():
+        return int(s)
     text = str(s)
     _, e, exp = text.upper().partition("E")
     try:

@@ -80,9 +80,18 @@ def symsq_factor(s: SatakeData) -> EulerFactor:
         return EulerFactor(s.q, (1,))
     if s.ramification_type == "ordinary":
         return EulerFactor(s.q, (1, -(s.a_q * s.a_q)))
-    b = s.eps_q * s.q**(s.k - 1)
+    eps = s.eps_q
+    # an int a_q with eps(q) = +-1 runs the rule in ints, and each
+    # coefficient is wrapped at eps's order, as CycNumber arithmetic
+    # would return it
+    ints = (type(s.a_q) is int and isinstance(eps, CycNumber)
+            and eps.den == 1 and eps.is_rational())
+    b = (eps.num[0] if ints else eps) * s.q**(s.k - 1)
     e1 = s.a_q * s.a_q - b
-    return EulerFactor(s.q, (1, -e1, b * e1, -(b * b * b)))
+    coeffs = (-e1, b * e1, -(b * b * b))
+    if ints:
+        coeffs = tuple(CycNumber.from_rational(c, eps.order) for c in coeffs)
+    return EulerFactor(s.q, (1, *coeffs))
 
 
 def symsq_dirichlet_coeff_check(s: SatakeData,

@@ -208,9 +208,10 @@ def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
 
 def _entry(cache_dir: str | Path, form: FormRecord, q: int,
            psi: DirichletCharacter, t: int, primitive_root: int | None,
-           factor: EulerFactor) -> Path:
-    return Path(cache_dir) / (cache_key(form, q, psi, t, primitive_root,
-                                        factor=factor) + ".json")
+           factor: EulerFactor) -> str:
+    """A lift's entry path as one string, which the row loop stats."""
+    return os.path.join(cache_dir, cache_key(form, q, psi, t, primitive_root,
+                                             factor=factor) + ".json")
 
 
 def _check_twist(p: int, psi: DirichletCharacter, t: int,
@@ -232,22 +233,24 @@ def _past_truncation(q: int, trunc: int) -> TruncationTooShort:
         f"sigma_q = m p^v is past the truncation")
 
 
-def _store(path: Path, lifted: IwasawaElement) -> None:
+def _store(path: str, lifted: IwasawaElement) -> None:
     """Write a lift whole, then rename it into place.  The directory is
     made only when the write finds none; a write that fails leaves the
     lift uncached and no temporary file."""
-    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp")
+    tmp = f"{os.path.splitext(path)[0]}.{os.getpid()}.tmp"
     text = json.dumps(lifted.to_json(), sort_keys=True)
     try:
         try:
-            tmp.write_text(text)
+            f = open(tmp, "w")
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(text)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            f = open(tmp, "w")
+        with f:
+            f.write(text)
         os.replace(tmp, path)
     except OSError:     # an unwritable cache leaves the lift uncached
         with suppress(OSError):
-            tmp.unlink(missing_ok=True)
+            os.unlink(tmp)
 
 
 def lift_factor(form: FormRecord, q: int, psi: DirichletCharacter, t: int,

@@ -526,6 +526,19 @@ def closed_sigma(factor, psi, t, p, root):
         poly = quotient[-2::-1]
 
 
+def cyc_symsq_coeffs(a_q, eps, q, k):
+    """The unramified symmetric-square coefficients (1, -e1, b e1, -b^3),
+    e1 = a^2 - b and b = eps q^(k-1), with every operand a CycNumber:
+    a_q and q^(k-1) are lifted to eps's order before any arithmetic."""
+    def cyc(x):
+        if isinstance(x, CycNumber):
+            return x
+        return CycNumber(eps.order, [x] + [0] * (euler_phi(eps.order) - 1))
+    b = eps * cyc(q**(k - 1))
+    e1 = cyc(a_q) * cyc(a_q) - b
+    return (1, -e1, b * e1, -(b * b * b))
+
+
 def smallest_primitive_root(p):
     return next(g for g in range(2, p)
                 if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)

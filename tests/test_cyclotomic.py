@@ -236,6 +236,42 @@ def test_exact_json_roundtrip():
         parse_rational("zeta")
 
 
+def _via_fraction(s):
+    """parse_rational's general path: str(s) through Fraction, an int
+    when the denominator is 1, or the exception that raises."""
+    try:
+        f = Fraction(str(s))
+    except Exception as exc:        # the class is the answer
+        return type(exc)
+    return int(f) if f.denominator == 1 else f
+
+
+@pytest.mark.parametrize("s", [
+    "007", "-0", "-007", "+5", " 5", "5 ", "-", "", "--5", "1_000",
+    "\u0661\u0662", "\u22125", "9" * 4301, "-" + "9" * 4300, "9" * 4300,
+    True, False, 7, -7, 0], ids=lambda s: ascii(s)[:12])
+def test_int_fast_path_agrees_with_fraction(s):
+    # a JSON int and a string of ASCII digits with at most a leading '-'
+    # skip Fraction; every input must read as the Fraction path reads it,
+    # with the same type, or fail with the same class
+    want = _via_fraction(s)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            parse_rational(s)
+    else:
+        got = parse_rational(s)
+        assert (type(got), got) == (type(want), want)
+
+
+def test_to_json_writes_integer_numerators_or_reduced_fractions():
+    assert CycNumber(4, (3, -2)).to_json() == {"order": 4,
+                                               "coeffs": ["3", "-2"]}
+    half = CycNumber(4, (Fraction(2, 4), Fraction(1, 4)))
+    assert (half.num, half.den) == ((2, 1), 4)
+    assert half.to_json() == {"order": 4, "coeffs": ["1/2", "1/4"]}
+    assert CycNumber.from_json(half.to_json()) == half
+
+
 def test_exponent_notation_is_bounded():
     # small exponents read as before; a power of ten past the int-string
     # digit limit is refused before Fraction expands it (8 s for 1e8000000)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from symsq import euler
 from symsq.characters import characters_mod, trivial_character
-from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi
+from symsq.cyclotomic import (CycNumber, cyc_embed_padic, euler_phi,
+                              exact_json)
 from symsq.errors import (DivergenceGuard, InvalidSatake, NotIntegral,
                           NotOrdinary, PrecisionLoss)
 from symsq.euler import (EulerFactor, SatakeData, df_complex, ep_factor,
@@ -22,7 +24,8 @@ from symsq.iwasawa import (IwasawaElement, congruent_mod_p,
 from symsq.padic import PAdicInt, inv, teichmuller
 
 from conftest import (PRIMES_TO_200, characters_with_order_dividing,
-                      per_power_substitute_frobenius, seeded)
+                      cyc_symsq_coeffs, per_power_substitute_frobenius,
+                      seeded)
 
 
 class TestSatakeValidation:
@@ -42,6 +45,19 @@ class TestSatakeValidation:
     def test_composite_q(self):
         with pytest.raises(InvalidSatake):
             SatakeData(6, "unramified", 1, 1, 2)
+
+    def test_unknown_type_and_low_weight(self):
+        with pytest.raises(InvalidSatake) as err:
+            SatakeData(2, "split", 1, 1, 2)
+        assert str(err.value) == "unknown type 'split'"
+        with pytest.raises(InvalidSatake) as err:
+            SatakeData(2, "unramified", 1, 1, 1)
+        assert str(err.value) == "weight must be >= 2, got 1"
+
+    def test_degree_above_three(self):
+        with pytest.raises(InvalidSatake) as err:
+            EulerFactor(2, (1, 0, 0, 0, 1))
+        assert str(err.value) == "Euler factor degree exceeds 3"
 
 
 class TestSymsqFactor:
@@ -64,6 +80,33 @@ class TestSymsqFactor:
     def test_constant_term_validation(self):
         with pytest.raises(InvalidSatake):
             EulerFactor(2, (2, 1))
+
+    def test_int_lane_matches_the_cyc_arithmetic(self):
+        # an int a_q with eps(q) = +-1 takes symsq_factor's int lane; every
+        # coefficient must come back as the all-CycNumber rule builds it,
+        # at eps's order (2 and 4 included), with the same data and text
+        units = {1: [1, -1], 2: [1, -1],
+                 4: [1, -1, CycNumber.zeta(4), -CycNumber.zeta(4)]}
+        a_values = [0, 1, -1, 7, -13, 10**40 + 3, -(10**25),
+                    Fraction(3, 4), Fraction(-5, 7),
+                    CycNumber.from_rational(5, 4), 2 - 3 * CycNumber.zeta(4)]
+        for order, values in units.items():
+            for unit in values:
+                eps = CycNumber.from_rational(unit, order) \
+                    if isinstance(unit, int) else unit
+                for a_q in a_values:
+                    for q, k in product((2, 3, 7, 101), range(2, 13)):
+                        got = symsq_factor(
+                            SatakeData(q, "unramified", a_q, eps, k)).coeffs
+                        want = cyc_symsq_coeffs(a_q, eps, q, k)
+                        assert got[0] == 1
+                        for g, w in zip(got[1:], want[1:], strict=True):
+                            case = (order, unit, a_q, q, k)
+                            assert type(g) is CycNumber, case
+                            assert (g.order, g.num, g.den) == (
+                                w.order, w.num, w.den), case
+                            assert exact_json(g) == exact_json(w), case
+                            assert repr(g) == repr(w), case
 
     def test_numeric_roots_oracle(self):
         rng = seeded(60)

@@ -189,6 +189,22 @@ class TestLoadForm:
             assert out == "" and err.startswith("error: SchemaError: ")
             assert message in err
 
+    @pytest.mark.parametrize("entry", [{}, {"aq": "1"}, {"type": "split"}])
+    def test_bad_prime_entry_needs_a_type_or_a_poly(self, tmp_path, entry):
+        path = write_form(tmp_path, bad_primes={"11": entry})
+        with pytest.raises(SchemaError) as err:
+            load_form(path)
+        assert str(err.value) == ("bad-prime entry at 11: needs a type "
+                                  "(ordinary|depleted) or a poly")
+
+    def test_record_without_a_p_is_refused(self, tmp_path):
+        ap = json.loads(write_form(tmp_path).read_text())["ap"]
+        del ap["5"]
+        with pytest.raises(SchemaError) as err:
+            load_form(write_form(tmp_path, ap=ap))
+        assert str(err.value) == (
+            "record has no a_5; ordinarity cannot be checked")
+
     def test_level_prime_entries_required(self, tmp_path):
         path = write_form(tmp_path, bad_primes={})
         with pytest.raises(SchemaError) as err:
@@ -988,6 +1004,20 @@ class TestCLI:
         assert canonical.returncode == 0, canonical.stderr
         assert typed.stdout == canonical.stdout
         assert json.loads(typed.stdout)["provenance"]["s0"] == [2, 3]
+
+    def test_euler_at_p_exits_2(self, tmp_path):
+        out = self.run_cli("euler", str(write_form(tmp_path)), "-q", "5")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("error: ValueError: local data at p is "
+                              "handled by stabilization\n")
+
+    def test_sigma_past_the_records_eigenvalues_exits_2(self, tmp_path):
+        # the record holds a(q) for q <= 97 only
+        out = self.run_cli("sigma", str(write_form(tmp_path)),
+                           "--s0", "2,101")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("error: SchemaError: eigenvalue a(101) not in "
+                              "the record (bound too small)\n")
 
     def test_report_past_truncation_exit_code(self, tmp_path):
         lfun = tmp_path / "L.json"
