@@ -113,7 +113,7 @@ class DirichletCharacter:
 
     # -- evaluation -----------------------------------------------------
 
-    @property
+    @cached_property
     def order(self) -> int:
         n = 1
         for k, (_, d) in zip(self.exponents, unit_group_structure(self.modulus)):
@@ -204,6 +204,8 @@ class DirichletCharacter:
     def lift_to(self, big: int) -> "DirichletCharacter":
         """The character mod big (a multiple of the modulus) inducing the
         same values on units."""
+        if big == self.modulus:
+            return self
         if big % self.modulus != 0:
             raise ValueError(f"{self.modulus} does not divide {big}")
         return self._transfer(big)

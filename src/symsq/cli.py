@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .errors import SymsqError
 
@@ -155,6 +156,76 @@ def _run_lambda_command(args) -> dict:
     return congruence_transfer_check(f, g)
 
 
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """C-speed encoder of a scalar-only container whose items sit at
+    `depth` indents of two spaces: its item separator carries the
+    newline and indent that json.dumps(indent=2) writes."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * depth, ": "))
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _of_scalars(x) -> bool:
+    """Whether x is a non-empty dict, list or tuple of built-in scalars."""
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return False
+    return len(x) > 0 and _SCALAR_TYPES.issuperset(map(type, x))
+
+
+def _indented(x, depth: int = 0) -> str:
+    """json.dumps(x, sort_keys=True, indent=2), byte for byte.
+
+    A container of built-in scalars is one _flat_encoder call, given the
+    newlines its brackets take; so is a list of dicts of them, such as
+    the sigma table, cut apart where one dict ends and the next begins
+    (an encoded scalar holds no raw newline and never ends in a
+    bracket, so "},<newline><indent>{" is found nowhere else).  Any
+    other non-empty dict (sorted), list or tuple is written here: its
+    values that are not non-empty containers go to _flat_encoder in one
+    call, whose text splits at its separators, and the others are
+    written by recursion.  Every other value, empty containers
+    included, is _flat_encoder's own text."""
+    inner, outer = "  " * (depth + 1), "  " * depth
+    if _of_scalars(x):
+        text = _flat_encoder(depth + 1).encode(x)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    is_dict = isinstance(x, dict)
+    if not (is_dict or isinstance(x, (list, tuple))) or not x:
+        return _flat_encoder(depth).encode(x)
+    if not is_dict and all(type(v) is dict and _of_scalars(v) for v in x):
+        deeper = inner + "  "
+        text = _flat_encoder(depth + 2).encode(x)[2:-2].replace(
+            f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{outer}]"
+    items = sorted(x.items()) if is_dict else list(enumerate(x))
+    deep = [isinstance(v, (dict, list, tuple)) and len(v) > 0
+            for _, v in items]
+    flat = [item for item, d in zip(items, deep) if not d]
+    parts = iter(())
+    if flat:
+        text = _flat_encoder(depth + 1).encode(
+            dict(flat) if is_dict else [v for _, v in flat])
+        parts = iter(text[1:-1].split(",\n" + inner))
+    text = (",\n" + inner).join(
+        (f"{_key_text(k)}: " if is_dict else "") + _indented(v, depth + 1)
+        if d else next(parts) for (k, v), d in zip(items, deep))
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{text}\n{outer}{closing}"
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str escaped, any other key by
+    json's own rule, read off a one-entry object."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    return _flat_encoder(0).encode({key: 0})[1:-4]
+
+
 def emit_report(report, fmt: str) -> int:
     """Print deterministically to stdout; exit code 1 for a congruence
     verdict that fails (not_congruent, transfer_failed), else 0."""
@@ -164,7 +235,7 @@ def emit_report(report, fmt: str) -> int:
             return 0
         report = report.to_json()
     # a dict renders as the same JSON in either format
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_indented(report))
     return int(report.get("conclusion") in ("transfer_failed",
                                             "not_congruent"))
 

@@ -204,7 +204,10 @@ class CycNumber:
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "CycNumber":
-        """zeta_order^k."""
+        """zeta_order^k; zeta_1^k = 1 and zeta_2^k = (-1)^k need no
+        reduction mod Phi_order."""
+        if order in (1, 2):
+            return _cyc(order, [-1 if order == 2 and k % 2 else 1], 1)
         folded = [0] * order
         folded[k % order] = 1
         return _cyc(order, _reduce_ints(folded, order), 1)
@@ -454,12 +457,14 @@ def _zeta_image(p: int, prec: int, n: int, g: int) -> int:
     return pow(teichmuller(g, p, prec).residue, (p - 1) // n, p**prec)
 
 
+@lru_cache(maxsize=256)
 def _residue_embedding(p: int, prec: int, primitive_root: int | None):
     """The map u -> residue in [0, p^prec) of the image of u along
     zeta_n -> teich(g)^((p-1)/n), g = embedding_root(p, primitive_root),
     for a CycNumber, int or Fraction u; NotEmbeddable when n does not
     divide p - 1 or p divides a denominator.  Every embedding into Z_p
-    is this one: cyc_embed_padic, and p_stabilize's coefficients."""
+    is this one: cyc_embed_padic, p_stabilize's coefficients and the
+    report's sigma rows.  The map is memoized per (p, prec, root)."""
     g = embedding_root(p, primitive_root)
     m = p**prec
 

@@ -14,6 +14,7 @@ import os
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .characters import (DirichletCharacter, is_residually_trivial,
@@ -193,16 +194,36 @@ def load_form(path: str | Path, *, p: int | None = None,
 # -- Euler factor cache ------------------------------------------------------
 
 
+# cache_key's payload is json.dumps(dict, sort_keys=True) of the factor's
+# coefficients, psi, t, p, N, D and the resolved root, written as one
+# encoder's texts joined in sorted key order: "coeffs", then the
+# row-independent "p", "precision" and "psi", then "q", then "root", "t"
+# and "trunc".
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+@lru_cache(maxsize=64, typed=True)   # t=0 and t=False write apart
+def _key_parts(psi: DirichletCharacter, t: int, p: int, precision: int,
+               trunc: int, primitive_root: int | None) -> tuple[str, str]:
+    """The payload's text between "coeffs" and q's value, and after it."""
+    enc = _KEY_ENCODER.encode
+    return (f', "p": {enc(p)}, "precision": {enc(precision)}, '
+            f'"psi": {enc(psi.to_json())}, "q": ',
+            f', "root": {enc(embedding_root(p, primitive_root))}, '
+            f'"t": {enc(t)}, "trunc": {enc(trunc)}}}')
+
+
 def cache_key(form: FormRecord, q: int, psi: DirichletCharacter, t: int,
               primitive_root: int | None, *,
               factor: EulerFactor | None = None) -> str:
+    """SHA-256 of the sorted JSON of the lift's inputs: the factor's
+    coefficients, q, psi, t, p, N, D and the resolved primitive root."""
     factor = factor or form.euler_factor(q)
-    payload = json.dumps({
-        "q": q, "psi": psi.to_json(), "t": t,
-        "p": form.p, "precision": form.precision, "trunc": form.trunc,
-        "root": embedding_root(form.p, primitive_root),
-        "coeffs": [exact_json(c) for c in factor.coeffs],
-    }, sort_keys=True)
+    middle, tail = _key_parts(psi, t, form.p, form.precision, form.trunc,
+                              primitive_root)
+    enc = _KEY_ENCODER.encode
+    payload = ('{"coeffs": ' + enc([exact_json(c) for c in factor.coeffs])
+               + middle + enc(q) + tail)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

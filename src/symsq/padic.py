@@ -37,6 +37,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
 
 from .errors import NotAUnit, NotOrdinary, PrecisionLoss
@@ -48,18 +49,28 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_PRIME_TEST = 3317044064679887385961981
 
 
+# The primes below 43^2, sieved once at import: a composite below 43^2
+# has a factor in _SMALL_PRIMES, so is_prime answers there by lookup.
+_TABLE_BOUND = 43 * 43
+_sieve = bytearray([1]) * _TABLE_BOUND
+_sieve[:2] = b"\0\0"
+for _q in _SMALL_PRIMES:
+    _sieve[_q * _q::_q] = bytes(len(range(_q * _q, _TABLE_BOUND, _q)))
+_PRIMES_BELOW_BOUND = frozenset(compress(range(_TABLE_BOUND), _sieve))
+del _sieve, _q
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; n >= MAX_PRIME_TEST is a ValueError."""
-    if n < 2:
-        return False
+    """Deterministic Miller-Rabin, by lookup below 43^2; n >=
+    MAX_PRIME_TEST is a ValueError."""
+    if n < _TABLE_BOUND:
+        return n in _PRIMES_BELOW_BOUND
     if n >= MAX_PRIME_TEST:
         raise ValueError(f"primality is decided only below "
                          f"{MAX_PRIME_TEST}, got {n}")
     for q in _SMALL_PRIMES:
         if n % q == 0:
-            return n == q
-    if n < 43 * 43:             # a composite below 43^2 has a factor <= 41
-        return True
+            return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -212,15 +223,17 @@ class PAdicInt:
         return _padic(self.p, self.prec - k, self.residue // self.p**k)
 
     def __eq__(self, other):
+        """Equal PAdicInts share p, prec and residue; an int equals a
+        PAdicInt only when it is the residue itself, in [0, p^prec)."""
         if isinstance(other, int):
-            other = _padic(self.p, self.prec, other)
+            return other == self.residue
         if not isinstance(other, PAdicInt):
             return NotImplemented
         return (self.p, self.prec, self.residue) == (
             other.p, other.prec, other.residue)
 
     def __hash__(self):
-        return hash((self.p, self.prec, self.residue))
+        return hash(self.residue)       # as the int it may equal
 
     def __repr__(self):
         return f"{self.residue} + O({self.p}^{self.prec})"

@@ -18,6 +18,8 @@ The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
 """
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -542,6 +544,25 @@ def cyc_symsq_coeffs(a_q, eps, q, k):
 def smallest_primitive_root(p):
     return next(g for g in range(2, p)
                 if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+
+
+def oracle_cache_key(form, q, psi, t, root, factor):
+    """cache_key's formula as first written: the SHA-256 of one sorted
+    json.dumps of the factor's coefficients, q, psi, t, p, N, D and the
+    primitive root, found by search when None and reduced mod p when
+    given; each coefficient is written from its Fractions."""
+    def coeff(c):
+        if isinstance(c, CycNumber):
+            return {"order": c.order, "coeffs": [str(f) for f in c.coeffs]}
+        return str(c)
+    payload = json.dumps({
+        "q": q, "psi": psi.to_json(), "t": t,
+        "p": form.p, "precision": form.precision, "trunc": form.trunc,
+        "root": (smallest_primitive_root(form.p) if root is None
+                 else root % form.p),
+        "coeffs": [coeff(c) for c in factor.coeffs],
+    }, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # -- per-residue character sums ---------------------------------------------

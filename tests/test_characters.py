@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -83,6 +83,22 @@ class TestEvaluation:
             for chi in characters_mod(m):
                 v = chi(-1)
                 assert v == 1 if chi.is_even() else v == -1
+
+
+    def test_cached_order_against_the_lcm_formula(self):
+        # order is computed once per character and then read from the
+        # instance: the lcm of d_i / gcd(d_i, k_i) over the generators,
+        # which is the least n with chi^n trivial
+        for m in range(1, 41):
+            orders = [d for _, d in unit_group_structure(m)]
+            for chi in characters_mod(m):
+                want = lcm(1, *(d // gcd(d, k)
+                                for d, k in zip(orders, chi.exponents)))
+                assert chi.order == want == chi.order, (m, chi)
+                assert "order" in vars(chi)
+                assert (chi**want).is_trivial()
+                assert not any((chi**n).is_trivial() for n in range(1, want))
+                assert DirichletCharacter(m, chi.exponents).order == want
 
 
 class TestConductor:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, _MOBIUS_STEPS,
-                              CycNumber, _cyclotomic_sparse, _mobius_factors,
-                              _reduce_ints, _zeta_image, cyc_embed_padic,
+                              CycNumber, _cyc, _cyclotomic_sparse,
+                              _mobius_factors, _reduce_ints,
+                              _residue_embedding, _zeta_image,
+                              cyc_embed_padic,
                               cyclotomic_poly, default_primitive_root, dlog,
                               embedding_root, euler_phi, exact_json,
                               parse_exact, parse_rational)
@@ -338,6 +340,43 @@ class TestZetaImageCache:
                             got = cyc_embed_padic(CycNumber.zeta(n), p, prec, g)
                             assert got.residue == want, (p, n, g, prec)
         assert _zeta_image.cache_info().hits > 0
+
+
+    def test_residue_embedding_is_memoized_per_p_prec_and_root(self):
+        # the memo keys on the root as given: 2 and 3 are primitive roots
+        # mod 5 that send zeta_4 to the two square roots of -1
+        zeta4 = CycNumber.zeta(4)
+        assert _residue_embedding(5, 3, 2) is _residue_embedding(5, 3, 2)
+        assert _residue_embedding(5, 3, 2) is not _residue_embedding(5, 3, 3)
+        images = {g: _residue_embedding(5, 3, g)(zeta4) for g in (None, 2, 3)}
+        assert images[None] == images[2] == teichmuller(2, 5, 3).residue
+        assert images[3] == teichmuller(3, 5, 3).residue != images[2]
+        assert _residue_embedding(5, 1, 2)(zeta4) == 2
+        for g in (2, 3):
+            assert cyc_embed_padic(zeta4, 5, 3, g).residue == images[g]
+        with pytest.raises(NotEmbeddable):
+            _residue_embedding(5, 3, 4)
+
+
+class TestZetaAtOrdersOneAndTwo:
+    def test_matches_the_reduction_mod_phi(self):
+        # zeta_1^k = 1 and zeta_2^k = (-1)^k skip _reduce_ints; the value
+        # is the one the reduction of x^(k mod n) mod Phi_n gives
+        for order in (1, 2):
+            for k in range(-3, 4):
+                folded = [0] * order
+                folded[k % order] = 1
+                want = _cyc(order, _reduce_ints(folded, order), 1)
+                got = CycNumber.zeta(order, k)
+                sign = (-1)**(k % 2) if order == 2 else 1
+                assert (got.order, got.num, got.den) == (
+                    want.order, want.num, want.den) == (
+                    order, (sign,), 1), (order, k)
+                assert got == want == sign
+                assert hash(got) == hash(want)
+        assert CycNumber.zeta(2) == -1 and CycNumber.zeta(1) == 1
+        with pytest.raises(ZeroDivisionError):
+            CycNumber.zeta(0)
 
 
 # -- integer numerators over one denominator, against the Fraction oracle --

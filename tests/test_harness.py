@@ -28,8 +28,8 @@ from symsq.iwasawa import (MAX_PADIC_MODULUS, MAX_PRECISION, MAX_TRUNC,
 
 from conftest import (PRIMES_TO_200, characters_with_order_dividing,
                       closed_sigma, embed_mod_p, frobenius_valuation,
-                      lucas_sigma, random_eigen_map, schoolbook_mul_trunc,
-                      seeded, smallest_primitive_root)
+                      lucas_sigma, oracle_cache_key, random_eigen_map,
+                      schoolbook_mul_trunc, seeded, smallest_primitive_root)
 
 
 def write_form(tmp_path, name="form.json", **overrides):
@@ -722,6 +722,89 @@ class TestClosedSigma:
             cache_key(form, 2, psi, 0, None) + ".json"]
 
 
+def _other_primitive_roots(p):
+    """The primitive roots mod p past the smallest, and the smallest
+    written unreduced (plus p)."""
+    roots = [g for g in range(2, p) if len({pow(g, i, p)
+                                            for i in range(p - 1)}) == p - 1]
+    return roots[1:] + [roots[0] + p]
+
+
+class TestCacheKey:
+    """cache_key joins one encoder's texts around a memo of the part that
+    no row changes; conftest.oracle_cache_key is the one sorted
+    json.dumps it replaces."""
+
+    def test_grid_records_match_the_oracle(self):
+        rng = seeded(94)
+        psis = [trivial_character(1)] + [
+            c for m in (3, 4, 5, 8) for c in characters_mod(m)
+            if c.order in (2, 4) and c.conductor == m]
+        for i in range(32):
+            p = (5, 7, 11, 13)[i % 4]
+            prec, trunc = ((4, 16), (10, 60), (20, 120))[i % 3]
+            form = _grid_form(rng, p, prec, trunc, i % 3)
+            primes = [q for q in [form.level] * (form.level > 1)
+                      + sorted(form.ap) if q != p]
+            roots = [None, *_other_primitive_roots(p)]
+            for q in primes:
+                factor = form.euler_factor(q)
+                psi, t = rng.choice(psis), rng.choice((-2, 0, 2))
+                for root in roots:
+                    want = oracle_cache_key(form, q, psi, t, root, factor)
+                    assert cache_key(form, q, psi, t, root,
+                                     factor=factor) == want
+                    assert cache_key(form, q, psi, t, root) == want
+
+    @given(st.sampled_from((5, 17)), st.integers(2, 4),
+           st.sampled_from((1, 2, 4)),
+           st.lists(st.one_of(
+               st.integers(-60, 60),
+               st.fractions(max_denominator=12),
+               st.tuples(st.fractions(max_denominator=6),
+                         st.fractions(max_denominator=6)).map(
+                   lambda c: CycNumber(4, list(c)))),
+               min_size=3, max_size=3),
+           st.sampled_from(("poly", "ordinary", "depleted")),
+           st.fractions(max_denominator=9),
+           st.sampled_from((0, 1, 2, 3)), st.sampled_from((-2, 0, 2)),
+           st.integers(0, 3), st.integers(1, 30), st.integers(1, 200))
+    @settings(max_examples=150, deadline=None)
+    def test_records_match_the_oracle(self, p, weight, eps_order, aqs,
+                                      bad, bad_value, psi_kind, t,
+                                      root_kind, prec, trunc):
+        # int, Fraction and order-4 CycNumber eigenvalues; an eps of
+        # order 1, 2 or 4 mod 13; a level-13 factor that is a poly with
+        # a denominator, ordinary or depleted; psi trivial, quadratic
+        # or of order 4; t in {-2, 0, 2}; the root None or explicit
+        eps = next(c for c in characters_mod(13) if c.order == eps_order)
+        entry = {"poly": (1, bad_value, CycNumber(4, [bad_value, 1]))}
+        if bad != "poly":
+            entry = {"type": bad, "aq": bad_value if bad == "ordinary"
+                     and bad_value else int(bad == "ordinary")}
+        form = FormRecord("h", weight, 13, eps,
+                          dict(zip((2, 3, 7), aqs)) | {p: 1}, p, prec,
+                          trunc, {13: entry})
+        psi = ([trivial_character(1)] + [
+            next(c for c in characters_mod(m) if c.order == n)
+            for m, n in ((3, 2), (4, 2), (5, 4))])[psi_kind]
+        roots = [None, *_other_primitive_roots(p)]
+        root = roots[root_kind % len(roots)]
+        for q in (2, 3, 7, 13):
+            factor = form.euler_factor(q)
+            assert cache_key(form, q, psi, t, root, factor=factor) == (
+                oracle_cache_key(form, q, psi, t, root, factor))
+
+    def test_t_false_and_t_0_write_apart(self, tmp_path):
+        # json writes False as false and 0 as 0, so the memo of the
+        # row-independent part keys on the type of t as well
+        form, psi = load_form(write_form(tmp_path)), trivial_character(1)
+        factor = form.euler_factor(2)
+        keys = [cache_key(form, 2, psi, t, None) for t in (0, False, 0)]
+        assert keys[0] == keys[2] != keys[1]
+        assert keys[1] == oracle_cache_key(form, 2, psi, False, None, factor)
+
+
 class TestPrimitiveRoot:
     """The embedding root is resolved once, by cyclotomic.embedding_root."""
 
@@ -783,6 +866,18 @@ class TestCongruenceTransfer:
                 congruence_transfer_check(a, b)
 
 
+_json_text = st.text(st.sampled_from("ab{}[],: \n\"\\\u00e9\u2028\x00"),
+                     max_size=6) | st.text(max_size=4)
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.integers(2**64, 2**200).map(lambda n: -n)
+                 | st.floats() | _json_text)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(_json_text, kids, max_size=4)),
+    max_leaves=30)
+
+
 class TestEmit:
     def test_empty_report_valid_json(self, tmp_path, capsys):
         from symsq.harness import InvariantReport
@@ -803,6 +898,59 @@ class TestEmit:
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if l.startswith("q=")]
         assert [int(l.split()[0][2:]) for l in lines] == [2, 3, 7]
+
+    # the emitter writes json.dumps(x, sort_keys=True, indent=2) itself;
+    # these compare it with that call, on trees whose strings hold the
+    # brackets, commas, newlines and indents it cuts at
+    @given(_json_trees)
+    @settings(max_examples=250, deadline=None)
+    def test_indented_matches_json_dumps(self, tree):
+        assert cli._indented(tree) == json.dumps(tree, sort_keys=True,
+                                                 indent=2)
+
+    @given(st.lists(st.dictionaries(_json_text, _json_scalars, min_size=1,
+                                    max_size=4), min_size=1, max_size=5),
+           st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_scalars_match_json_dumps(self, rows, depth):
+        # a list of dicts of scalars is one encoder call, cut at "},\n{"
+        tree = rows
+        for _ in range(depth):
+            tree = {"rows": tree, "n": len(rows)}
+        assert cli._indented(tree) == json.dumps(tree, sort_keys=True,
+                                                 indent=2)
+
+    def test_indented_edge_cases(self):
+        nan, inf = float("nan"), float("inf")
+        cases = [
+            {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]], [{}]],
+            (1, (2, (3,)), ()), {"é\n\"\\": "ü\u2028\t", "k": ["\x00"]},
+            -0.0, 1e300, nan, [nan, inf, -inf, -0.0, 1e-300],
+            2**64, -(2**64) - 1, [2**200, {"x": -(2**100)}],
+            True, False, None, "", [True, False, None],
+            {"rows": [{"q": 2, "s": "},\n    {"}, {"q": 3, "s": "]"}]},
+            [{"a": 1}, {}], [{"a": []}, {"b": 1}], [{"a": 1}, [1]],
+            {1: [2], 3: 4}, {1.5: [1], -0.0: 2}, {None: [1]},
+            {True: [1], False: {"a": [None]}}, [[[[[1]]]]],
+        ]
+        for x in cases:
+            assert cli._indented(x) == json.dumps(x, sort_keys=True,
+                                                  indent=2), x
+
+    def test_refusals_match_json_dumps(self):
+        for x in ({1: [1], "a": 2}, [{"a": object()}], {(1, 2): [1]},
+                  [1, {10**5000: 0}], [1, [10**5000]]):
+            with pytest.raises((TypeError, ValueError)) as want:
+                json.dumps(x, sort_keys=True, indent=2)
+            with pytest.raises(type(want.value)):
+                cli._indented(x)
+
+    def test_emit_report_prints_the_indented_text(self, capsys):
+        out = {"conclusion": "not_congruent", "counterexample":
+               {"index": 1, "f": "0", "g": "1"}, "lambda_f": 1}
+        assert emit_report(out, "json") == 1
+        assert capsys.readouterr().out == json.dumps(
+            out, sort_keys=True, indent=2) + "\n"
 
 
 def run_subprocess(*args):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from symsq.errors import NotAUnit, NotOrdinary, PrecisionLoss
 from symsq.padic import (MAX_PRIME_TEST, PAdicInt, factorize, from_rational,
-                         hensel_unit_root, inv, is_prime, padic_log1p,
-                         teichmuller)
+                         hensel_unit_root, int_valuation, inv, is_prime,
+                         padic_log1p, teichmuller)
 
 from conftest import pow_per_term_log1p, seeded
 
@@ -222,8 +223,96 @@ class TestIsPrime:
             assert is_prime(n) == sympy.isprime(n), n
 
 
+    def test_table_against_sympy(self):
+        # below 43^2 = 1849 is_prime answers from a table sieved at import,
+        # above it by trial division and the Miller-Rabin bases
+        sympy = pytest.importorskip("sympy")
+        for n in range(-3, 2500):
+            assert is_prime(n) is sympy.isprime(n), n
+        assert not is_prime(43 * 43) and is_prime(1847) and is_prime(1861)
+
+
 class TestFactorize:
     def test_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         for n in range(1, 5001):
             assert factorize(n) == tuple(sorted(sympy.factorint(n).items())), n
+
+
+class TestEqualityAndHash:
+    def test_an_int_equals_only_the_residue_itself(self):
+        # 130 = 5 mod 5^3 used to equal PAdicInt(5, 3, 5) while hashing
+        # apart from it, so a set of the two held two members
+        x = PAdicInt(5, 3, 5)
+        assert x == 5 and 5 == x
+        assert x != 130 and x != -120 and x != 5 + 5**3
+        assert hash(x) == hash(5)
+        assert {x, 5} == {5} and len({x, 5}) == 1
+        assert PAdicInt(5, 3, 0) == 0 and PAdicInt(5, 3, 0) != 5**3
+        assert PAdicInt(5, 3, 1) == True      # noqa: E712 (bool is an int)
+
+    def test_equal_values_hash_alike(self):
+        for p, n in ((5, 1), (5, 3), (7, 2)):
+            for r in range(p**n):
+                x = PAdicInt(p, n, r)
+                assert x == PAdicInt(p, n, r + p**n) == r
+                assert hash(x) == hash(PAdicInt(p, n, r + p**n)) == hash(r)
+        assert PAdicInt(5, 3, 5) != PAdicInt(5, 2, 5)
+        assert PAdicInt(5, 3, 5) != PAdicInt(7, 3, 5)
+
+    def test_a_non_number_is_not_equal(self):
+        x = PAdicInt(5, 3, 5)
+        assert x.__eq__("5") is NotImplemented
+        assert x != "5" and x != [5] and x is not None
+
+
+class TestOperatorEdges:
+    def test_int_valuation_of_zero_is_refused(self):
+        with pytest.raises(ValueError, match="valuation of 0 is undefined"):
+            int_valuation(0, 5)
+
+    def test_fraction_operands_are_coerced(self):
+        x = PAdicInt(5, 3, 7)
+        half = from_rational(Fraction(1, 2), 5, 3)
+        assert x + Fraction(1, 2) == x + half == PAdicInt(5, 3, 70)
+        assert x * Fraction(1, 2) == x * half
+        assert x - Fraction(1, 2) == x - half
+        with pytest.raises(NotAUnit):
+            x + Fraction(1, 5)
+
+    def test_other_operands_are_refused(self):
+        x = PAdicInt(5, 3, 7)
+        for dunder in (x.__add__, x.__sub__, x.__mul__):
+            assert dunder("a") is NotImplemented
+        for op, sym in ((lambda a: a + "a", "+"), (lambda a: a - "a", "-")):
+            with pytest.raises(TypeError, match=re.escape(
+                    f"unsupported operand type(s) for {sym}: "
+                    f"'PAdicInt' and 'str'")):
+                op(x)
+        with pytest.raises(TypeError, match="can't multiply sequence by "
+                           "non-int of type 'PAdicInt'"):
+            x * "a"     # str's repeat is tried once PAdicInt declines
+        assert x.__add__(1.5) is NotImplemented
+        with pytest.raises(ValueError, match="mixed primes 5 and 7"):
+            x + PAdicInt(7, 3, 1)
+
+    def test_int_minus_padic(self):
+        x = PAdicInt(5, 3, 7)
+        assert 3 - x == PAdicInt(5, 3, 3 - 7) == PAdicInt(5, 3, 121)
+        assert (3 - x).prec == 3
+
+    def test_negative_power_is_the_inverse_power(self):
+        x = PAdicInt(5, 4, 7)
+        for k in (1, 2, 5):
+            assert x**-k == inv(x)**k
+            assert (x**-k * x**k).residue == 1
+        with pytest.raises(NotAUnit):
+            PAdicInt(5, 4, 10)**-1
+
+    def test_exact_div_by_p_to_the_zero_is_the_value(self):
+        x = PAdicInt(5, 4, 7)
+        assert x.exact_div_p(0) is x
+
+    def test_hensel_refuses_a_unit_constant(self):
+        with pytest.raises(ValueError, match=r"requires v\(c\) >= 1"):
+            hensel_unit_root(PAdicInt(5, 2, 1), PAdicInt(5, 2, 2))
