@@ -185,37 +185,28 @@ def _indented(x, depth: int = 0) -> str:
     the sigma table, cut apart where one dict ends and the next begins
     (an encoded scalar holds no raw newline and never ends in a
     bracket, so "},<newline><indent>{" is found nowhere else).  Any
-    other non-empty dict (sorted), list or tuple is written here: its
-    values that are not non-empty containers go to _flat_encoder in one
-    call, whose text splits at its separators, and the others are
-    written by recursion.  Every other value, empty containers
+    other non-empty dict, list or tuple is written here, each value by
+    recursion; a dict's items are sorted once, as json.dumps sorts them,
+    since keys such as NaN order nothing and a second sort of a subset
+    could order it otherwise.  Every other value, empty containers
     included, is _flat_encoder's own text."""
     inner, outer = "  " * (depth + 1), "  " * depth
     if _of_scalars(x):
         text = _flat_encoder(depth + 1).encode(x)
         return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
-    is_dict = isinstance(x, dict)
-    if not (is_dict or isinstance(x, (list, tuple))) or not x:
+    if isinstance(x, dict) and x:
+        parts = [f"{_key_text(k)}: {_indented(v, depth + 1)}"
+                 for k, v in sorted(x.items())]
+        return "{\n" + inner + (",\n" + inner).join(parts) + f"\n{outer}}}"
+    if not isinstance(x, (list, tuple)) or not x:
         return _flat_encoder(depth).encode(x)
-    if not is_dict and all(type(v) is dict and _of_scalars(v) for v in x):
+    if all(type(v) is dict and _of_scalars(v) for v in x):
         deeper = inner + "  "
         text = _flat_encoder(depth + 2).encode(x)[2:-2].replace(
             f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
         return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{outer}]"
-    items = sorted(x.items()) if is_dict else list(enumerate(x))
-    deep = [isinstance(v, (dict, list, tuple)) and len(v) > 0
-            for _, v in items]
-    flat = [item for item, d in zip(items, deep) if not d]
-    parts = iter(())
-    if flat:
-        text = _flat_encoder(depth + 1).encode(
-            dict(flat) if is_dict else [v for _, v in flat])
-        parts = iter(text[1:-1].split(",\n" + inner))
-    text = (",\n" + inner).join(
-        (f"{_key_text(k)}: " if is_dict else "") + _indented(v, depth + 1)
-        if d else next(parts) for (k, v), d in zip(items, deep))
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}\n{inner}{text}\n{outer}{closing}"
+    parts = [_indented(v, depth + 1) for v in x]
+    return "[\n" + inner + (",\n" + inner).join(parts) + f"\n{outer}]"
 
 
 def _key_text(key) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -936,6 +937,17 @@ class TestEmit:
         for x in cases:
             assert cli._indented(x) == json.dumps(x, sort_keys=True,
                                                   indent=2), x
+
+    def test_unordered_keys_keep_the_order_of_one_sort(self):
+        # a NaN key orders nothing, so a sort's result hangs on its
+        # input order: the keys must be sorted once, as json.dumps does,
+        # and a subset must not be sorted again
+        nan = float("nan")
+        for keys in itertools.permutations((nan, 3.0, 1.0, 2.0)):
+            for deep in keys:
+                x = {k: [1] if k is deep else i for i, k in enumerate(keys)}
+                assert cli._indented(x) == json.dumps(x, sort_keys=True,
+                                                      indent=2), x
 
     def test_refusals_match_json_dumps(self):
         for x in ({1: [1], "a": 2}, [{"a": object()}], {(1, 2): [1]},
