@@ -400,23 +400,33 @@ def bernoulli_number(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
+@lru_cache(maxsize=64)
+def _bernoulli_poly(m: int) -> tuple[int, tuple[int, ...]]:
+    """D, the lcm of the denominators of B_0..B_m, and C(m, j) D B_j for
+    j = 0..m: the coefficients of B_m(x) times D, leading first."""
+    den = lcm(*(bernoulli_number(j).denominator for j in range(m + 1)))
+    table, binom = [], 1
+    for j in range(m + 1):
+        b = bernoulli_number(j)
+        table.append(binom * b.numerator * (den // b.denominator))
+        binom = binom * (m - j) // (j + 1)
+    return den, tuple(table)
+
+
 def gen_bernoulli(chi: DirichletCharacter, m: int) -> CycNumber:
     """B_{m,chi} = c^(m-1) sum_{a=1..c} chi(a) B_m(a/c), c the conductor.
 
     c^(m-1) B_m(a/c) = N(a) / (c D), D the lcm of the denominators of
     B_0..B_m, N(a) = sum_j C(m, j) D B_j c^j a^(m-j) (Washington, Prop.
-    4.1); N(a) goes by integer Horner into the bucket of the exponent of
+    4.1), with D and C(m, j) D B_j read from a table cached per m;
+    N(a) goes by integer Horner into the bucket of the exponent of
     chi(a), and the buckets are reduced mod Phi_n once."""
     if m < 1:
         raise ValueError("m must be >= 1")
     chi = chi.primitivize()
     c, n = chi.modulus, chi.order
-    den = lcm(*(bernoulli_number(j).denominator for j in range(m + 1)))
-    poly, binom = [], 1          # coefficients of N, leading first
-    for j in range(m + 1):
-        b = bernoulli_number(j)
-        poly.append(binom * b.numerator * (den // b.denominator) * c**j)
-        binom = binom * (m - j) // (j + 1)
+    den, table = _bernoulli_poly(m)
+    poly = [t * c**j for j, t in enumerate(table)]  # N's, leading first
     buckets = [0] * n
     row = chi._exponent_row()
     for a in range(1, c + 1):

@@ -4,15 +4,22 @@ A CycNumber is a coefficient vector of length phi(n) in the power basis
 1, zeta, ..., zeta^(phi(n)-1), held as integer numerators over one
 common denominator (Cohen, "A Course in Computational Algebraic Number
 Theory", 4.2), with reduction modulo the n-th cyclotomic polynomial done
-on the integers and products through padic's Kronecker kernel.
-Rationals are exact throughout; Bernoulli denominators are the whole
-point.
+on the integers.  Rationals are exact throughout; Bernoulli
+denominators are the whole point.
 
 Phi_n is the Moebius product of the factors (1 - x^d)^mu(n/d), d | n,
 and the one list of those factors per order builds Phi_n and divides by
 it.  Reduction eliminates one row at a time with the sparse Phi_n at
-small orders, and past a crossover in (n - phi(n)) times the number of
-terms of Phi_n divides through the factors, one slice pass each.
+small orders.  Past a crossover in (n - phi(n)) times the number of
+terms of Phi_n (timed at _MOBIUS_STEPS) it goes down to odd squarefree
+orders through Phi_2m(x) = Phi_m(-x) for odd m and Phi_qm(x) =
+Phi_m(x^q) for q | m, and there divides through the factors, one slice
+pass each.  A dense vector of numerators below 10^6 reduces at order
+930 in 156 us through Phi_465(-x), against 458 us through the 16
+factors of Phi_930, and at 1332 in 178 against 281 us (timeit, best of
+7, Python 3.11 on a shared 2-vCPU VM).  Products multiply schoolbook at
+phi(n) <= _SCHOOLBOOK_PHI and through padic's Kronecker kernel above
+it.
 
 Arithmetic through the dunder operators promotes both operands to the
 lcm of their orders.
@@ -113,28 +120,45 @@ def _ramanujan_sums(n: int) -> tuple[int, ...]:
 
 # Above this many steps of the row loop, the input's nonzero entries
 # above x^phi(n) times the number of nonzero terms of Phi_n below
-# x^phi(n), _reduce_ints divides by the Moebius product instead.
-# Elimination fills in rows that this count cannot see, so the crossover
-# is low.  Timed on the 6,805 reductions of a tables set-up and pass
-# (seed 7, orders 1 to 1332), best of 7 per call with the rules
-# interleaved call by call, Python 3.11 on a shared 2-vCPU VM: 75-81 ms
-# at 150, 250 or 400 steps and 82-87 ms at 600, against 91-98 ms for
-# 1,000 steps counted as if every row were nonzero, and about 5% more
-# than that for this count at 1,000 steps.
-_MOBIUS_STEPS = 250
+# x^phi(n), _reduce_ints passes to a smaller order or divides by the
+# Moebius product instead.  Elimination fills in rows that this count
+# cannot see, so the crossover is low.  Timed on the 4,589 reductions of
+# a tables pass (seed 7, orders 1 to 1332; seed 11 in brackets), best of
+# 7 per call with the rules interleaved call by call, Python 3.11 on a
+# shared 2-vCPU VM: 51.9 ms (41.7) at 50 steps, 51.7 (41.7) at 100, 54.0
+# (43.3) at 150, 59.0 (47.5) at 250 and 68.4 (54.3) at 400, against
+# 74.7 (59.0) at 0, where only a vector with no nonzero row above
+# x^phi(n) skips the smaller orders and the Moebius product.
+_MOBIUS_STEPS = 100
+
+# At or below this phi(n), CycNumber.__mul__ multiplies schoolbook; above
+# it, through padic's Kronecker kernel, whose packing costs a fixed 5-6 us.
+# Timed with timeit, best of 5, one process, Python 3.11 on a shared
+# 2-vCPU VM, on random numerators in [-1000, 1000) at the least order of
+# each phi (kernel / schoolbook, reduction included): 7.2 / 2.0 us at
+# phi = 2, 8.8 / 3.5 at 4, 9.9 / 5.1 at 6, 13.8 / 9.6 at 8, 17.8 / 12.8 at
+# 10, 14.2 / 14.1 at 12, 16.6 / 21.1 at 16 and 20.1 / 31.3 at 20.  On
+# the products of a tables pass (seed 7), sparser, schoolbook stays ahead
+# up to phi = 20, where 66 of its 849 products lie above 12.
+_SCHOOLBOOK_PHI = 12
 
 
 def _reduce_ints(folded: list[int], n: int) -> list[int]:
     """The remainder mod Phi_n of an integer vector of length n, as
     phi(n) integers; folded is consumed.
 
-    While the row loop takes at most _MOBIUS_STEPS = 250 steps (the
-    nonzero rows above phi(n), each over the terms of the sparse Phi_n)
-    it eliminates one row at a time; the timing that set the crossover is
-    noted at _MOBIUS_STEPS.  Past it the quotient comes from Phi_n being
-    palindromic (n > 1): rev(q) = rev(folded) / Phi_n mod x^(n - phi(n)),
-    and the remainder is folded - q Phi_n mod x^phi(n), one _times_phi
-    each."""
+    While the row loop takes at most _MOBIUS_STEPS steps (the nonzero
+    rows above phi(n), each over the terms of the sparse Phi_n) it
+    eliminates one row at a time; the timing that set the crossover is
+    noted at _MOBIUS_STEPS.  Past it, two identities (Washington,
+    "Introduction to Cyclotomic Fields", 2) pass to a smaller order m:
+    for n = 2m with m odd, x^m = -1 mod Phi_n and Phi_n(x) = Phi_m(-x),
+    so the vector folds mod x^m + 1 and is reduced mod Phi_m at -x; for
+    q^2 | n, Phi_n(x) = Phi_m(x^q) with m = n/q, so each of the q slices
+    folded[j::q] is reduced mod Phi_m.  At an odd squarefree order the
+    quotient comes from Phi_n being palindromic: rev(q) = rev(folded) /
+    Phi_n mod x^(n - phi(n)), and the remainder is folded - q Phi_n mod
+    x^phi(n), one _times_phi each."""
     deg = euler_phi(n)
     sparse = _cyclotomic_sparse(n)
     if (n - deg - folded[deg:].count(0)) * len(sparse) <= _MOBIUS_STEPS:
@@ -146,6 +170,19 @@ def _reduce_ints(folded: list[int], n: int) -> list[int]:
                 for j, v in sparse:
                     folded[base + j] -= c * v
         return folded[:deg]
+    if n % 4 == 2:
+        m = n // 2
+        half = list(map(sub, folded[:m], folded[m:]))
+        half[1::2] = [-c for c in half[1::2]]
+        rem = _reduce_ints(half, m)
+        rem[1::2] = [-c for c in rem[1::2]]
+        return rem
+    q = next((q for q, e in factorize(n) if e > 1), 0)    # q^2 | n
+    if q:
+        rem = [0] * deg
+        for j in range(q):
+            rem[j::q] = _reduce_ints(folded[j::q], n // q)
+        return rem
     quot = _times_phi(folded[:deg - 1:-1], n, -1)[::-1]
     del quot[deg:]                      # q mod x^phi(n), padded to phi(n)
     quot += [0] * (deg - len(quot))
@@ -278,12 +315,17 @@ class CycNumber:
         if a is NotImplemented:
             return NotImplemented
         n, phi = a.order, len(a.num)
-        if phi == 1:                        # orders 1 and 2: rationals
-            return _cyc(n, [a.num[0] * b.num[0]], a.den * b.den)
+        folded = [0] * n
+        if phi <= _SCHOOLBOOK_PHI:
+            bn = b.num
+            for i, x in enumerate(a.num):
+                if x:
+                    for j, y in enumerate(bn, i):
+                        folded[j % n] += x * y
+            return _cyc(n, _reduce_ints(folded, n), a.den * b.den)
         # each product coefficient c has |c| <= phi * max|a_i| * max|b_j|,
         # so m > 2|c| and c is its residue mod m read back symmetrically
         m = 2 * phi * max(map(abs, a.num)) * max(map(abs, b.num)) + 1
-        folded = [0] * n
         for i, c in enumerate(_poly_mul_trunc(a.num, b.num, m, 2 * phi - 2)):
             folded[i % n] += c if 2 * c < m else c - m
         return _cyc(n, _reduce_ints(folded, n), a.den * b.den)

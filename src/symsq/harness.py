@@ -45,6 +45,10 @@ class FormRecord:
     # level prime -> {"type", "aq"} and/or {"poly": exact coefficients}
     bad_primes: dict[int, dict] = field(default_factory=dict)
     source: str | None = None
+    # level prime -> its factor, built once per record (load_form builds
+    # them all, to refuse a malformed override)
+    _level_factors: dict[int, EulerFactor] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def satake(self, q: int) -> SatakeData:
         """Local Satake data at q, from the eigenvalue map or overrides."""
@@ -61,11 +65,18 @@ class FormRecord:
                           self.character(q), self.weight)
 
     def euler_factor(self, q: int) -> EulerFactor:
-        """Untwisted local factor, honouring explicit polynomial overrides."""
-        entry = self.bad_primes.get(q)
-        if entry and "poly" in entry:
-            return EulerFactor(q, entry["poly"])
-        return symsq_factor(self.satake(q))
+        """Untwisted local factor, honouring explicit polynomial overrides;
+        a level prime's is built once per record."""
+        factor = self._level_factors.get(q)
+        if factor is None:
+            entry = self.bad_primes.get(q)
+            if entry and "poly" in entry:
+                factor = EulerFactor(q, entry["poly"])
+            else:
+                factor = symsq_factor(self.satake(q))
+            if self.level % q == 0:
+                self._level_factors[q] = factor
+        return factor
 
 
 def parse_prime(text: str, what: str) -> int:
@@ -176,7 +187,7 @@ def load_form(path: str | Path, *, p: int | None = None,
 
     form = FormRecord(label, weight, level, character, ap, p, precision,
                       trunc, bad_primes, source=str(Path(path)))
-    for q in bad_primes:        # each override builds its factor on load
+    for q in bad_primes:        # each level prime's factor, refused or kept
         form.euler_factor(q)
     # ordinarity is checked on load, not at first use
     if p not in ap:

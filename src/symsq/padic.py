@@ -13,7 +13,8 @@ None, to be read as "at least prec".
 
 The public PAdicInt constructor checks p and prec.  Results of ring
 operations take p and prec from operands that were checked already, so
-they are built by `_padic`, which only reduces the residue.
+they are built by `_padic`, which only reduces the residue, and a tuple
+of them by `_padics`, which computes each tag's modulus once.
 
 Integer polynomials, Lambda's truncated series and the numerators of
 Q(zeta_n) alike, are multiplied by Kronecker substitution in one core,
@@ -251,6 +252,22 @@ def _padic(p: int, prec: int, residue: int) -> PAdicInt:
     _set_prec(x, prec)
     _set_residue(x, residue % p**prec)
     return x
+
+
+def _padics(p: int, precs: list[int], residues: list[int]
+            ) -> tuple[PAdicInt, ...]:
+    """The PAdicInts that `_padic` would build from a checked p and each
+    checked tag and residue, in one loop that computes each tag's modulus
+    p^prec once."""
+    mods = {e: p**e for e in set(precs)}
+    out = []
+    for e, r in zip(precs, residues):
+        x = _new(PAdicInt)
+        _set_p(x, p)
+        _set_prec(x, e)
+        _set_residue(x, r % mods[e])
+        out.append(x)
+    return tuple(out)
 
 
 # -- constructors ------------------------------------------------------

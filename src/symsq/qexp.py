@@ -14,10 +14,13 @@ of a nebentype value into Z_p uses it; None means the default root.
 
 p_stabilize works on integer residues: it lifts every coefficient once
 (an exact value through the one embedding of cyclotomic, a PAdicInt
-by its residue), forms a(n) - beta a(n/p) mod p^prec and wraps each
-result in a PAdicInt once, with the precision tags of the composition
-g0 - V_p(g0).scale(beta).  Scaling a "padic" expansion by a PAdicInt
-is the same kind of residue loop.
+by its residue), writes the precision tags of the composition
+g0 - V_p(g0).scale(beta) and the residues a(n) - beta a(n/p) as two
+integer lists, and builds the PAdicInt tuple in one residue loop of
+padic (`_padics`), which computes each tag's modulus p^prec once and
+reduces each residue by it.  Scaling a "padic" expansion by a PAdicInt
+builds its tuple in the same loop, from the tags min(prec c, prec a(n))
+and the residues c a(n).
 
 T_q, tau and deplete take only a prime q, and T_q, tau's unramified
 mode, p_stabilize and the eigenform recursion only an integer weight
@@ -36,7 +39,7 @@ from .characters import DirichletCharacter
 from .cyclotomic import (CycNumber, _is_zero, _residue_embedding,
                          cyc_embed_padic, embedding_root)
 from .errors import BadMode, BadPrime, OddCharacter, SchemaError
-from .padic import (PAdicInt, _padic, factorize, hensel_unit_root, inv,
+from .padic import (PAdicInt, _padics, factorize, hensel_unit_root, inv,
                     is_prime)
 
 RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
@@ -81,10 +84,10 @@ class QExpansion:
     def scale(self, c) -> "QExpansion":
         if isinstance(c, PAdicInt) and self.ring == "padic" \
                 and all(a.p == c.p for a in self.coeffs):  # else c * a raises
-            p, cp, cr = c.p, c.prec, c.residue
-            return dataclasses.replace(self, coeffs=tuple(
-                _padic(p, min(cp, a.prec), cr * a.residue)
-                for a in self.coeffs))
+            cp, cr = c.prec, c.residue
+            return dataclasses.replace(self, coeffs=_padics(
+                c.p, [a.prec if a.prec < cp else cp for a in self.coeffs],
+                [cr * a.residue for a in self.coeffs]))
         ring = "cyc" if isinstance(c, CycNumber) and self.ring == "int" \
             else self.ring
         return dataclasses.replace(
@@ -264,12 +267,13 @@ def p_stabilize(g0: QExpansion, a_p, eps_p, p: int, prec: int,
     precs, res = zip(*_lifts(g0.coeffs, p, prec, embed))
     b, bp = beta.residue, beta.prec
     off = min(bp, precs[0])
-    coeffs = tuple(
-        _padic(p, e if e < off else off, r) if n % p else
-        _padic(p, min(e, bp, precs[n // p]), r - b * res[n // p])
-        for n, (e, r) in enumerate(zip(precs, res)))
-    return QExpansion(g0.weight, g0.level * p, g0.character, coeffs,
-                      "padic", root)
+    tags = [e if e < off else off for e in precs]
+    vals = list(res)
+    for n in range(0, len(res), p):
+        tags[n] = min(precs[n], bp, precs[n // p])
+        vals[n] -= b * res[n // p]
+    return QExpansion(g0.weight, g0.level * p, g0.character,
+                      _padics(p, tags, vals), "padic", root)
 
 
 def _lifts(values, p: int, prec: int, embed) -> list[tuple[int, int]]:

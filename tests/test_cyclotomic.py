@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, _MOBIUS_STEPS,
                               CycNumber, _cyc, _cyclotomic_sparse,
                               _mobius_factors, _reduce_ints,
-                              _residue_embedding, _zeta_image,
+                              _residue_embedding, _times_phi, _zeta_image,
                               cyc_embed_padic,
                               cyclotomic_poly, default_primitive_root, dlog,
                               embedding_root, euler_phi, exact_json,
                               parse_exact, parse_rational)
 from symsq.errors import NotEmbeddable, OrderMismatch
-from symsq.padic import PAdicInt, from_rational, is_prime, teichmuller
+from symsq.padic import (PAdicInt, factorize, from_rational, is_prime,
+                         teichmuller)
 
 from conftest import (FractionCycNumber, _oracle_phi, _poly_divmod,
                       oracle_cyc_mul, oracle_cyclotomic, seeded,
@@ -77,6 +78,78 @@ def test_reduce_ints_matches_long_division():
             _, rem = _poly_divmod(raw, _oracle_phi(n))
             want = rem + [0] * (phi - len(rem))
             assert _reduce_ints(list(raw), n) == want[:phi], n
+
+
+# every order to 200 and the tables workload's largest Gauss-sum orders
+_SYMPY_ORDERS = tuple(range(1, 201)) + (330, 420, 465, 506, 666, 812, 930,
+                                        1332)
+
+
+def test_reduce_ints_matches_sympy_rem(monkeypatch):
+    """Against sympy 1.14's dense remainder by Phi_n over ZZ, on dense,
+    sparse and signed vectors, and on one vector at most _MOBIUS_STEPS
+    row steps (the row loop alone) and one just over it (a smaller order
+    through Phi_2m(x) = Phi_m(-x) or Phi_qm(x) = Phi_m(x^q), or at an
+    odd squarefree order the Moebius product) wherever n - phi(n) leaves
+    room for both."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_rem
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+    from symsq import cyclotomic
+
+    orders, moebius = [], []        # the orders reduced at, and divided at
+
+    def reduce_ints(folded, n):
+        orders.append(n)
+        return _reduce_ints(folded, n)
+
+    def times_phi(s, n, sign):      # sign -1: the division, not building Phi
+        if sign < 0:
+            moebius.append(n)
+        return _times_phi(s, n, sign)
+
+    monkeypatch.setattr(cyclotomic, "_reduce_ints", reduce_ints)
+    monkeypatch.setattr(cyclotomic, "_times_phi", times_phi)
+    x, rng, paths = sympy.Symbol("x"), seeded(29), set()
+    for n in _SYMPY_ORDERS:
+        phi, terms = euler_phi(n), len(_cyclotomic_sparse(n))
+        mod = [ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(n, x),
+                                               x).all_coeffs()]
+        dense = [rng.randrange(10**6) for _ in range(n)]
+        sparse = [0] * n
+        for _ in range(rng.randint(1, n // 8 + 1)):
+            sparse[rng.randrange(n)] += rng.randint(1, 3)
+        signed = [rng.randint(-10**30, 10**30) for _ in range(n)]
+        raws = [(dense, None), (sparse, None), (signed, None)]
+        rows = _MOBIUS_STEPS // terms + 1       # the fewest rows past it
+        if n - phi >= rows:
+            for k, past in ((rows - 1, False), (rows, True)):
+                raw = [rng.randint(-9, 9) for _ in range(phi)]
+                raw += [0] * (n - phi)
+                for i in rng.sample(range(phi, n), k):
+                    raw[i] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+                raws.append((raw, past))
+        for raw, past in raws:
+            rem = dup_rem(dup_strip([ZZ(c) for c in reversed(raw)]), mod, ZZ)
+            want = [int(c) for c in reversed(rem)]
+            want += [0] * (phi - len(want))
+            orders.clear()
+            moebius.clear()
+            assert cyclotomic._reduce_ints(list(raw), n) == want, n
+            smaller = orders[1:] != []
+            if past is not None:
+                assert (smaller or moebius != []) is past, n
+            if smaller:
+                paths.add("fold" if n % 4 == 2 else "slices")
+            if moebius:
+                paths.add("moebius")
+                assert all(m % 2 and _square_free(m) for m in moebius), n
+    assert paths == {"fold", "slices", "moebius"}
+
+
+def _square_free(n):
+    return all(e == 1 for _, e in factorize(n))
 
 
 def test_mul_examples():

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from symsq.characters import (DirichletCharacter, characters_mod,
                               trivial_character)
 from symsq.cyclotomic import CycNumber, cyc_embed_padic, embedding_root
-from symsq.errors import (NotEmbeddable, NotOrdinary, SchemaError,
-                          SymsqError, TruncationTooShort)
+from symsq.errors import (InvalidSatake, NotEmbeddable, NotOrdinary,
+                          SchemaError, SymsqError, TruncationTooShort)
 from symsq import cli, harness
 from symsq.cli import emit_report
 from symsq.euler import EulerFactor, SatakeData, euler_to_lambda, symsq_factor
@@ -406,6 +406,41 @@ class TestInvariantReport:
         invariant_report(form, trivial_character(1), 0, [2, 3],
                          cache_dir=tmp_path / "cache")
         assert built == [2, 3, 2, 3]
+
+    def test_level_prime_factor_built_once_per_record(self, tmp_path,
+                                                      monkeypatch):
+        # load_form builds each level prime's factor to refuse a malformed
+        # override; the report takes that factor and builds no second one
+        built = []
+        real_symsq, real_factor = harness.symsq_factor, harness.EulerFactor
+
+        def counting_symsq(s):
+            built.append(s.q)
+            return real_symsq(s)
+
+        def counting_factor(q, coeffs):
+            built.append(q)
+            return real_factor(q, coeffs)
+
+        monkeypatch.setattr(harness, "symsq_factor", counting_symsq)
+        monkeypatch.setattr(harness, "EulerFactor", counting_factor)
+        path = write_form(tmp_path, level=33, bad_primes={
+            "3": {"poly": ["1", "-2"]},
+            "11": {"type": "ordinary", "aq": "1"}})
+        form = load_form(path)
+        assert sorted(built) == [3, 11]
+        report = invariant_report(form, trivial_character(1), 0, [2, 3, 11])
+        assert sorted(built) == [2, 3, 11]
+        assert [row["degree"] for row in report.table] == [3, 1, 1]
+
+    @pytest.mark.parametrize("poly, message", [
+        (["2", "1"], "Euler factor must have constant term 1"),
+        (["1", "0", "0", "0", "1"], "Euler factor degree exceeds 3")])
+    def test_malformed_poly_refused_on_load(self, tmp_path, poly, message):
+        path = write_form(tmp_path, bad_primes={"11": {"poly": poly}})
+        with pytest.raises(InvalidSatake) as err:
+            load_form(path)
+        assert str(err.value) == message
 
 
 def _grid_form(rng, p, prec, trunc, kind):

@@ -10,7 +10,7 @@ from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber, euler_phi
 from symsq.errors import (BadMode, BadPrime, NotEmbeddable, NotOrdinary,
                           OddCharacter)
-from symsq.padic import PAdicInt
+from symsq.padic import PAdicInt, hensel_unit_root, inv
 from symsq.padic import is_prime as _is_prime
 from symsq.qexp import (QExpansion, _zero_like, coeffs_agree, deplete,
                         expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
@@ -482,6 +482,33 @@ class TestPStabilizeResidues:
         g = p_stabilize(g0, 1, 1, 5, 6)
         assert [c.prec for c in g.coeffs] == [2, 2, 2, 2, 2, 6, 2]
         assert [c.prec for c in g.truncate(4).coeffs] == [2] * 5
+
+    def test_tag_rule_then_scale_on_mixed_tags(self):
+        # b(n) = a(n) - beta a(n/p) with tag min(prec a(n), prec beta,
+        # prec a(n/p)) at a multiple of p, and off them the tag of V_p's
+        # zero, a(0)'s; scaling b by alpha gives c b(n) mod p^min(prec
+        # alpha, prec b(n)); tags 1 to 7 on a(n) and 4 on beta
+        rng, p = seeded(46), 5
+        g0 = make([PAdicInt(p, rng.randint(1, 7), rng.randrange(p**7))
+                   for _ in range(126)], 2, ring="padic")
+        g0 = replace(g0, coeffs=(PAdicInt(p, 6, 3),) + g0.coeffs[1:])
+        a_p, eps = PAdicInt(p, 4, 6), PAdicInt(p, 7, 11)
+        alpha = hensel_unit_root(a_p, eps * p)
+        beta = eps * p * inv(alpha)
+        assert beta.prec == 4
+        g = p_stabilize(g0, a_p, eps, p, 7)
+        a = g0.coeffs
+        for n, b in enumerate(g.coeffs):
+            inner = a[n // p] if n % p == 0 else PAdicInt(p, a[0].prec, 0)
+            tag = min(a[n].prec, beta.prec, inner.prec)
+            assert (b.prec, b.residue) == (
+                tag, (a[n].residue - beta.residue * inner.residue) % p**tag)
+        assert {b.prec for b in g.coeffs} == {1, 2, 3, 4}
+        for c in (alpha, PAdicInt(p, 2, 7), PAdicInt(p, 7, 8)):
+            for b, s in zip(g.coeffs, g.scale(c).coeffs):
+                tag = min(c.prec, b.prec)
+                assert (s.p, s.prec, s.residue) == (
+                    p, tag, c.residue * b.residue % p**tag)
 
     def test_same_refusals(self):
         chi = next(c for c in characters_mod(13) if c.order == 4)
