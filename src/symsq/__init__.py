@@ -18,13 +18,12 @@ from importlib import import_module
 # module -> the public names it gives the package
 _EXPORTS = {
     "characters": ("DirichletCharacter", "gauss_sum", "gen_bernoulli",
-                   "l_neg", "tame_wild_split", "teichmuller_character",
-                   "trivial_character"),
+                   "l_neg", "trivial_character"),
     "cli": ("emit_report",),
     "cyclotomic": ("CycNumber", "cyc_embed_padic"),
     "errors": ("SymsqError",),
-    "euler": ("EulerFactor", "SatakeData", "df_complex", "ep_factor",
-              "euler_to_lambda", "symsq_factor"),
+    "euler": ("EulerFactor", "SatakeData", "df_complex", "euler_to_lambda",
+              "symsq_factor"),
     "harness": ("FormRecord", "InvariantReport", "invariant_report",
                 "load_form"),
     "iwasawa": ("IwasawaElement", "WeierstrassData",
@@ -32,8 +31,7 @@ _EXPORTS = {
                 "frobenius_exponent", "specialize", "weierstrass_prep"),
     "padic": ("PAdicInt", "hensel_unit_root", "inv", "padic_log1p",
               "teichmuller"),
-    "qexp": ("QExpansion", "deplete", "hecke_T", "hecke_U", "hecke_V",
-             "p_stabilize", "tau", "theta"),
+    "qexp": ("QExpansion", "deplete", "hecke_U", "p_stabilize", "tau"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

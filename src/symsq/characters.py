@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import (CycNumber, _cyc, _reduce_ints, default_primitive_root,
-                         dlog, euler_phi)
+                         euler_phi)
 from .errors import SchemaError
 from .padic import factorize
 
@@ -291,19 +291,6 @@ def trivial_character(m: int = 1) -> DirichletCharacter:
     return DirichletCharacter(m, (0,) * len(unit_group_structure(m)))
 
 
-def teichmuller_character(p: int, primitive_root: int | None = None
-                          ) -> DirichletCharacter:
-    """eta_1: the mod-p character with values in mu_{p-1} lifting a -> a.
-
-    The identification of abstract zeta_{p-1} with a concrete root of
-    unity in Z_p is pinned by the primitive root used for embeddings, so
-    the same root must be passed here and to cyc_embed_padic.
-    """
-    (g, _), = unit_group_structure(p)
-    # chi(g) = zeta^dlog(g), so that chi(a) embeds to teich(a)
-    return DirichletCharacter(p, (dlog(g, p, primitive_root),))
-
-
 def characters_mod(m: int):
     """All characters of modulus m, in odometer order of exponents (the
     first varies fastest): the order in which _dlog_table walks them."""
@@ -318,39 +305,6 @@ def is_residually_trivial(chi: DirichletCharacter, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-# -- tame/wild decomposition -----------------------------------------------
-
-
-def tame_wild_split(eta: DirichletCharacter,
-                    primitive_root: int | None = None
-                    ) -> tuple[int, DirichletCharacter]:
-    """Split a character of p-power modulus as eta_1^t * eta_w.
-
-    Returns (t, eta_w) with t in [0, p-2] and eta_w of p-power order.
-    """
-    m = eta.modulus
-    if m == 1:
-        raise ValueError("cannot infer p from modulus 1")
-    fac = factorize(m)
-    if len(fac) != 1:
-        raise ValueError(f"modulus {m} is not a prime power")
-    p, r = fac[0]
-    if p == 2:
-        raise ValueError("p must be odd")
-    (g, d), = unit_group_structure(m)  # d = p^(r-1) * (p-1)
-    e_val = eta.value_exponent(g)
-    n = eta.order
-    big_e = e_val * (d // n)  # eta(g) = zeta_d^big_e
-    u = dlog(g, p, primitive_root)  # relative to the embedding root
-    pr1 = p**(r - 1)
-    t = big_e * pow(u * pr1 % (p - 1), -1, p - 1) % (p - 1)
-    if r == 1:
-        return t, trivial_character(m)
-    w = big_e * pow(p - 1, -1, pr1) % pr1
-    eta_w = DirichletCharacter(m, (w * (p - 1),))
-    return t, eta_w
 
 
 # -- Gauss sums ---------------------------------------------------------------

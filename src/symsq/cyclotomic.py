@@ -484,15 +484,6 @@ def embedding_root(p: int, primitive_root: int | None = None) -> int:
     return primitive_root % p
 
 
-def dlog(a: int, p: int, primitive_root: int | None = None) -> int:
-    """The x in [0, p-2] with g^x = a mod p, g = embedding_root(p, root)."""
-    g = embedding_root(p, primitive_root)
-    for x in range(p - 1):
-        if pow(g, x, p) == a % p:
-            return x
-    raise ValueError(f"{a} is not a unit mod {p}")
-
-
 @lru_cache(maxsize=256)
 def _zeta_image(p: int, prec: int, n: int, g: int) -> int:
     """Residue of teich(g)^((p-1)/n) mod p^prec, the image of zeta_n."""

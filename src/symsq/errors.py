@@ -37,10 +37,6 @@ class BadMode(SymsqError):
     """Level-raising map invoked in a mode inconsistent with the level."""
 
 
-class OddCharacter(SymsqError):
-    """Theta series requires an even character."""
-
-
 class InsufficientPrecision(SymsqError):
     """All coefficients vanish at working precision; unit part invisible."""
 
@@ -51,10 +47,6 @@ class TruncationTooShort(SymsqError):
 
 class InvalidSatake(SymsqError):
     """Satake parameters inconsistent with the declared ramification type."""
-
-
-class NotIntegral(SymsqError):
-    """A p-power denominator survived where an integral value was required."""
 
 
 class DivergenceGuard(SymsqError):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .characters import DirichletCharacter
 from .cyclotomic import CycNumber, _is_zero, cyc_embed_padic
-from .errors import DivergenceGuard, InvalidSatake, NotIntegral, NotOrdinary
+from .errors import DivergenceGuard, InvalidSatake
 from .iwasawa import (IwasawaElement, binomial_sum, factorial_valuation,
                       frobenius_exponent)
 from .padic import PAdicInt, inv, is_prime, teichmuller
@@ -94,21 +94,6 @@ def symsq_factor(s: SatakeData) -> EulerFactor:
     return EulerFactor(s.q, (1, *coeffs))
 
 
-def symsq_dirichlet_coeff_check(s: SatakeData,
-                                character: DirichletCharacter) -> bool:
-    """Cross-check: the degree-1 coefficient must equal a(q^2), taken
-    from the independent Hecke recursion in qexp with the nebentype
-    `character`."""
-    if s.ramification_type != "unramified":
-        raise InvalidSatake("the coefficient check applies to unramified q")
-    e1 = -symsq_factor(s).coeffs[1]
-    from .qexp import expansion_from_eigenvalues
-    ap = {ell: 0 for ell in range(2, s.q**2 + 1) if is_prime(ell)}
-    ap[s.q] = s.a_q
-    f = expansion_from_eigenvalues(s.k, 1, character, ap, s.q**2)
-    return _is_zero(e1 - f.coefficient(s.q * s.q))
-
-
 def substitute_frobenius(factor: EulerFactor, scalar: PAdicInt,
                          exponent: PAdicInt, trunc: int, prec: int,
                          primitive_root: int | None = None
@@ -151,44 +136,6 @@ def euler_to_lambda(factor: EulerFactor, psi: DirichletCharacter, t: int,
     exponent = frobenius_exponent(q, p, prec + factorial_valuation(trunc, p))
     return substitute_frobenius(factor, scalar, exponent, trunc, prec,
                                 primitive_root)
-
-
-def ep_factor(n: int, psi: DirichletCharacter, alpha_p: PAdicInt,
-              beta_p: PAdicInt | None, r: int, ramified: bool,
-              k: int, p: int, prec: int,
-              primitive_root: int | None = None) -> PAdicInt:
-    """Interpolation factor at p.
-
-    Ramified twist: (p^(n-1) psi(p)^(-1) alpha_p^(-2))^r, with r the
-    wild conductor exponent.  Unramified: the three-term product; any
-    surviving negative power of p raises NotIntegral.
-    """
-    if alpha_p.val() != 0:
-        raise NotOrdinary(f"alpha_p = {alpha_p!r} is not a unit")
-    psi_p = psi(p)
-    if psi_p.is_zero():
-        raise ValueError("psi must be unramified at p")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    w = cyc_embed_padic(psi_p, p, prec, primitive_root)
-    a2inv = inv(alpha_p) ** 2
-    if ramified:
-        if r < 1:
-            raise ValueError("ramified case needs conductor exponent r >= 1")
-        base = PAdicInt(p, prec, p)**(n - 1) * inv(w) * a2inv
-        return base**r
-    if beta_p is None:
-        raise ValueError("unramified case needs beta_p")
-    term1 = PAdicInt(p, prec, 1) - PAdicInt(p, prec, p)**(n - 1) * inv(w) * a2inv
-    if k - 1 - n < 0:
-        raise NotIntegral(f"p^{k - 1 - n} is not integral")
-    term2 = PAdicInt(p, prec, 1) - w * PAdicInt(p, prec, p)**(k - 1 - n)
-    try:
-        b2 = (beta_p * beta_p).exact_div_p(n)
-    except ValueError as exc:
-        raise NotIntegral(f"beta_p^2 p^(-{n}) is not integral") from exc
-    term3 = PAdicInt(p, b2.prec, 1) - w.reduce(b2.prec) * b2
-    return term1 * term2 * term3
 
 
 # -- complex-side evaluation -------------------------------------------------

@@ -1,10 +1,11 @@
 """Truncated q-expansions and the operator calculus on them.
 
 Truncation bookkeeping is the point: every operator returns the largest
-truncation it can prove correct (U and T shrink by a factor q, V and
-depletion keep the input truncation), and consumers must compare
-expansions on the common truncation.  The interleaved zeros written by
-V_q are exact values, not unknowns.
+truncation it can prove correct (U_q and tau_q shrink it by a factor q,
+depletion keeps it), and consumers must compare expansions on the
+common truncation.  The zeros that depletion writes are exact values,
+not unknowns.  There is no T_q or V_q here: tau_q is a depletion, and
+only the test oracles compose those operators.
 
 Coefficients live in one of three rings, tagged on the expansion:
 "int" (exact integers or Fractions), "cyc" (CycNumber), or "padic"
@@ -22,23 +23,21 @@ reduces each residue by it.  Scaling a "padic" expansion by a PAdicInt
 builds its tuple in the same loop, from the tags min(prec c, prec a(n))
 and the residues c a(n).
 
-T_q, tau and deplete take only a prime q, and T_q, tau's unramified
-mode, p_stabilize and the eigenform recursion only an integer weight
-k >= 1, where q^(k-1) is exact (BadPrime); U_q and V_q take any q >= 1
-(ValueError).
+tau and deplete take only a prime q, and tau's unramified mode,
+p_stabilize and the eigenform recursion only an integer weight k >= 1,
+where q^(k-1) is exact (BadPrime); U_q takes any q >= 1 (ValueError).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .characters import DirichletCharacter
 from .cyclotomic import (CycNumber, _is_zero, _residue_embedding,
                          cyc_embed_padic, embedding_root)
-from .errors import BadMode, BadPrime, OddCharacter, SchemaError
+from .errors import BadMode, BadPrime, SchemaError
 from .padic import (PAdicInt, _padics, factorize, hensel_unit_root, inv,
                     is_prime)
 
@@ -49,7 +48,7 @@ RING_ORDER = {"int": 0, "cyc": 1, "padic": 1}
 class QExpansion:
     """Fourier expansion a(0..trunc) with weight/level/character metadata."""
 
-    weight: int | Fraction
+    weight: int
     level: int
     character: DirichletCharacter
     coeffs: tuple
@@ -153,23 +152,6 @@ def _need_weight(k, what: str) -> None:
 # -- Hecke operators ---------------------------------------------------------
 
 
-def hecke_T(f: QExpansion, q: int) -> QExpansion:
-    """T_q at a good prime: b(n) = a(qn) + eps(q) q^(k-1) a(n/q)."""
-    _need_prime(q, "T_q")
-    if f.level % q == 0:
-        raise BadPrime(f"{q} divides the level {f.level}; use hecke_U")
-    _need_weight(f.weight, f"T_{q}")
-    eps = _eps_scalar(f, q)
-    mult = eps * q**(f.weight - 1)
-    d = f.trunc // q
-    coeffs = tuple(
-        f.coeffs[q * n] + (mult * f.coeffs[n // q] if n % q == 0
-                           else _zero_like(f.coeffs[0]))
-        for n in range(d + 1))
-    ring = "cyc" if isinstance(mult, CycNumber) and f.ring == "int" else f.ring
-    return dataclasses.replace(f, coeffs=coeffs, ring=ring)
-
-
 def hecke_U(f: QExpansion, q: int) -> QExpansion:
     """U_q: b(n) = a(qn); truncation shrinks to floor(D/q)."""
     if q < 1:
@@ -178,20 +160,6 @@ def hecke_U(f: QExpansion, q: int) -> QExpansion:
     coeffs = tuple(f.coeffs[q * n] for n in range(d + 1))
     level = f.level if f.level % q == 0 else f.level * q
     return dataclasses.replace(f, coeffs=coeffs, level=level)
-
-
-def hecke_V(f: QExpansion, q: int) -> QExpansion:
-    """V_q: b(n) = a(n/q), zero off multiples of q.
-
-    Correct out to q*D, but the claim is capped at the input truncation
-    to keep coefficient arrays from growing; the zeros are exact.
-    """
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    zero = _zero_like(f.coeffs[0])
-    coeffs = tuple(f.coeffs[n // q] if n % q == 0 else zero
-                   for n in range(f.trunc + 1))
-    return dataclasses.replace(f, coeffs=coeffs, level=f.level * q)
 
 
 def deplete(f: QExpansion, s0) -> QExpansion:
@@ -288,26 +256,6 @@ def _reduced(x: PAdicInt, p: int, prec: int) -> tuple[int, int]:
         raise ValueError(f"mixed primes {x.p} and {p}")
     e = min(x.prec, prec)
     return e, x.residue % p**e
-
-
-def theta(chi: DirichletCharacter, trunc: int) -> QExpansion:
-    """Square-indexed theta series of an even character.
-
-    a(j^2) = chi(j) for j >= 1, a(0) = 1/2 for the trivial character and
-    0 otherwise; weight 1/2 is metadata only.
-    """
-    if not chi.is_even():
-        raise OddCharacter(f"{chi!r} is odd")
-    n = chi.order
-    coeffs = [CycNumber.zero(n) for _ in range(trunc + 1)]
-    if chi.modulus == 1:
-        coeffs[0] = CycNumber.from_rational(Fraction(1, 2))
-    j = 1
-    while j * j <= trunc:
-        coeffs[j * j] = chi(j)
-        j += 1
-    return QExpansion(Fraction(1, 2), 4 * chi.conductor**2, chi,
-                      tuple(coeffs), "cyc")
 
 
 # -- eigenform synthesis ------------------------------------------------------

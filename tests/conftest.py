@@ -9,10 +9,12 @@ path with the library.  There are two exceptions.  Weierstrass
 preparation through the full-length unit inverse runs on the library's
 series kernels; those are checked against the schoolbook ones.
 p-stabilization as the operator composition g0 - beta V_p(g0) runs on
-the library's V_p, embedding and PAdicInt arithmetic, each tested on its
+the library's embedding and PAdicInt arithmetic, each tested on its
 own, but not on p_stabilize's residue pass; the level-raising map tau_q
-as its operator composition runs on the library's T_q, U_q, V_q and
-expansion arithmetic, and shares no code with deplete, which tau is.
+as its operator composition runs on the library's U_q and expansion
+arithmetic, and shares with deplete, which tau is, only the helpers
+that check q and make a zero.  T_q and V_q live here, not in the
+library, because only these compositions use them.
 
 The `ci` hypothesis profile derandomizes every property test, so a failure
 seen in CI replays locally with `--hypothesis-profile=ci`.
@@ -36,7 +38,8 @@ from symsq.errors import (BadMode, BadPrime, InsufficientPrecision,
                           PrecisionLoss, TruncationTooShort)
 from symsq.iwasawa import TRUNCATION_GUARD, IwasawaElement, WeierstrassData
 from symsq.padic import PAdicInt, hensel_unit_root, int_valuation, inv
-from symsq.qexp import _eps_scalar, hecke_T, hecke_U, hecke_V
+from symsq.qexp import (_eps_scalar, _need_prime, _need_weight, _zero_like,
+                        hecke_U)
 
 settings.register_profile("ci", derandomize=True)
 
@@ -371,6 +374,37 @@ def per_power_substitute_frobenius(factor, scalar, exponent, trunc, prec,
         power = exact_binomial_series((exponent * j).residue, trunc, modulus)
         out = [(x + a * y) % modulus for x, y in zip(out, power)]
     return IwasawaElement(p, prec, tuple(out))
+
+
+# -- T_q and V_q, the building blocks of the compositions below --------------
+
+
+def hecke_T(f, q):
+    """T_q at a good prime: b(n) = a(qn) + eps(q) q^(k-1) a(n/q), cut at
+    floor(D/q).  Refuses a q that is not prime, a q dividing the level
+    and a weight that is not an integer >= 1 (BadPrime)."""
+    _need_prime(q, "T_q")
+    if f.level % q == 0:
+        raise BadPrime(f"{q} divides the level {f.level}; use hecke_U")
+    _need_weight(f.weight, f"T_{q}")
+    mult = _eps_scalar(f, q) * q**(f.weight - 1)
+    coeffs = tuple(
+        f.coeffs[q * n] + (mult * f.coeffs[n // q] if n % q == 0
+                           else _zero_like(f.coeffs[0]))
+        for n in range(f.trunc // q + 1))
+    ring = "cyc" if isinstance(mult, CycNumber) and f.ring == "int" else f.ring
+    return replace(f, coeffs=coeffs, ring=ring)
+
+
+def hecke_V(f, q):
+    """V_q: b(n) = a(n/q), exact zeros off multiples of q, kept at the
+    input truncation (correct out to qD).  Refuses q < 1 (ValueError)."""
+    if q < 1:
+        raise ValueError(f"need q >= 1, got {q}")
+    zero = _zero_like(f.coeffs[0])
+    coeffs = tuple(f.coeffs[n // q] if n % q == 0 else zero
+                   for n in range(f.trunc + 1))
+    return replace(f, coeffs=coeffs, level=f.level * q)
 
 
 # -- p-stabilization as an operator composition ------------------------------

@@ -7,8 +7,7 @@ import pytest
 
 from symsq.characters import (MAX_MODULUS, DirichletCharacter, _dlog_table,
                               bernoulli_number, characters_mod, gauss_sum, gen_bernoulli,
-                              is_residually_trivial, l_neg, tame_wild_split,
-                              teichmuller_character, trivial_character,
+                              is_residually_trivial, l_neg, trivial_character,
                               unit_group_structure)
 from symsq.cyclotomic import CycNumber, cyc_embed_padic, euler_phi, exact_json
 from symsq.errors import SchemaError
@@ -154,34 +153,6 @@ class TestConductor:
                             assert small(a) == chi(a), (chi, d, a)
 
 
-class TestTameWildSplit:
-    def test_teichmuller_is_pure_tame(self):
-        t, w = tame_wild_split(teichmuller_character(5))
-        assert t == 1 and w.is_trivial()
-
-    def test_trivial(self):
-        t, w = tame_wild_split(trivial_character(5))
-        assert t == 0 and w.is_trivial()
-
-    def test_order_five_is_pure_wild(self):
-        eta = next(c for c in characters_mod(25) if c.order == 5)
-        t, w = tame_wild_split(eta)
-        assert t == 0
-        assert w.order == 5
-
-    def test_roundtrip_pointwise(self):
-        for p, r in [(5, 1), (5, 2), (7, 1), (7, 2)]:
-            m = p**r
-            eta1 = teichmuller_character(p).lift_to(m)
-            for eta in characters_mod(m):
-                t, w = tame_wild_split(eta)
-                assert w.order % p == 0 or w.order == 1
-                recomposed = (eta1**t) * w
-                for a in range(1, m):
-                    if a % p:
-                        assert recomposed(a) == eta(a)
-
-
 class TestGaussSums:
     def test_trivial_convention(self):
         assert gauss_sum(trivial_character(1)) == 1
@@ -307,21 +278,31 @@ class TestAgainstSympy:
 
 
 class TestTeichmullerCharacter:
+    """The convention that pins an embedding: along each primitive root,
+    exactly one character mod p has values that embed to teichmuller()."""
+
+    @staticmethod
+    def lifts(p, root=None):
+        return [chi for chi in characters_mod(p)
+                if all(cyc_embed_padic(chi(a), p, 4, root) == teichmuller(a, p, 4)
+                       for a in range(1, p))]
+
     def test_embeds_to_teichmuller_lift(self):
-        for p in (5, 7):
-            eta1 = teichmuller_character(p)
-            for a in range(1, p):
-                assert cyc_embed_padic(eta1(a), p, 4) == teichmuller(a, p, 4)
+        for p in (5, 7, 11, 13):
+            eta1, = self.lifts(p)
+            assert eta1.order == p - 1 and eta1.conductor == p
 
     def test_respects_primitive_root_override(self):
+        # one character per root, a different one for each root, and the
+        # default root's own when the root is the smallest one
         for p in (5, 7, 11, 13):
             roots = [g for g in range(2, p)
                      if len({pow(g, x, p) for x in range(p - 1)}) == p - 1]
+            found = {}
             for root in roots:
-                eta1 = teichmuller_character(p, primitive_root=root)
-                for a in range(1, p):
-                    got = cyc_embed_padic(eta1(a), p, 4, primitive_root=root)
-                    assert got == teichmuller(a, p, 4), (p, root, a)
+                (found[root],) = self.lifts(p, root)
+            assert len(set(found.values())) == len(roots), p
+            assert self.lifts(p) == [found[roots[0]]]
 
 
 class TestStructure:

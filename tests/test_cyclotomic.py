@@ -13,7 +13,7 @@ from symsq.cyclotomic import (MAX_EXPONENT, MAX_ORDER, _MOBIUS_STEPS,
                               _mobius_factors, _reduce_ints,
                               _residue_embedding, _times_phi, _zeta_image,
                               cyc_embed_padic,
-                              cyclotomic_poly, default_primitive_root, dlog,
+                              cyclotomic_poly, default_primitive_root,
                               embedding_root, euler_phi, exact_json,
                               parse_exact, parse_rational)
 from symsq.errors import NotEmbeddable, OrderMismatch
@@ -277,17 +277,6 @@ class TestEmbeddingRoot:
                     embedding_root(p, g)
                 with pytest.raises(NotEmbeddable):
                     cyc_embed_padic(CycNumber.one(), p, 3, primitive_root=g)
-
-    def test_dlog_inverts_powers(self):
-        for p in (5, 7, 11, 13):
-            for root in [None] + [g for g in range(2, p)
-                                  if len({pow(g, x, p)
-                                          for x in range(p - 1)}) == p - 1]:
-                g = embedding_root(p, root)
-                for x in range(p - 1):
-                    assert dlog(pow(g, x, p), p, root) == x
-        with pytest.raises(ValueError):
-            dlog(10, 5)
 
 
 def test_embed_accepts_rationals():

@@ -10,22 +10,32 @@ from hypothesis import strategies as st
 
 from symsq import euler
 from symsq.characters import characters_mod, trivial_character
-from symsq.cyclotomic import (CycNumber, cyc_embed_padic, euler_phi,
+from symsq.cyclotomic import (CycNumber, _is_zero, cyc_embed_padic, euler_phi,
                               exact_json)
-from symsq.errors import (DivergenceGuard, InvalidSatake, NotIntegral,
-                          NotOrdinary, PrecisionLoss)
-from symsq.euler import (EulerFactor, SatakeData, df_complex, ep_factor,
-                         euler_to_lambda, evaluate_factor_complex,
-                         evaluate_factor_padic, substitute_frobenius, symsq_dirichlet_coeff_check,
-                         symsq_factor)
+from symsq.errors import DivergenceGuard, InvalidSatake, PrecisionLoss
+from symsq.euler import (EulerFactor, SatakeData, df_complex, euler_to_lambda,
+                         evaluate_factor_complex, evaluate_factor_padic,
+                         substitute_frobenius, symsq_factor)
 from symsq.iwasawa import (IwasawaElement, congruent_mod_p,
                            factorial_valuation, frobenius_exponent,
                            invariants)
-from symsq.padic import PAdicInt, inv, teichmuller
+from symsq.padic import PAdicInt, inv, is_prime, teichmuller
+from symsq.qexp import expansion_from_eigenvalues
 
 from conftest import (PRIMES_TO_200, characters_with_order_dividing,
                       cyc_symsq_coeffs, per_power_substitute_frobenius,
                       seeded)
+
+
+def symsq_dirichlet_coeff_check(s, character):
+    """Whether the degree-1 coefficient of the factor of unramified data
+    s is -a(q^2), with a(q^2) taken from the independent Hecke recursion
+    in qexp with the nebentype `character`."""
+    e1 = -symsq_factor(s).coeffs[1]
+    ap = {ell: 0 for ell in range(2, s.q**2 + 1) if is_prime(ell)}
+    ap[s.q] = s.a_q
+    f = expansion_from_eigenvalues(s.k, 1, character, ap, s.q**2)
+    return _is_zero(e1 - f.coefficient(s.q * s.q))
 
 
 class TestSatakeValidation:
@@ -335,54 +345,6 @@ class TestSigma:
                     ).residue == 1)
         factor = symsq_factor(SatakeData(q, "ordinary", 1, 0, 2))
         assert invariants(euler_to_lambda(factor, psi, 0, p, 2, 4))[0] > 0
-
-
-class TestEpFactor:
-    def test_ramified_examples(self):
-        one = trivial_character(1)
-        assert ep_factor(2, one, PAdicInt(5, 2, 1), None, 1, True,
-                         2, 5, 2).residue == 5
-        assert ep_factor(1, one, PAdicInt(5, 2, 3), None, 1, True,
-                         2, 5, 2).residue == 14
-        assert ep_factor(1, one, PAdicInt(5, 2, 1), None, 2, True,
-                         2, 5, 2).residue == 1
-
-    def test_ramified_exponent(self):
-        one = trivial_character(1)
-        base = ep_factor(3, one, PAdicInt(5, 4, 2), None, 1, True, 4, 5, 4)
-        cubed = ep_factor(3, one, PAdicInt(5, 4, 2), None, 3, True, 4, 5, 4)
-        assert cubed == base**3
-
-    def test_unramified_value(self):
-        # independent residue computation with a quadratic twist
-        p, n_prec, k, n = 5, 6, 2, 1
-        psi = next(c for c in characters_mod(3) if c.order == 2)
-        assert psi(p) == -1
-        alpha = PAdicInt(p, n_prec, 2)
-        beta = PAdicInt(p, n_prec, 35)
-        got = ep_factor(n, psi, alpha, beta, 0, False, k, p, n_prec)
-        m = p**(n_prec - n)
-        t1 = (1 + pow(2, -2, m)) % m          # 1 - p^0 (-1)^-1 alpha^-2
-        t2 = 2 % m                            # 1 - (-1) p^(k-1-n)
-        t3 = (1 + 35 * 35 // 5) % m           # 1 - (-1) beta^2 / p
-        assert got.prec == n_prec - n
-        assert got.residue == t1 * t2 * t3 % m
-
-    def test_not_integral(self):
-        one = trivial_character(1)
-        with pytest.raises(NotIntegral):
-            ep_factor(3, one, PAdicInt(5, 4, 1), PAdicInt(5, 4, 5), 0,
-                      False, 2, 5, 4)   # k-1-n = -2
-
-    def test_not_ordinary(self):
-        with pytest.raises(NotOrdinary):
-            ep_factor(1, trivial_character(1), PAdicInt(5, 2, 5), None,
-                      1, True, 2, 5, 2)
-
-    def test_ramified_needs_r(self):
-        with pytest.raises(ValueError):
-            ep_factor(1, trivial_character(1), PAdicInt(5, 2, 1), None,
-                      0, True, 2, 5, 2)
 
 
 class TestAssemble:

@@ -216,7 +216,16 @@ class TestLoadForm:
         # (psi*eps)^2 trivial: hypothesis violated, warn but proceed
         chi = next(c for c in characters_mod(11) if c.order == 2)
         form = load_form(write_form(tmp_path, character=chi.to_json()))
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="residually trivial"):
+            report = invariant_report(form, trivial_character(1), 0, [2])
+        assert report.table
+
+    def test_residually_nontrivial_square_is_silent(self, tmp_path):
+        # an order-4 nebentype at p = 5: (psi*eps)^2 has order 2, so the
+        # hypothesis holds and the report warns nothing
+        form = load_form(write_order4_form(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = invariant_report(form, trivial_character(1), 0, [2])
         assert report.table
 
@@ -725,6 +734,25 @@ class TestClosedSigma:
                 lift_factor(form, factor.q, psi, t, root, factor=factor)
             with pytest.raises(TruncationTooShort):
                 harness._closed_sigma(form, factor.q, psi, t, root, factor)
+
+    def test_sigma_at_the_truncation_and_at_a_power_of_p(self):
+        # p = 5, q = 251 = 1 + 2 5^3, P = 1 - X, psi trivial, t = 0: s = 1
+        # is a simple root and v = 2, so sigma = 25.  D = 25 holds it
+        # exactly; at D = 24, and at D = 5 = p, where the digit count of
+        # q^(p-1) - 1 must pass p^1 <= D, it is refused
+        factor, psi = EulerFactor(251, (1, -1)), trivial_character(1)
+
+        def form(trunc):
+            return FormRecord("sigma-edge", 2, 1, psi, {}, 5, 3, trunc)
+
+        assert harness._closed_sigma(form(25), 251, psi, 0, None, factor) == 25
+        lifted = lift_factor(form(25), 251, psi, 0, factor=factor)
+        assert invariants(lifted) == (0, 25)
+        for trunc in (24, 5):
+            with pytest.raises(TruncationTooShort):
+                harness._closed_sigma(form(trunc), 251, psi, 0, None, factor)
+            with pytest.raises(TruncationTooShort):
+                lift_factor(form(trunc), 251, psi, 0, factor=factor)
 
     @pytest.mark.parametrize("refusal", ["p in a denominator",
                                          "order not dividing p - 1",

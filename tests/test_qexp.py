@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from symsq.characters import characters_mod, trivial_character
 from symsq.cyclotomic import CycNumber, euler_phi
-from symsq.errors import (BadMode, BadPrime, NotEmbeddable, NotOrdinary,
-                          OddCharacter)
+from symsq.errors import BadMode, BadPrime, NotEmbeddable, NotOrdinary
 from symsq.padic import PAdicInt, hensel_unit_root, inv
 from symsq.padic import is_prime as _is_prime
 from symsq.qexp import (QExpansion, _zero_like, coeffs_agree, deplete,
-                        expansion_from_eigenvalues, hecke_T, hecke_U, hecke_V,
-                        p_stabilize, tau, theta)
+                        expansion_from_eigenvalues, hecke_U, p_stabilize, tau)
 
 from conftest import (PRIMES_TO_200, composed_p_stabilize, composed_tau,
-                      random_eigen_map, random_unit, seeded)
+                      hecke_T, hecke_V, random_eigen_map, random_unit, seeded)
 
 
 def make(coeffs, weight=2, level=1, char=None, ring="int"):
@@ -582,35 +580,3 @@ class TestEigenRecursion:
         f = expansion_from_eigenvalues(2, 13, chi, ap, 40)
         assert f.ring == "cyc" and isinstance(f.coeffs[1], int)
 
-
-class TestTheta:
-    def test_trivial_character(self):
-        t = theta(trivial_character(1), 10)
-        assert t.coefficient(0) == CycNumber.from_rational(Fraction(1, 2))
-        for j in (1, 4, 9):
-            assert t.coefficient(j) == 1
-        assert t.coefficient(2).is_zero()
-        assert t.weight == Fraction(1, 2)
-        assert t.level == 4
-
-    def test_quadratic_mod_5(self):
-        chi = next(c for c in characters_mod(5) if c.order == 2)
-        t = theta(chi, 26)
-        assert t.coefficient(1) == 1
-        assert t.coefficient(4) == -1
-        assert t.coefficient(9) == -1
-        assert t.coefficient(16) == 1
-        assert t.coefficient(25).is_zero()
-        assert t.level == 4 * 25
-
-    def test_p_power_conductor_vanishing(self):
-        chi = next(c for c in characters_mod(25) if c.order == 5)
-        assert chi.is_even()
-        t = theta(chi, 200)
-        for n in range(0, 201, 5):
-            assert t.coefficient(n).is_zero()
-
-    def test_odd_character_rejected(self):
-        chi4 = next(c for c in characters_mod(4) if not c.is_trivial())
-        with pytest.raises(OddCharacter):
-            theta(chi4, 10)
